@@ -10,9 +10,8 @@
  *  - full FetchEngine fetches/sec for each L1-L2 interface policy
  *    the paper evaluates (blocking baseline, on-chip L2, prefetch +
  *    bypass, pipelined L2 + stream buffer);
- *  - trace materialization cold (workload random walk) vs warm
- *    (decode from the IBS_TRACE_CACHE_DIR-style on-disk cache),
- *    which is what the shared trace cache buys every bench binary.
+ *  - cold trace materialization (the workload random walk behind
+ *    every flat trace).
  *
  * The trace length honours IBS_BENCH_INSTR (default 1M), so the
  * perf_smoke ctest can run the whole harness in well under a second.
@@ -24,10 +23,8 @@
 
 #include <benchmark/benchmark.h>
 
-#include <unistd.h>
-
 #include <bit>
-#include <filesystem>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,9 +40,9 @@
 #include "sim/runner.h"
 #include "trace/file.h"
 #include "trace/run_trace.h"
-#include "trace/trace_cache.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
+#include "workload/run_stream.h"
 
 namespace {
 
@@ -249,9 +246,9 @@ baselineRuns()
  * The headline A/B of the run-length fetch path: one iteration is a
  * fresh FetchEngine (economy baseline) over the whole shared trace,
  * replayed either via fetchRun over the compressed runs (batched:1,
- * what SuiteTraces::runOne does by default) or via the scalar
- * per-instruction fetch() loop (batched:0, the IBS_FETCH_SCALAR=1
- * path). Identical work per iteration, so fetches_per_second is
+ * what SuiteTraces::runOne does) or via the scalar per-instruction
+ * fetch() loop (batched:0, fetchRun's own fallback). Identical work
+ * per iteration, so fetches_per_second is
  * directly comparable — scripts/check_bench_json.sh compares the two
  * cells, and the EXPERIMENTS.md throughput table quotes them.
  */
@@ -294,8 +291,8 @@ BENCHMARK(BM_BatchedVsScalar)
  * through a RunStream straight into fetchRun; no flat vector, no
  * stored RunTrace) or via the materialize pipeline (streaming:0 —
  * flat address vector, compressRuns, then the batched replay; what
- * every sweep paid before streaming and what IBS_STREAM_GEN=0 still
- * pays). Identical simulated work per iteration, so
+ * every sweep paid before streaming). Identical simulated work per
+ * iteration, so
  * fetches_per_second is directly comparable; peak_trace_bytes
  * records each variant's high-water trace footprint (one in-flight
  * FetchRun vs flat vector + run trace), which is what the streaming
@@ -519,26 +516,14 @@ BENCHMARK(BM_ObsOverhead)
     ->Arg(4)
     ->MinTime(0.25);
 
-/** Instructions materialized per workload in the cold/warm pair;
- *  scaled down from the replay-trace length so one iteration stays
- *  cheap enough to repeat. */
+/** Instructions materialized per iteration of the cold walk; scaled
+ *  down from the replay-trace length so one iteration stays cheap
+ *  enough to repeat. */
 uint64_t
 materializeLength()
 {
     const uint64_t n = traceLength() / 10;
     return n ? n : 1;
-}
-
-/** Scratch trace-cache directory for the warm-materialization
- *  benchmark; removed on process exit. */
-const std::string &
-scratchCacheDir()
-{
-    static const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         ("ibs_microbench_cache_" + std::to_string(::getpid())))
-            .string();
-    return dir;
 }
 
 /** Cold path: run the workload random walk. */
@@ -549,34 +534,14 @@ BM_TraceMaterializeCold(benchmark::State &state)
         makeIbs(IbsBenchmark::Gs, OsType::Mach)};
     const uint64_t n = materializeLength();
     for (auto _ : state) {
-        SuiteTraces traces(suite, n, "", 1, false);
-        // Streaming suites defer generation; the flat-trace request
-        // is what forces the cold walk this cell measures.
+        SuiteTraces traces(suite, n);
+        // Construction generates nothing; the flat-trace request is
+        // what forces the cold walk this cell measures.
         benchmark::DoNotOptimize(traces.addresses(0).size());
     }
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_TraceMaterializeCold);
-
-/** Warm path: decode the same trace from the on-disk cache. */
-void
-BM_TraceMaterializeCached(benchmark::State &state)
-{
-    const std::vector<WorkloadSpec> suite = {
-        makeIbs(IbsBenchmark::Gs, OsType::Mach)};
-    const uint64_t n = materializeLength();
-    // Populate the scratch cache once; every timed construction
-    // below is then a pure cached load.
-    SuiteTraces warmup(suite, n, scratchCacheDir(), 1, false);
-    for (auto _ : state) {
-        SuiteTraces traces(suite, n, scratchCacheDir(), 1, false);
-        if (!traces.fromCache(0))
-            state.SkipWithError("trace cache miss on warm path");
-        benchmark::DoNotOptimize(traces.length(0));
-    }
-    state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_TraceMaterializeCached);
 
 void
 BM_TraceFileWrite(benchmark::State &state)
@@ -676,7 +641,5 @@ main(int argc, char **argv)
     benchmark::RunSpecifiedBenchmarks(&reporter);
     benchmark::Shutdown();
     report.write();
-    std::error_code ec;
-    std::filesystem::remove_all(scratchCacheDir(), ec);
     return 0;
 }

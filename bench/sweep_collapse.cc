@@ -5,25 +5,24 @@
  * x L2 associativity {1,2,4,8}, plus the 7-cycle-L2 footnote
  * singleton) over the six-workload IBS suite.
  *
- * One measured iteration is a full runSweep. collapsed:1 is the
- * default path — the eight geometry variants share one L1 capture
- * per workload and replay a short miss stream (one LRU stack pass
- * for the whole group) — while collapsed:0 forces
- * IBS_SWEEP_COLLAPSE=0, simulating every cell in full. Both modes
- * are warmed first so the run-trace memos and miss streams exist
- * before timing: this compares steady-state sweep cost, which is
- * what a warm server request or a repeated bench run pays. The
- * simulated work per iteration is identical (54 cells x
- * IBS_BENCH_INSTR instructions), so fetches_per_second is directly
- * comparable; scripts/check_bench_json.sh warn-gates the ratio at
- * 2.0 and EXPERIMENTS.md "Sweep collapsing" quotes both cells.
+ * One measured iteration covers the whole grid. collapsed:1 is a
+ * runSweep — the eight geometry variants share one L1 capture per
+ * workload and replay a short miss stream — while collapsed:0 is a
+ * serial SuiteTraces::runOne loop over the same cells, simulating
+ * every cell in full. Both modes are warmed first so the run-trace
+ * memos and miss streams exist before timing: this compares
+ * steady-state sweep cost, which is what a warm server request or a
+ * repeated bench run pays. The simulated work per iteration is
+ * identical (one cell per (config, workload), IBS_BENCH_INSTR
+ * instructions each), so fetches_per_second is directly comparable;
+ * scripts/check_bench_json.sh warn-gates the ratio at 2.0 and
+ * EXPERIMENTS.md "Sweep collapsing" quotes both cells.
  *
  * Single-threaded on purpose: the collapse win is algorithmic
  * (cells of work removed), and one thread keeps pool scheduling out
  * of the measurement.
  */
 
-#include <cstdlib>
 #include <iostream>
 
 #include "core/fetch_config.h"
@@ -62,21 +61,35 @@ struct ModeResult
     uint64_t instructions = 0; ///< Simulated per single rep.
 };
 
+/** Simulated instructions of one pass over the grid. */
+uint64_t
+runGrid(bool collapsed, const SuiteTraces &suite,
+        const std::vector<FetchConfig> &grid)
+{
+    uint64_t instructions = 0;
+    if (collapsed) {
+        const SweepResult result = runSweep(suite, grid, 1);
+        for (size_t c = 0; c < grid.size(); ++c)
+            instructions += result.suite(c).instructions;
+    } else {
+        for (const FetchConfig &config : grid)
+            for (size_t w = 0; w < suite.count(); ++w)
+                instructions += suite.runOne(w, config).instructions;
+    }
+    return instructions;
+}
+
 ModeResult
 runMode(bool collapsed, const SuiteTraces &suite,
         const std::vector<FetchConfig> &grid, int reps)
 {
-    setenv("IBS_SWEEP_COLLAPSE", collapsed ? "1" : "0", 1);
     // Warm: builds the run-trace memos (both modes) and, for the
     // collapsed mode, the per-workload miss streams.
-    SweepResult warm = runSweep(suite, grid, 1);
     ModeResult out;
-    for (size_t c = 0; c < grid.size(); ++c)
-        for (size_t w = 0; w < suite.count(); ++w)
-            out.instructions += warm.cell(c, w).instructions;
+    out.instructions = runGrid(collapsed, suite, grid);
     WallTimer timer;
     for (int r = 0; r < reps; ++r)
-        runSweep(suite, grid, 1);
+        runGrid(collapsed, suite, grid);
     out.seconds = timer.seconds();
     return out;
 }
@@ -134,7 +147,7 @@ main()
                     std::to_string(reps) + " reps");
     table.setHeader(
         {"mode", "wall s/rep", "sim instr/s", "speedup"});
-    table.addRow({"per-cell (IBS_SWEEP_COLLAPSE=0)",
+    table.addRow({"per-cell (serial runOne loop)",
                   TextTable::num(slow.seconds / reps),
                   TextTable::num(rate(slow)), "1.00"});
     table.addRow({"collapsed (default)",

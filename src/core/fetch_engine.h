@@ -75,11 +75,10 @@ class FetchEngine
     void fetchRun(const FetchRun &run);
 
     /**
-     * Record that `runs` fetchRun() calls were fed straight from a
-     * streaming generator (workload/run_stream.h) rather than a
-     * materialized RunTrace. Observability-only — published as
-     * fetch.engine.stream_runs; simulated statistics are unaffected.
-     * Called by streaming drivers (sim/runner.h runFetchStreamed)
+     * Record that `runs` fetchRun() calls replayed runs cut by the
+     * streaming generator (workload/run_stream.h). Observability-only
+     * — published as fetch.engine.stream_runs; simulated statistics
+     * are unaffected. Called by SuiteTraces::runOne (sim/runner.h)
      * after the replay loop.
      */
     void noteStreamRuns(uint64_t runs) { streamRuns_ += runs; }

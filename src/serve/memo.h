@@ -3,9 +3,8 @@
  * Warm-state store of the sweep server: a byte-budgeted LRU of
  * materialized SuiteTraces.
  *
- * Materializing a suite (the workload random walk, or decoding the
- * on-disk trace cache) dominates a request's cost; replay through a
- * FetchEngine is cheap. The server therefore keys each distinct
+ * Generating a suite's run traces (the workload random walk)
+ * dominates a request's cost; replay through a FetchEngine is cheap. The server therefore keys each distinct
  * (suite, workload subset, instruction count) on its first request
  * and hands every later request the same immutable SuiteTraces —
  * including the run-length compressed replay memos it accumulates —

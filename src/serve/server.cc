@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -28,7 +27,6 @@
 #include "sim/collapse.h"
 #include "sim/parallel.h"
 #include "sim/sweep.h"
-#include "trace/trace_cache.h"
 
 namespace ibs::serve {
 
@@ -523,9 +521,7 @@ Server::handleSweep(int fd, const Json &request,
             memoKey(sweep),
             [&] {
                 return std::make_shared<const SuiteTraces>(
-                    sweep.workloads, sweep.instructions,
-                    traceCacheDir(), config_.threads,
-                    /*log_cache_hits=*/false);
+                    sweep.workloads, sweep.instructions);
             },
             &memo_hit);
     } catch (const std::exception &e) {
@@ -571,14 +567,7 @@ Server::handleSweep(int fd, const Json &request,
     grid.reserve(sweep.configs.size());
     for (const FetchConfig *config : sweep.configs)
         grid.push_back(*config);
-    CollapsePlan plan;
-    if (sweepCollapseEnabled()) {
-        plan = planCollapse(grid);
-    } else {
-        plan.singles.resize(grid.size());
-        std::iota(plan.singles.begin(), plan.singles.end(),
-                  size_t{0});
-    }
+    const CollapsePlan plan = planCollapse(grid);
     publishCollapsePlan(plan, workloads);
 
     // One cell frame, identical in shape whichever path computed it.

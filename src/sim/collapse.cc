@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -59,7 +58,7 @@ deriveStats(const MissStream &ms, const FetchConfig &variant,
  * the capture run's L1/engine counters, the replayed L2 counters,
  * zeros for the stream buffer (FetchEngine publishes those
  * unconditionally), and the per-cell histogram sample. Keeps obs
- * snapshots bit-identical between IBS_SWEEP_COLLAPSE=1 and =0.
+ * snapshots bit-identical to running every cell through runOne.
  */
 void
 publishCollapsedCell(const MissStream &ms, const FetchStats &stats,
@@ -68,9 +67,7 @@ publishCollapsedCell(const MissStream &ms, const FetchStats &stats,
     obs::Registry &registry = obs::Registry::global();
     if (!registry.enabled())
         return;
-    if (ms.streamedReplay) {
-        registry.add("workload.model.runs_emitted", ms.runsReplayed);
-    }
+    registry.add("workload.model.runs_emitted", ms.runsReplayed);
     registry.add("cache.l1.accesses", ms.l1Accesses);
     registry.add("cache.l1.hits", ms.l1Hits);
     registry.add("cache.l1.misses", ms.l1Accesses - ms.l1Hits);
@@ -92,19 +89,11 @@ publishCollapsedCell(const MissStream &ms, const FetchStats &stats,
     registry.add("fetch.engine.stream_buffer_hits", 0);
     registry.add("fetch.engine.batched_runs", ms.batchedRuns);
     registry.add("fetch.engine.batch_fallbacks", ms.batchFallbacks);
-    registry.add("fetch.engine.stream_runs",
-                 ms.streamedReplay ? ms.runsReplayed : 0);
+    registry.add("fetch.engine.stream_runs", ms.runsReplayed);
     registry.observe("sim.cell.instructions", stats.instructions);
 }
 
 } // namespace
-
-bool
-sweepCollapseEnabled()
-{
-    const char *env = std::getenv("IBS_SWEEP_COLLAPSE");
-    return !(env && env[0] == '0' && env[1] == '\0');
-}
 
 bool
 collapseEligible(const FetchConfig &config)

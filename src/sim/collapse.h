@@ -37,13 +37,13 @@
  * odd-line-size members fall back to a per-variant Cache replay of
  * the miss stream — still far cheaper than a full cell. Configs that
  * fail the eligibility test (no real L2, prefetch, bypass,
- * pipelined/stream-buffer, unified L2) and singleton groups keep the
- * existing per-cell path.
+ * pipelined/stream-buffer, unified L2) and singleton groups run per
+ * cell through SuiteTraces::runOne.
  *
- * Collapsing is on by default; IBS_SWEEP_COLLAPSE=0 is the escape
- * hatch (house style of IBS_FETCH_SCALAR / IBS_STREAM_GEN, read per
- * call). Results are bit-identical either way — enforced by the
- * sweep_collapse_* tests and the fig3/fig4/table5 stdout-diff ctest.
+ * Every sweep plans this way; there is no other sweep path. Derived
+ * cells are bit-identical to runOne on the same config — enforced
+ * against a plain runOne loop by tests/sweep_collapse_test.cc, and
+ * end to end by the golden_<bench> stdout ctests.
  */
 
 #ifndef IBS_SIM_COLLAPSE_H
@@ -58,10 +58,6 @@
 #include "sim/runner.h"
 
 namespace ibs {
-
-/** True unless IBS_SWEEP_COLLAPSE=0 disables collapsing (read per
- *  call so tests can flip it at runtime). */
-bool sweepCollapseEnabled();
 
 /**
  * Structural eligibility: the config's L1 behaviour is provably
@@ -109,8 +105,7 @@ struct CollapsePlan
 /**
  * Group `configs` by collapse key. Deterministic: group members are
  * in ascending grid order, groups are ordered by leader index, and
- * `singles` is ascending. Ignores the IBS_SWEEP_COLLAPSE hatch —
- * callers gate on sweepCollapseEnabled().
+ * `singles` is ascending.
  */
 CollapsePlan planCollapse(const std::vector<FetchConfig> &configs);
 

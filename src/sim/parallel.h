@@ -3,10 +3,9 @@
  * Shared thread-pool primitive for embarrassingly parallel index
  * spaces.
  *
- * Both the sweep executor (one task per (config, workload) cell) and
- * SuiteTraces materialization (one task per workload) fan independent
- * work items out over worker threads, and the simulation server
- * (src/serve) shards many concurrent requests over the same workers.
+ * The sweep executor fans independent (config, workload) cells out
+ * over worker threads, and the simulation server (src/serve) shards
+ * many concurrent requests over the same workers.
  * ThreadPool owns a fixed set of persistent std::thread workers;
  * parallelFor schedules [0, total) onto them through a shared atomic
  * cursor, because item costs vary wildly (a 256-KB L2 cell or a

@@ -11,11 +11,28 @@
 #include "obs/log.h"
 #include "obs/registry.h"
 #include "obs/timer.h"
-#include "sim/parallel.h"
-#include "sim/sweep.h"
-#include "trace/trace_cache.h"
+#include "workload/model.h"
+#include "workload/run_stream.h"
 
 namespace ibs {
+
+namespace {
+
+/** Warn, once per workload, when its model drained after `got` of
+ *  the `wanted` instructions. */
+void
+warnShortTrace(const std::string &name, uint64_t got, uint64_t wanted)
+{
+    if (got >= wanted)
+        return;
+    obs::logOnce(obs::LogLevel::Warn, "short-trace:" + name,
+                 "workload %s drained after %llu of %llu "
+                 "instructions; its trace is short",
+                 name.c_str(), static_cast<unsigned long long>(got),
+                 static_cast<unsigned long long>(wanted));
+}
+
+} // namespace
 
 uint64_t
 parseEnvCount(const char *name, uint64_t fallback)
@@ -48,218 +65,83 @@ benchInstructions(uint64_t fallback)
     return parseEnvCount("IBS_BENCH_INSTR", fallback);
 }
 
-FetchStats
-runFetch(const WorkloadSpec &spec, const FetchConfig &config,
-         uint64_t instructions, uint64_t seed)
-{
-    WorkloadModel model(spec, seed);
-    FetchEngine engine(config);
-    return engine.run(model, instructions);
-}
-
-FetchStats
-runFetchStreamed(const WorkloadSpec &spec, const FetchConfig &config,
-                 uint64_t instructions, uint64_t seed)
-{
-    WorkloadModel model(spec, seed);
-    RunStream stream(model, config.l1.lineBytes, instructions);
-    FetchEngine engine(config);
-    FetchRun run;
-    while (stream.next(run))
-        engine.fetchRun(run);
-    engine.noteStreamRuns(stream.runsEmitted());
-    if (obs::Registry::global().enabled()) {
-        obs::Registry::global().add("workload.model.runs_emitted",
-                                    stream.runsEmitted());
-        engine.publishCounters(obs::Registry::global());
-        // Scheduling-independent histogram sample (the registry's
-        // thread-count-invariance contract covers histograms too).
-        obs::Registry::global().observe("sim.cell.instructions",
-                                        engine.stats().instructions);
-    }
-    return engine.stats();
-}
-
 SuiteTraces::SuiteTraces(const std::vector<WorkloadSpec> &suite,
                          uint64_t instructions_per_workload)
-    : SuiteTraces(suite, instructions_per_workload, traceCacheDir(), 0)
+    : requested_(instructions_per_workload), specs_(suite)
 {
-}
-
-SuiteTraces::SuiteTraces(const std::vector<WorkloadSpec> &suite,
-                         uint64_t instructions_per_workload,
-                         const std::string &cache_dir, unsigned threads,
-                         bool log_cache_hits)
-    : requested_(instructions_per_workload),
-      // The on-disk cache persists flat traces, so pointing at a
-      // cache directory opts into the materialized pipeline (class
-      // comment); otherwise IBS_STREAM_GEN=0 is the only way back.
-      streaming_(cache_dir.empty() && streamingGeneration()),
-      cacheDir_(cache_dir), logCacheHits_(log_cache_hits),
-      specs_(suite)
-{
-    names_.reserve(suite.size());
-    for (const WorkloadSpec &spec : suite)
-        names_.push_back(spec.name);
-    traces_.resize(suite.size());
-    fromCache_.assign(suite.size(), 0);
-    flatSlots_.reserve(suite.size());
+    flat_.reserve(suite.size());
     for (size_t i = 0; i < suite.size(); ++i)
-        flatSlots_.push_back(std::make_unique<FlatSlot>());
-
-    if (streaming_)
-        return; // Generation is deferred to runTrace()/addresses().
-
-    if (threads == 0)
-        threads = sweepThreads();
-
-    // One workload per pool item: each writes only its own trace
-    // slot, so results are identical to the old serial loop for any
-    // worker count.
-    parallelFor(suite.size(), threads, [&](size_t i) {
-        std::call_once(flatSlots_[i]->once,
-                       [&] { materializeFlat(i); });
-    });
+        flat_.push_back(std::make_unique<Slot<std::vector<uint64_t>>>());
 }
 
-void
-SuiteTraces::materializeFlat(size_t i) const
+const std::vector<uint64_t> &
+SuiteTraces::addresses(size_t i) const
 {
-    const WorkloadSpec &spec = specs_[i];
-    obs::ScopedTimer timer("materialize " + spec.name, "workload");
-    const TraceCacheKey key{spec.name, spec.seed, requested_,
-                            kTraceModelVersion};
-    std::vector<uint64_t> addrs;
-    if (!cacheDir_.empty() && loadCachedTrace(cacheDir_, key, addrs)) {
-        fromCache_[i] = 1;
-        if (logCacheHits_) {
-            obs::log(obs::LogLevel::Info,
-                     "trace cache hit for %s (%zu instructions)",
-                     spec.name.c_str(), addrs.size());
-        }
-    } else {
-        WorkloadModel model(spec);
+    Slot<std::vector<uint64_t>> &slot = *flat_[i];
+    std::call_once(slot.once, [&] {
+        obs::ScopedTimer timer("materialize " + name(i), "workload");
+        WorkloadModel model(specs_[i]);
+        std::vector<uint64_t> &addrs = slot.value;
         addrs.reserve(requested_);
         TraceRecord rec;
         while (addrs.size() < requested_ && model.next(rec)) {
             if (rec.isInstr())
                 addrs.push_back(rec.vaddr);
         }
-        if (!cacheDir_.empty())
-            storeCachedTrace(cacheDir_, key, addrs);
-    }
-    if (addrs.size() < requested_) {
-        // Every materialization of a short workload hits this;
-        // one warning per workload is enough.
-        obs::logOnce(obs::LogLevel::Warn, "short-trace:" + spec.name,
-                     "workload %s drained after %zu of %llu "
-                     "instructions; its trace is short",
-                     spec.name.c_str(), addrs.size(),
-                     static_cast<unsigned long long>(requested_));
-    }
-    traces_[i] = std::move(addrs);
-    flatSlots_[i]->built.store(true, std::memory_order_release);
-}
-
-const std::vector<uint64_t> &
-SuiteTraces::addresses(size_t i) const
-{
-    std::call_once(flatSlots_[i]->once, [&] { materializeFlat(i); });
-    return traces_[i];
-}
-
-size_t
-SuiteTraces::cacheHits() const
-{
-    size_t hits = 0;
-    for (uint8_t flag : fromCache_)
-        hits += flag;
-    return hits;
-}
-
-bool
-SuiteTraces::scalarFetchForced()
-{
-    const char *env = std::getenv("IBS_FETCH_SCALAR");
-    return env && env[0] != '\0' && !(env[0] == '0' && env[1] == '\0');
-}
-
-bool
-SuiteTraces::streamingGeneration()
-{
-    const char *env = std::getenv("IBS_STREAM_GEN");
-    return !(env && env[0] == '0' && env[1] == '\0');
+        warnShortTrace(name(i), addrs.size(), requested_);
+        slot.built.store(true, std::memory_order_release);
+    });
+    return slot.value;
 }
 
 const RunTrace &
 SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
 {
-    RunEntry *entry;
+    Slot<RunTrace> *entry;
     {
         std::lock_guard<std::mutex> lock(runTraceMutex_);
-        std::unique_ptr<RunEntry> &slot =
+        std::unique_ptr<Slot<RunTrace>> &slot =
             runTraces_[{i, line_bytes}];
         if (!slot)
-            slot = std::make_unique<RunEntry>();
+            slot = std::make_unique<Slot<RunTrace>>();
         entry = slot.get();
     }
-    // Compression runs outside the map lock; concurrent callers for
+    // Generation runs outside the map lock; concurrent callers for
     // the same key rendezvous on the entry's once_flag, callers for
-    // other keys proceed independently.
+    // other keys proceed independently. Runs stream straight from
+    // the workload model — the flat vector is never built here — and
+    // cut exactly where compressRuns would (run_stream.h).
     std::call_once(entry->once, [&] {
-        if (streaming_ && !flatBuilt(i)) {
-            // Generate runs straight from the workload model — the
-            // flat 8-bytes-per-instruction vector never exists. Cuts
-            // match compressRuns exactly (run_stream.h), so the memo
-            // entry is bit-identical either way.
-            obs::ScopedTimer timer("stream " + names_[i] + " line" +
-                                       std::to_string(line_bytes),
-                                   "run_trace");
-            WorkloadModel model(specs_[i]);
-            entry->trace =
-                generateRunTrace(model, line_bytes, requested_);
-            if (entry->trace.instructions < requested_) {
-                obs::logOnce(
-                    obs::LogLevel::Warn, "short-trace:" + names_[i],
-                    "workload %s drained after %llu of %llu "
-                    "instructions; its trace is short",
-                    names_[i].c_str(),
-                    static_cast<unsigned long long>(
-                        entry->trace.instructions),
-                    static_cast<unsigned long long>(requested_));
-            }
-        } else {
-            obs::ScopedTimer timer("compress " + names_[i] + " line" +
-                                       std::to_string(line_bytes),
-                                   "run_trace");
-            entry->trace = compressRuns(addresses(i), line_bytes);
-        }
+        obs::ScopedTimer timer("stream " + name(i) + " line" +
+                                   std::to_string(line_bytes),
+                               "run_trace");
+        WorkloadModel model(specs_[i]);
+        entry->value = generateRunTrace(model, line_bytes, requested_);
+        warnShortTrace(name(i), entry->value.instructions, requested_);
         entry->built.store(true, std::memory_order_release);
     });
-    return entry->trace;
+    return entry->value;
 }
 
 uint64_t
 SuiteTraces::retainedTraceBytes() const
 {
     uint64_t bytes = 0;
-    for (size_t i = 0; i < traces_.size(); ++i) {
-        if (flatBuilt(i))
-            bytes += traces_[i].size() * sizeof(uint64_t);
+    for (const auto &slot : flat_) {
+        if (slot->built.load(std::memory_order_acquire))
+            bytes += slot->value.size() * sizeof(uint64_t);
     }
     {
         std::lock_guard<std::mutex> lock(runTraceMutex_);
         for (const auto &kv : runTraces_) {
-            const RunEntry &entry = *kv.second;
-            if (entry.built.load(std::memory_order_acquire))
-                bytes += entry.trace.bytes();
+            if (kv.second->built.load(std::memory_order_acquire))
+                bytes += kv.second->value.bytes();
         }
     }
     std::lock_guard<std::mutex> lock(missStreamMutex_);
     for (const auto &kv : missStreams_) {
-        const MissEntry &entry = *kv.second;
-        if (entry.built.load(std::memory_order_acquire))
-            bytes += entry.stream.bytes();
+        if (kv.second->built.load(std::memory_order_acquire))
+            bytes += kv.second->value.bytes();
     }
     return bytes;
 }
@@ -268,53 +150,41 @@ const MissStream &
 SuiteTraces::missStream(size_t i, const FetchConfig &config) const
 {
     // The capture depends only on the L1 side of the config (the
-    // perfect L2 never feeds back) and on which replay path fed the
-    // engine — IBS_FETCH_SCALAR changes the observability counters
-    // (batched_runs et al.), so it is part of the key.
-    // CacheConfig::toString omits the replacement policy, which does
-    // change the miss stream — spell the key out field by field.
-    const bool scalar = scalarFetchForced();
+    // perfect L2 never feeds back). CacheConfig::toString omits the
+    // replacement policy, which does change the miss stream — spell
+    // the key out field by field.
     std::string key = std::to_string(config.l1.sizeBytes) + "/" +
         std::to_string(config.l1.assoc) + "/" +
         std::to_string(config.l1.lineBytes) + "/" +
         replacementName(config.l1.replacement) + "|" +
         std::to_string(config.l1Fill.latencyCycles) + ":" +
         std::to_string(config.l1Fill.bytesPerCycle);
-    if (scalar)
-        key += "|scalar";
 
-    MissEntry *entry;
+    Slot<MissStream> *entry;
     {
         std::lock_guard<std::mutex> lock(missStreamMutex_);
-        std::unique_ptr<MissEntry> &slot =
+        std::unique_ptr<Slot<MissStream>> &slot =
             missStreams_[{i, std::move(key)}];
         if (!slot)
-            slot = std::make_unique<MissEntry>();
+            slot = std::make_unique<Slot<MissStream>>();
         entry = slot.get();
     }
     std::call_once(entry->once, [&] {
-        obs::ScopedTimer timer("capture " + names_[i] + " " +
+        obs::ScopedTimer timer("capture " + name(i) + " " +
                                    config.l1.toString(),
                                "collapse");
         FetchConfig capture = config;
         capture.perfectL2 = true;
         FetchEngine engine(capture);
-        MissStream &ms = entry->stream;
+        MissStream &ms = entry->value;
         ms.trace.lineBytes = capture.l1.lineBytes;
         engine.setMissCapture(&ms.trace);
-        if (scalar) {
-            for (uint64_t addr : addresses(i))
-                engine.fetch(addr);
-        } else {
-            const RunTrace &runs =
-                runTrace(i, capture.l1.lineBytes);
-            for (const FetchRun &run : runs.runs)
-                engine.fetchRun(run);
-            ms.streamedReplay = streaming_;
-            ms.runsReplayed = runs.runs.size();
-        }
+        const RunTrace &runs = runTrace(i, capture.l1.lineBytes);
+        for (const FetchRun &run : runs.runs)
+            engine.fetchRun(run);
         engine.setMissCapture(nullptr);
         ms.trace.runs.shrink_to_fit();
+        ms.runsReplayed = runs.runs.size();
         ms.l1Stats = engine.stats();
         ms.l1Accesses = engine.l1Cache().accesses();
         ms.l1Hits = engine.l1Cache().hits();
@@ -323,7 +193,7 @@ SuiteTraces::missStream(size_t i, const FetchConfig &config) const
         ms.batchFallbacks = engine.batchFallbacks();
         entry->built.store(true, std::memory_order_release);
     });
-    return entry->stream;
+    return entry->value;
 }
 
 size_t
@@ -344,37 +214,23 @@ FetchStats
 SuiteTraces::runOne(size_t i, const FetchConfig &config) const
 {
     FetchEngine engine(config);
-    bool streamed_replay = false;
-    uint64_t runs_replayed = 0;
-    if (scalarFetchForced()) {
-        // Needs the flat trace; in streaming mode this materializes
-        // it lazily (A/B escape hatches pay for what they use).
-        for (uint64_t addr : addresses(i))
-            engine.fetch(addr);
-    } else {
-        const RunTrace &runs = runTrace(i, config.l1.lineBytes);
-        for (const FetchRun &run : runs.runs)
-            engine.fetchRun(run);
-        streamed_replay = streaming_;
-        runs_replayed = runs.runs.size();
-    }
-    if (streamed_replay)
-        engine.noteStreamRuns(runs_replayed);
-    if (obs::Registry::global().enabled()) {
+    const RunTrace &runs = runTrace(i, config.l1.lineBytes);
+    for (const FetchRun &run : runs.runs)
+        engine.fetchRun(run);
+    engine.noteStreamRuns(runs.runs.size());
+    obs::Registry &registry = obs::Registry::global();
+    if (registry.enabled()) {
         // Published per replay, not per run-trace build: the memo
         // makes builds happen once per (workload, lineBytes), which
         // would leave warm sweeps without the counter and break
         // thread-count invariance of the snapshot.
-        if (streamed_replay) {
-            obs::Registry::global().add("workload.model.runs_emitted",
-                                        runs_replayed);
-        }
-        engine.publishCounters(obs::Registry::global());
+        registry.add("workload.model.runs_emitted", runs.runs.size());
+        engine.publishCounters(registry);
         // Scheduling-independent histogram sample: one observation
         // per replayed cell, so the merged histogram is bit-identical
         // across IBS_THREADS like the counters above.
-        obs::Registry::global().observe("sim.cell.instructions",
-                                        engine.stats().instructions);
+        registry.observe("sim.cell.instructions",
+                         engine.stats().instructions);
     }
     return engine.stats();
 }
@@ -383,7 +239,7 @@ FetchStats
 SuiteTraces::runSuite(const FetchConfig &config) const
 {
     FetchStats total;
-    for (size_t i = 0; i < traces_.size(); ++i)
+    for (size_t i = 0; i < count(); ++i)
         total.merge(runOne(i, config));
     return total;
 }

@@ -2,7 +2,7 @@
  * @file
  * Experiment runners: glue between workloads, engines and benches.
  *
- * SuiteTraces materializes each workload's instruction stream once
+ * SuiteTraces generates each workload's instruction stream once
  * (the expensive part) and then replays it under many fetch
  * configurations — the pattern every parameter-sweep bench uses.
  * Suite-average statistics weight every workload equally, as the
@@ -26,8 +26,6 @@
 #include "trace/miss_trace.h"
 #include "trace/run_trace.h"
 #include "workload/ibs.h"
-#include "workload/model.h"
-#include "workload/run_stream.h"
 
 namespace ibs {
 
@@ -38,7 +36,7 @@ namespace ibs {
  * L2 variant sharing that front end (sim/collapse.h). The stored
  * counters mirror exactly what FetchEngine::publishCounters would
  * have published for the L1 side, so derived cells can synthesize a
- * registry publication bit-identical to the per-cell path's.
+ * registry publication bit-identical to runOne's.
  */
 struct MissStream
 {
@@ -50,7 +48,6 @@ struct MissStream
     uint64_t batchedRuns = 0;    ///< fetchRun path counters; L1-only
     uint64_t batchFallbacks = 0; ///< decisions, so variant-invariant.
     uint64_t runsReplayed = 0;   ///< Runs fed to the capture engine.
-    bool streamedReplay = false; ///< Runs came from a streaming memo.
 
     /** Retained heap bytes (what serve/memo.h charges). */
     uint64_t
@@ -72,62 +69,21 @@ uint64_t parseEnvCount(const char *name, uint64_t fallback);
 uint64_t benchInstructions(uint64_t fallback = 1'500'000);
 
 /**
- * Generate one workload's stream and run it through a fetch
- * configuration.
- */
-FetchStats runFetch(const WorkloadSpec &spec, const FetchConfig &config,
-                    uint64_t instructions, uint64_t seed = 0);
-
-/**
- * As runFetch, but zero-materialization: FetchRuns stream from the
- * workload model straight into FetchEngine::fetchRun
- * (workload/run_stream.h) with no address vector and no stored
- * RunTrace — peak trace memory is O(1) regardless of length.
- * Simulated statistics are bit-identical to the materialized paths.
- * Instruction fetches only: data references are not replayed
- * (matching SuiteTraces replay semantics, not runFetch's
- * engine.run, which feeds dataTouch). Publishes the engine's
- * counters plus workload.model.runs_emitted when the obs registry
- * is enabled.
- */
-FetchStats runFetchStreamed(const WorkloadSpec &spec,
-                            const FetchConfig &config,
-                            uint64_t instructions, uint64_t seed = 0);
-
-/**
  * Instruction traces for a suite of workloads, held run-compressed.
  *
- * By default generation is *streaming* (workload/run_stream.h): the
- * run-length trace each sweep cell replays is generated straight
- * from the workload model, memoized per (workload, lineBytes), and
- * the flat address vector — 8 bytes per instruction, the dominant
- * memory cost and an extra encode pass — is never materialized.
- * Setting IBS_STREAM_GEN=0 restores the materialize-then-compress
- * pipeline (flat traces built eagerly at construction, one workload
- * per worker on the shared sim/parallel.h pool). Both modes yield
- * bit-identical run traces and simulated statistics.
+ * Construction generates nothing. The first runTrace(i, lineBytes)
+ * call streams workload `i` from its model straight into a
+ * run-length trace (workload/run_stream.h), memoized per
+ * (workload, lineBytes): the encoding depends only on the L1 line
+ * size, so every sweep cell with that line size shares it
+ * read-only. runOne and the collapse capture (missStream) drive
+ * FetchEngine::fetchRun over that trace; it is the only replay path
+ * sweeps and the server use. The flat 8-bytes-per-instruction
+ * address vector is built only for the benches that read flat
+ * traces (addresses), lazily, once.
  *
- * The on-disk trace cache (trace/trace_cache.h, enabled by setting
- * IBS_TRACE_CACHE_DIR) stores *flat* traces, so passing a cache
- * directory opts the suite into the materialized pipeline: traces
- * already cached are decoded from their IBST files with checksum
- * validation and silent regeneration on any mismatch, and a cache
- * hit logs one line on stderr so warm runs are observable.
- *
- * Replay uses the run-length compressed fast path by default: runOne
- * drives FetchEngine::fetchRun over the workload's RunTrace
- * (trace/run_trace.h) instead of calling fetch() per instruction.
- * Because the encoding depends only on the L1 line size, the
- * compressed trace is memoized per (workload, lineBytes) and shared
- * read-only by every sweep cell with that line size. Simulated
- * statistics are bit-identical to the scalar path; setting
- * IBS_FETCH_SCALAR=1 forces the old per-instruction loop for A/B
- * comparison (in streaming mode the flat trace it needs is then
- * materialized lazily).
- *
- * Thread-safety: flat traces and run-trace memo entries are each
- * built exactly once behind a std::once_flag (lazily in streaming
- * mode, eagerly at construction otherwise) and are immutable
+ * Thread-safety: flat traces, run traces and miss streams are each
+ * built exactly once behind a std::once_flag and are immutable
  * afterwards, so any number of threads may call the const members
  * (runOne, runSuite, addresses, runTrace, ...) concurrently on one
  * shared instance. sim/sweep.h relies on this to fan a config grid
@@ -137,78 +93,43 @@ class SuiteTraces
 {
   public:
     /**
-     * Materialize with the defaults every bench uses: cache directory
-     * from $IBS_TRACE_CACHE_DIR (none when unset) and the sweep
-     * executor's worker count.
-     *
      * @param suite workload specs (instruction streams only)
      * @param instructions_per_workload trace length for each
      */
     SuiteTraces(const std::vector<WorkloadSpec> &suite,
                 uint64_t instructions_per_workload);
 
-    /**
-     * Full-control constructor.
-     *
-     * @param cache_dir on-disk trace cache directory; "" disables
-     *        persistence
-     * @param threads materialization workers; 0 means sweepThreads()
-     * @param log_cache_hits emit the per-workload stderr line on a
-     *        cache hit (false for harnesses that rebuild suites in a
-     *        loop, e.g. the microbench)
-     */
-    SuiteTraces(const std::vector<WorkloadSpec> &suite,
-                uint64_t instructions_per_workload,
-                const std::string &cache_dir, unsigned threads,
-                bool log_cache_hits = true);
-
     size_t count() const { return specs_.size(); }
-    const std::string &name(size_t i) const { return names_[i]; }
+    const std::string &name(size_t i) const { return specs_[i].name; }
 
     /**
-     * Instruction addresses of workload `i`. In streaming mode the
-     * flat vector is not built at construction; the first caller
-     * pays the materialization (callers that only replay through
-     * runOne/runTrace never do). The returned reference stays valid
-     * for the lifetime of this SuiteTraces.
+     * Instruction addresses of workload `i`, generated on the first
+     * call (callers that only replay through runOne/runTrace never
+     * pay for it). The returned reference stays valid for the
+     * lifetime of this SuiteTraces.
      */
     const std::vector<uint64_t> &addresses(size_t i) const;
 
-    /** Trace length requested at construction. */
-    uint64_t instructionsRequested() const { return requested_; }
-
     /**
-     * Actual trace length of workload `i`. Shorter than
-     * instructionsRequested() only when the workload model drained
-     * early (warned once on stderr at generation time). In
-     * streaming mode this is the requested length until something
-     * forces generation — the workload models never end early, so
-     * the two agree in practice.
+     * Trace length of workload `i`: the requested length, or the
+     * flat trace's actual length once addresses(i) has built it
+     * (shorter only when the workload model drained early, which is
+     * warned once on stderr; the models never do in practice).
      */
     uint64_t length(size_t i) const
     {
-        return flatBuilt(i) ? traces_[i].size() : requested_;
+        return flat_[i]->built.load(std::memory_order_acquire)
+            ? flat_[i]->value.size()
+            : requested_;
     }
-
-    /** True when this suite generates run traces directly from the
-     *  workload model (no flat address vectors). */
-    bool streaming() const { return streaming_; }
 
     /**
      * Bytes of trace data currently retained: flat address vectors
      * actually built plus finished run-trace memo entries plus
      * captured miss streams (missStream). This is what a
-     * byte-budgeted store (serve/memo.h) charges for the suite; in
-     * streaming mode it is the compressed footprint alone, typically
-     * several times smaller than the flat traces.
+     * byte-budgeted store (serve/memo.h) charges for the suite.
      */
     uint64_t retainedTraceBytes() const;
-
-    /** True when workload `i` was loaded from the on-disk cache. */
-    bool fromCache(size_t i) const { return fromCache_[i] != 0; }
-
-    /** Number of workloads served from the on-disk cache. */
-    size_t cacheHits() const;
 
     /**
      * Run-length encoding of workload `i` at `line_bytes` (lazy,
@@ -231,8 +152,6 @@ class SuiteTraces
      * L1 fill timing) with the same build-exactly-once discipline as
      * runTrace — warm server sweeps skip the L1 run entirely — and
      * charged by retainedTraceBytes() so serve/memo.h budgets it.
-     * The replay honours IBS_FETCH_SCALAR (keyed on it, so flipping
-     * the hatch cannot serve counters from the other path's run).
      * Only sim/collapse.h should need this. The returned reference
      * stays valid for the lifetime of this SuiteTraces.
      */
@@ -248,77 +167,37 @@ class SuiteTraces
     /** Run the whole suite and merge (equal-weight average). */
     FetchStats runSuite(const FetchConfig &config) const;
 
-    /** True when IBS_FETCH_SCALAR=1 forces the per-instruction replay
-     *  loop (read per call so tests can flip it at runtime). */
-    static bool scalarFetchForced();
-
-    /** True unless IBS_STREAM_GEN=0 disables streaming generation
-     *  (read at construction; the mode is fixed per instance). */
-    static bool streamingGeneration();
-
   private:
     /** Memo slot: call_once gives build-exactly-once semantics
-     *  without holding the map mutex during compression. `built`
-     *  lets byte accounting skip entries still under construction. */
-    struct RunEntry
+     *  without holding a map mutex during the build. `built` lets
+     *  byte accounting skip entries still under construction. */
+    template <typename T>
+    struct Slot
     {
         std::once_flag once;
         std::atomic<bool> built{false};
-        RunTrace trace;
+        T value;
     };
-
-    /** Miss-stream memo slot; same discipline as RunEntry. */
-    struct MissEntry
-    {
-        std::once_flag once;
-        std::atomic<bool> built{false};
-        MissStream stream;
-    };
-
-    /** Lazy flat-trace slot (streaming mode builds on demand). */
-    struct FlatSlot
-    {
-        std::once_flag once;
-        std::atomic<bool> built{false};
-    };
-
-    bool flatBuilt(size_t i) const
-    {
-        return flatSlots_[i]->built.load(std::memory_order_acquire);
-    }
-
-    /** Generate or cache-load the flat trace of workload `i`
-     *  (call_once body; writes traces_[i] / fromCache_[i]). */
-    void materializeFlat(size_t i) const;
 
     uint64_t requested_ = 0;
-    bool streaming_ = false;
-    std::string cacheDir_;
-    bool logCacheHits_ = true;
     std::vector<WorkloadSpec> specs_;
-    std::vector<std::string> names_;
-    // Lazily filled in streaming mode; mutable with per-slot
-    // once_flags so const accessors can materialize on first use.
-    mutable std::vector<std::vector<uint64_t>> traces_;
-    // Per-workload flags; uint8_t, not vector<bool>, so parallel
-    // workers can write distinct elements without racing on shared
-    // bit-packed words.
-    mutable std::vector<uint8_t> fromCache_;
-    mutable std::vector<std::unique_ptr<FlatSlot>> flatSlots_;
+    // One lazily built flat trace per workload; unique_ptr because
+    // once_flag and atomic are immovable.
+    std::vector<std::unique_ptr<Slot<std::vector<uint64_t>>>> flat_;
 
     // (workload, lineBytes) -> lazily built run trace. unique_ptr
     // keeps entry addresses stable across map rebalancing, so the
     // mutex only guards the map itself, never a build in progress.
     mutable std::mutex runTraceMutex_;
     mutable std::map<std::pair<size_t, uint32_t>,
-                     std::unique_ptr<RunEntry>>
+                     std::unique_ptr<Slot<RunTrace>>>
         runTraces_;
 
     // (workload, L1-side key) -> lazily captured miss stream; same
     // stable-address + once_flag discipline as runTraces_.
     mutable std::mutex missStreamMutex_;
     mutable std::map<std::pair<size_t, std::string>,
-                     std::unique_ptr<MissEntry>>
+                     std::unique_ptr<Slot<MissStream>>>
         missStreams_;
 };
 

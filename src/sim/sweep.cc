@@ -8,8 +8,6 @@
 #include <string>
 #include <thread>
 
-#include <numeric>
-
 #include "obs/progress.h"
 #include "obs/timer.h"
 #include "sim/collapse.h"
@@ -43,15 +41,8 @@ runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
         threads = sweepThreads();
 
     // Collapse configs that share an L1 front end (sim/collapse.h);
-    // with the hatch off every config is a per-cell single and the
-    // loop below degenerates to the old flat schedule.
-    CollapsePlan plan;
-    if (sweepCollapseEnabled()) {
-        plan = planCollapse(configs);
-    } else {
-        plan.singles.resize(configs.size());
-        std::iota(plan.singles.begin(), plan.singles.end(), size_t{0});
-    }
+    // the rest run per cell.
+    const CollapsePlan plan = planCollapse(configs);
     publishCollapsePlan(plan, workloads);
 
     obs::SweepProgress progress("sweep", total);

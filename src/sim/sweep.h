@@ -5,7 +5,7 @@
  * Every table/figure bench replays the same immutable SuiteTraces
  * through a grid of FetchConfigs. Each (config, workload) cell is an
  * independent simulation — a FetchEngine built fresh from the config
- * and driven by one pre-materialized trace — so the grid
+ * and driven by one memoized run trace — so the grid
  * parallelizes perfectly. runSweep schedules cells onto a pool of
  * std::thread workers and stores each cell's FetchStats into a
  * pre-sized vector addressed by (config, workload) index; because no
@@ -147,8 +147,7 @@ class SweepResult
  * (sim/collapse.h) — one pool task per (group, workload), with the
  * leader's capture and the dependent derivations sequenced inside
  * the task, so the producer/consumer dependency never crosses
- * workers. Per-cell stats stay bit-identical to runOne; set
- * IBS_SWEEP_COLLAPSE=0 to force the flat per-cell path. Publishes
+ * workers. Per-cell stats stay bit-identical to runOne. Publishes
  * sim.sweep.{groups,collapsed_cells,fallback_cells} when the obs
  * registry is enabled.
  *

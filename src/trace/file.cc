@@ -109,10 +109,10 @@ TraceFileWriter::write(const TraceRecord &rec)
     if (asid_changed)
         putVarint(rec.asid);
 
-    const int64_t delta = first_
-        ? static_cast<int64_t>(rec.vaddr)
-        : static_cast<int64_t>(rec.vaddr) -
-          static_cast<int64_t>(lastVaddr_[k]);
+    // Modular (unsigned) difference: addresses far apart would
+    // overflow a signed subtraction. Same bits on the wire.
+    const int64_t delta = static_cast<int64_t>(
+        first_ ? rec.vaddr : rec.vaddr - lastVaddr_[k]);
     putVarint(zigzagEncode(delta));
 
     lastVaddr_[k] = rec.vaddr;
@@ -234,10 +234,10 @@ TraceFileReader::next(TraceRecord &rec)
 
     const auto k = static_cast<size_t>(kind);
     const int64_t delta = zigzagDecode(zz);
+    // Modular addition, the inverse of the writer's difference.
     const uint64_t vaddr = first_
         ? static_cast<uint64_t>(delta)
-        : static_cast<uint64_t>(static_cast<int64_t>(lastVaddr_[k]) +
-                                delta);
+        : lastVaddr_[k] + static_cast<uint64_t>(delta);
     lastVaddr_[k] = vaddr;
     first_ = false;
     ++produced_;

@@ -14,7 +14,10 @@
  *
  * The encoding depends only on the line size, not on any other cache
  * parameter, which is what lets SuiteTraces share one RunTrace per
- * (workload, lineBytes) across every cell of a sweep grid.
+ * (workload, lineBytes) across every cell of a sweep grid. SuiteTraces
+ * builds those straight from the workload model (workload/run_stream.h
+ * cuts runs exactly where compressRuns does); compressRuns remains the
+ * reference encoder for tests and the microbench.
  */
 
 #ifndef IBS_TRACE_RUN_TRACE_H

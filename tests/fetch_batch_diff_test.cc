@@ -3,7 +3,8 @@
  * Differential tests of the run-length batched fetch path
  * (FetchEngine::fetchRun / Cache::accessRun / SuiteTraces::runOne):
  * replaying a trace as compressed runs must leave FetchStats
- * bit-for-bit identical to the scalar per-instruction loop for every
+ * bit-for-bit identical to the scalar per-instruction loop (the
+ * oracle: FetchEngine::fetch, fetchRun's own fallback) for every
  * fetch-path config class the benches exercise — blocking baseline,
  * sequential prefetch, prefetch + bypass buffers, pipelined L2 +
  * stream buffer, on-chip L2, and unified L2 with data touches.
@@ -18,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -266,25 +266,24 @@ TEST(FetchBatchDiff, StampClockAdvancement)
 }
 
 /**
- * SuiteTraces::runOne must take the batched path by default and the
- * scalar path under IBS_FETCH_SCALAR=1, with identical results; the
- * run-trace memo must build one entry per (workload, lineBytes).
+ * SuiteTraces::runOne (streamed run traces into fetchRun, the one
+ * production replay path) must match the oracle — a FetchEngine::fetch
+ * loop over the same workload's flat addresses — for every config
+ * class; the run-trace memo must build one entry per
+ * (workload, lineBytes).
  */
-TEST(FetchBatchDiff, SuiteTracesEnvEscapeHatch)
+TEST(FetchBatchDiff, SuiteTracesRunOneMatchesScalarOracle)
 {
     SuiteTraces suite({makeIbs(IbsBenchmark::Gs, OsType::Mach),
                        makeIbs(IbsBenchmark::Nroff, OsType::Mach)},
                       30000);
-    ASSERT_FALSE(SuiteTraces::scalarFetchForced());
 
     for (const auto &[name, config] : configClasses()) {
         for (size_t w = 0; w < suite.count(); ++w) {
-            const FetchStats batched = suite.runOne(w, config);
-            ASSERT_EQ(setenv("IBS_FETCH_SCALAR", "1", 1), 0);
-            EXPECT_TRUE(SuiteTraces::scalarFetchForced());
-            const FetchStats scalar = suite.runOne(w, config);
-            ASSERT_EQ(unsetenv("IBS_FETCH_SCALAR"), 0);
-            expectEqualStats(batched, scalar,
+            FetchEngine scalar(config);
+            for (uint64_t addr : suite.addresses(w))
+                scalar.fetch(addr);
+            expectEqualStats(suite.runOne(w, config), scalar.stats(),
                              name + "/" + suite.name(w));
         }
     }

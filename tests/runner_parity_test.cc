@@ -1,17 +1,17 @@
 /**
  * @file
  * Parity between the two replay drivers: FetchEngine::run over a
- * record stream and SuiteTraces::runOne over a pre-materialized flat
+ * record stream and SuiteTraces::runOne over the workload's run
  * trace must agree exactly on instruction-only workloads — the
- * SuiteTraces path merely strips the TraceRecord framing (and, by
- * default, compresses the addresses into runs).
+ * SuiteTraces path merely strips the TraceRecord framing and cuts
+ * the instruction addresses into runs.
  *
  * The deliberate asymmetry is also pinned down: data records reach
  * FetchEngine::dataTouch only through run(). SuiteTraces stores
- * instruction addresses only, so a unified-L2 experiment that needs
- * the data stream (bench/ablation_unified_l2) must drive run() — if
- * someone rewires it onto the flat-trace runner, the second test
- * here is the tripwire that the data stream went missing.
+ * instruction runs only, so a unified-L2 experiment that needs the
+ * data stream (bench/ablation_unified_l2) must drive run() — if
+ * someone rewires it onto SuiteTraces, the second test here is the
+ * tripwire that the data stream went missing.
  */
 
 #include <gtest/gtest.h>
@@ -105,9 +105,9 @@ TEST(RunnerParity, DataRecordsReachDataTouchOnlyViaRun)
     EXPECT_EQ(streamed.instructions, kInstructions);
     EXPECT_GT(streamed.l2DataAccesses, 0u);
 
-    // The flat-trace runner stores instruction addresses only — the
-    // data stream is dropped at materialization, so runOne cannot
-    // model a unified L2's data competition. This is intentional and
+    // SuiteTraces stores instruction runs only — the data stream is
+    // dropped at generation, so runOne cannot model a unified L2's
+    // data competition. This is intentional and
     // documented; the EXPECT below is the tripwire for anyone
     // rewiring the unified-L2 bench onto SuiteTraces.
     SuiteTraces suite({spec}, kInstructions);

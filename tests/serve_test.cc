@@ -25,7 +25,6 @@
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "sim/runner.h"
-#include "trace/trace_cache.h"
 #include "workload/ibs.h"
 
 namespace {
@@ -105,8 +104,7 @@ TEST(Serve, SweepMatchesDirectRunExactly)
     EXPECT_FALSE(result.memoHit);
 
     // The reference: the same cells, straight through the library.
-    const SuiteTraces direct(testSpecs(), kInstr, traceCacheDir(),
-                             0, /*log_cache_hits=*/false);
+    const SuiteTraces direct(testSpecs(), kInstr);
     for (const Json &cell : result.cells) {
         const size_t c = static_cast<size_t>(
             cell.at("config_index").asNumber());
@@ -515,12 +513,11 @@ TEST(TraceMemo, EvictsColdEntriesWhenOverBudget)
     const std::vector<WorkloadSpec> specs = testSpecs();
     auto build = [&](uint64_t instructions) {
         return [&specs, instructions] {
-            return std::make_shared<const SuiteTraces>(
-                specs, instructions, "", 0,
-                /*log_cache_hits=*/false);
+            return std::make_shared<const SuiteTraces>(specs,
+                                                       instructions);
         };
     };
-    // A streaming suite retains almost nothing at build time; its
+    // A suite retains almost nothing at build time; its
     // run-trace memos accrue as cells replay it (~5000/4 runs * 16 B
     // per workload here) and are charged by refresh(). The budget
     // fits one replayed entry, not two.

@@ -1,16 +1,17 @@
 /**
  * @file
  * Differential tests of the zero-materialization streaming fetch
- * path (workload/run_stream.h, SuiteTraces streaming mode,
- * runFetchStreamed) and the vectorized tag probe (Cache::probeWays):
+ * path (workload/run_stream.h, SuiteTraces) and the vectorized tag
+ * probe (Cache::probeWays):
  *
  *  - RunStream must emit the *exact* run sequence that
  *    materialize-then-compressRuns produces — same cuts, same
  *    counts — for instruction-only and data-enabled workloads, at
  *    every line size, including budgets that cut a run mid-flight;
- *  - a streaming SuiteTraces must replay to FetchStats bit-identical
- *    to a materialized (IBS_STREAM_GEN=0) one across every fetch-path
- *    config class tests/fetch_batch_diff_test.cc covers;
+ *  - SuiteTraces::runOne must replay to FetchStats bit-identical to
+ *    the oracle — compressRuns over the materialized trace, replayed
+ *    through fetchRun — across every fetch-path config class
+ *    tests/fetch_batch_diff_test.cc covers;
  *  - the SIMD probe must preserve first-match semantics and the LRU
  *    stamp-clock behavior for hits in every way position, including
  *    ways beyond the first 4-wide compare block.
@@ -18,7 +19,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -184,51 +184,21 @@ TEST(StreamGenDiff, StreamingSuiteMatchesMaterializedAllClasses)
         makeIbs(IbsBenchmark::Gs, OsType::Mach),
         makeIbs(IbsBenchmark::Nroff, OsType::Mach)};
     constexpr uint64_t kInstr = 30000;
+    const SuiteTraces suite(specs, kInstr);
 
-    ASSERT_TRUE(SuiteTraces::streamingGeneration());
-    const SuiteTraces streaming(specs, kInstr, "", 1, false);
-    ASSERT_TRUE(streaming.streaming());
-
-    ASSERT_EQ(setenv("IBS_STREAM_GEN", "0", 1), 0);
-    EXPECT_FALSE(SuiteTraces::streamingGeneration());
-    const SuiteTraces materialized(specs, kInstr, "", 1, false);
-    ASSERT_EQ(unsetenv("IBS_STREAM_GEN"), 0);
-    ASSERT_FALSE(materialized.streaming());
-
-    for (const auto &[name, config] : configClasses()) {
-        for (size_t w = 0; w < specs.size(); ++w) {
-            expectEqualStats(streaming.runOne(w, config),
-                             materialized.runOne(w, config),
+    for (size_t w = 0; w < specs.size(); ++w) {
+        const std::vector<uint64_t> addrs = materialize(specs[w], kInstr);
+        // The lazily built flat trace is the same materialization.
+        EXPECT_EQ(suite.addresses(w), addrs) << specs[w].name;
+        for (const auto &[name, config] : configClasses()) {
+            const RunTrace runs =
+                compressRuns(addrs, config.l1.lineBytes);
+            FetchEngine oracle(config);
+            for (const FetchRun &run : runs.runs)
+                oracle.fetchRun(run);
+            expectEqualStats(suite.runOne(w, config), oracle.stats(),
                              name + "/" + specs[w].name);
         }
-    }
-
-    // The flat escape hatch still works on a streaming suite and
-    // still agrees (materializing the flat trace lazily).
-    ASSERT_EQ(setenv("IBS_FETCH_SCALAR", "1", 1), 0);
-    const FetchStats scalar =
-        streaming.runOne(0, economyBaseline());
-    ASSERT_EQ(unsetenv("IBS_FETCH_SCALAR"), 0);
-    expectEqualStats(scalar, materialized.runOne(0, economyBaseline()),
-                     "scalar_hatch");
-    EXPECT_EQ(streaming.addresses(0), materialized.addresses(0));
-}
-
-TEST(StreamGenDiff, RunFetchStreamedMatchesMaterializedReplay)
-{
-    const WorkloadSpec spec = makeIbs(IbsBenchmark::Gs, OsType::Mach);
-    constexpr uint64_t kInstr = 30000;
-    const std::vector<uint64_t> addrs = materialize(spec, kInstr);
-    for (const auto &[name, config] : configClasses()) {
-        const FetchStats streamed =
-            runFetchStreamed(spec, config, kInstr);
-
-        const RunTrace runs = compressRuns(addrs, config.l1.lineBytes);
-        FetchEngine engine(config);
-        for (const FetchRun &run : runs.runs)
-            engine.fetchRun(run);
-
-        expectEqualStats(streamed, engine.stats(), name);
     }
 }
 
@@ -237,8 +207,7 @@ TEST(StreamGenDiff, StreamingSuiteRetainsOnlyRunTraces)
     const std::vector<WorkloadSpec> specs = {
         makeIbs(IbsBenchmark::Gs, OsType::Mach)};
     constexpr uint64_t kInstr = 20000;
-    const SuiteTraces suite(specs, kInstr, "", 1, false);
-    ASSERT_TRUE(suite.streaming());
+    const SuiteTraces suite(specs, kInstr);
 
     // Nothing generated yet: nothing retained, requested length
     // reported.
@@ -259,27 +228,6 @@ TEST(StreamGenDiff, StreamingSuiteRetainsOnlyRunTraces)
     const uint64_t flat_bytes =
         suite.addresses(0).size() * sizeof(uint64_t);
     EXPECT_EQ(suite.retainedTraceBytes(), rt.bytes() + flat_bytes);
-
-    // A materialized suite pays the flat bytes up front.
-    ASSERT_EQ(setenv("IBS_STREAM_GEN", "0", 1), 0);
-    const SuiteTraces flat(specs, kInstr, "", 1, false);
-    ASSERT_EQ(unsetenv("IBS_STREAM_GEN"), 0);
-    EXPECT_EQ(flat.retainedTraceBytes(), flat_bytes);
-}
-
-TEST(StreamGenDiff, TraceCacheDirectoryOptsOutOfStreaming)
-{
-    // The on-disk trace cache stores flat traces, so pointing a suite
-    // at a cache directory selects the materialized pipeline even
-    // with streaming enabled (trace_cache_test relies on this).
-    const std::string dir =
-        testing::TempDir() + "stream_gen_cache_optout";
-    const std::vector<WorkloadSpec> specs = {
-        makeIbs(IbsBenchmark::Gs, OsType::Mach)};
-    const SuiteTraces suite(specs, 5000, dir, 1, false);
-    EXPECT_FALSE(suite.streaming());
-    EXPECT_EQ(suite.retainedTraceBytes(),
-              suite.addresses(0).size() * sizeof(uint64_t));
 }
 
 TEST(StreamGenDiff, ObsCountersFlowFromStreamingReplay)
@@ -289,25 +237,22 @@ TEST(StreamGenDiff, ObsCountersFlowFromStreamingReplay)
     reg.reset();
     reg.setEnabled(true);
 
+    // Every SuiteTraces replay publishes the streamed-run counters,
+    // and republishes on *every* replay (warm memo included) so sweep
+    // snapshots do not depend on memo state or thread count.
     const WorkloadSpec spec = makeIbs(IbsBenchmark::Gs, OsType::Mach);
-    const FetchStats direct =
-        runFetchStreamed(spec, economyBaseline(), 10000);
+    const SuiteTraces suite({spec}, 10000);
+    const FetchStats cold = suite.runOne(0, economyBaseline());
+    EXPECT_EQ(cold.instructions, 10000u);
     auto snap = reg.snapshot();
     ASSERT_TRUE(snap.count("workload.model.runs_emitted"));
     ASSERT_TRUE(snap.count("fetch.engine.stream_runs"));
-    EXPECT_GT(snap.at("workload.model.runs_emitted"), 0u);
-    EXPECT_EQ(snap.at("fetch.engine.stream_runs"),
-              snap.at("workload.model.runs_emitted"));
-    EXPECT_EQ(direct.instructions, 10000u);
+    const uint64_t after_cold = snap.at("workload.model.runs_emitted");
+    EXPECT_EQ(after_cold,
+              suite.runTrace(0, economyBaseline().l1.lineBytes)
+                  .runs.size());
+    EXPECT_EQ(snap.at("fetch.engine.stream_runs"), after_cold);
 
-    // Streaming SuiteTraces replay publishes the same counters, and
-    // republishes on *every* replay (warm memo included) so sweep
-    // snapshots do not depend on memo state or thread count.
-    reg.reset();
-    const SuiteTraces suite({spec}, 10000, "", 1, false);
-    suite.runOne(0, economyBaseline());
-    const uint64_t after_cold =
-        reg.snapshot().at("workload.model.runs_emitted");
     suite.runOne(0, economyBaseline());
     EXPECT_EQ(reg.snapshot().at("workload.model.runs_emitted"),
               2 * after_cold);

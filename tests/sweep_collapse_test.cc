@@ -1,14 +1,13 @@
 /**
  * @file
- * Tests for sweep collapsing (sim/collapse.h): the collapsed
- * executor must be bit-for-bit identical to per-cell simulation —
- * stats, timing flags and registry counters alike — and the LRU
- * stack simulator must agree exactly with the real Cache.
+ * Tests for sweep collapsing (sim/collapse.h): runSweep must be
+ * bit-for-bit identical to the oracle, a plain SuiteTraces::runOne
+ * loop over every cell — stats and registry counters alike — and the
+ * LRU stack simulator must agree exactly with the real Cache.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <random>
 #include <string>
 #include <vector>
@@ -42,35 +41,18 @@ expectEqualStats(const FetchStats &a, const FetchStats &b,
     EXPECT_EQ(a.bypassHits, b.bypassHits) << label;
 }
 
-/** RAII IBS_SWEEP_COLLAPSE setting, restored to unset. */
-class CollapseEnv
-{
-  public:
-    explicit CollapseEnv(bool on)
-    {
-        setenv("IBS_SWEEP_COLLAPSE", on ? "1" : "0", 1);
-    }
-    ~CollapseEnv() { unsetenv("IBS_SWEEP_COLLAPSE"); }
-};
-
-/** Run the same grid both ways and require all-field equality. */
+/** Sweep the grid and require all-field equality of every cell with
+ *  runOne on the same config. */
 void
 expectCollapseParity(const SuiteTraces &suite,
                      const std::vector<FetchConfig> &grid,
                      const std::string &label)
 {
-    SweepResult per_cell = [&] {
-        CollapseEnv off(false);
-        return runSweep(suite, grid, 4);
-    }();
-    SweepResult collapsed = [&] {
-        CollapseEnv on(true);
-        return runSweep(suite, grid, 4);
-    }();
+    const SweepResult collapsed = runSweep(suite, grid, 4);
     for (size_t c = 0; c < grid.size(); ++c) {
         for (size_t w = 0; w < suite.count(); ++w) {
             expectEqualStats(collapsed.cell(c, w),
-                             per_cell.cell(c, w),
+                             suite.runOne(w, grid[c]),
                              label + " config " + std::to_string(c) +
                                  " workload " + suite.name(w));
         }
@@ -285,20 +267,6 @@ TEST(Collapse, CatalogClassesMatchPerCellExactly)
     expectCollapseParity(suite, grid, "catalog");
 }
 
-TEST(Collapse, ScalarFetchPathMatchesPerCellExactly)
-{
-    // IBS_FETCH_SCALAR changes how the capture run is driven (the
-    // miss-stream memo keys on it); parity must hold there too.
-    SuiteTraces suite(specSuite(), 5000);
-    std::vector<FetchConfig> grid;
-    for (uint32_t assoc : {1u, 4u})
-        grid.push_back(
-            withOnChipL2(economyBaseline(), 32 * 1024, 64, assoc));
-    setenv("IBS_FETCH_SCALAR", "1", 1);
-    expectCollapseParity(suite, grid, "scalar");
-    unsetenv("IBS_FETCH_SCALAR");
-}
-
 TEST(Collapse, TimingFlagsAndMissStreamMemo)
 {
     SuiteTraces suite(specSuite(), 10000);
@@ -311,10 +279,7 @@ TEST(Collapse, TimingFlagsAndMissStreamMemo)
     EXPECT_EQ(suite.missStreamsBuilt(), 0u);
     const uint64_t bytes_before = suite.retainedTraceBytes();
 
-    SweepResult collapsed = [&] {
-        CollapseEnv on(true);
-        return runSweep(suite, grid, 2);
-    }();
+    const SweepResult collapsed = runSweep(suite, grid, 2);
     // Leader (lowest grid index) carries the capture; dependents are
     // flagged as derived. Singles never are.
     for (size_t w = 0; w < suite.count(); ++w) {
@@ -330,33 +295,18 @@ TEST(Collapse, TimingFlagsAndMissStreamMemo)
     EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
     EXPECT_GT(suite.retainedTraceBytes(), bytes_before);
 
-    // A second collapsed sweep reuses the streams.
-    [&] {
-        CollapseEnv on(true);
-        return runSweep(suite, grid, 2);
-    }();
+    // A second sweep reuses the streams.
+    runSweep(suite, grid, 2);
     EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
-
-    // The escape hatch takes the flat per-cell path: no collapsed
-    // flags, no new capture runs.
-    SuiteTraces fresh(specSuite(), 10000);
-    SweepResult per_cell = [&] {
-        CollapseEnv off(false);
-        return runSweep(fresh, grid, 2);
-    }();
-    for (size_t c = 0; c < grid.size(); ++c)
-        for (size_t w = 0; w < fresh.count(); ++w)
-            EXPECT_FALSE(per_cell.timing(c, w).collapsed);
-    EXPECT_EQ(fresh.missStreamsBuilt(), 0u);
 }
 
 TEST(Collapse, ObsSnapshotIsCollapseInvariant)
 {
     // The derived cells synthesize exactly the counters and the
     // sim.cell.instructions histogram sample runOne would have
-    // published, so full-registry snapshots agree between the two
-    // executors — modulo the sim.sweep.* plan counters, which only
-    // the scheduler itself emits.
+    // published, so the full-registry snapshot of a sweep equals that
+    // of a runOne loop over the same cells — modulo the sim.sweep.*
+    // plan counters, which only the scheduler itself emits.
     obs::Registry &registry = obs::Registry::global();
     const bool was = registry.enabled();
     registry.reset();
@@ -380,19 +330,15 @@ TEST(Collapse, ObsSnapshotIsCollapseInvariant)
             return snap;
         };
 
-    {
-        CollapseEnv on(true);
-        runSweep(suite, grid, 2);
-    }
+    runSweep(suite, grid, 2);
     const auto collapsed_counters =
         strip_plan_keys(registry.snapshot());
     const auto collapsed_hists = registry.snapshotHistograms();
 
     registry.reset();
-    {
-        CollapseEnv off(false);
-        runSweep(suite, grid, 2);
-    }
+    for (const FetchConfig &config : grid)
+        for (size_t w = 0; w < suite.count(); ++w)
+            suite.runOne(w, config);
     const auto per_cell_counters =
         strip_plan_keys(registry.snapshot());
     const auto per_cell_hists = registry.snapshotHistograms();
@@ -425,10 +371,7 @@ TEST(Collapse, PlanCountersAreThreadInvariant)
     for (const unsigned threads : {1u, 8u}) {
         registry.reset();
         registry.setEnabled(true);
-        {
-            CollapseEnv on(true);
-            runSweep(suite, grid, threads);
-        }
+        runSweep(suite, grid, threads);
         const auto snap = registry.snapshot();
         std::map<std::string, uint64_t> plan_keys;
         for (const auto &[name, value] : snap) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <stdexcept>
@@ -109,7 +111,13 @@ class TraceFileTest : public ::testing::Test
     void
     SetUp() override
     {
-        path_ = ::testing::TempDir() + "/ibs_trace_test.ibst";
+        // One file per case (and per process): ctest runs each case
+        // as its own test, concurrently under -j.
+        path_ = ::testing::TempDir() + "/ibs_trace_test_" +
+            ::testing::UnitTest::GetInstance()
+                ->current_test_info()
+                ->name() +
+            "_" + std::to_string(::getpid()) + ".ibst";
     }
 
     void TearDown() override { std::remove(path_.c_str()); }
