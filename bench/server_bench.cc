@@ -18,8 +18,11 @@
  *      delay the client clock sees but the server timer cannot;
  *      sequential requests have no such queue;
  *   3. throughput: for each concurrency level, N connections each
- *      issue R identical warm requests; requests/s and p50/p99
- *      latency come from the per-request wall times.
+ *      send R identical warm requests (serve::runLoad, the loop
+ *      ibs_loadgen drives); requests/s and p50/p99 latency come from
+ *      the per-request wall times. Any request that fails — an error
+ *      answer other than a 429, or a transport failure — fails the
+ *      bench.
  *
  * Results land in BENCH_server.json (schema v2): one cell per
  * latency probe and one per concurrency level, so CI can diff
@@ -31,98 +34,17 @@
 #include <algorithm>
 #include <csignal>
 #include <cstdio>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/prom.h"
-#include "obs/registry.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "sim/bench_report.h"
 #include "sim/runner.h"
 #include "stats/table.h"
 
-namespace {
-
 using namespace ibs;
-
-double
-percentile(std::vector<double> sorted, double p)
-{
-    if (sorted.empty())
-        return 0;
-    const size_t index = static_cast<size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(index, sorted.size() - 1)];
-}
-
-struct LoadResult
-{
-    uint64_t completed = 0;
-    uint64_t rejected = 0;
-    uint64_t cells = 0;
-    double wallSeconds = 0;
-    double p50 = 0;
-    double p99 = 0;
-};
-
-/** N connections × R identical requests against `port`. */
-LoadResult
-runLoad(uint16_t port, unsigned connections, unsigned requests,
-        const std::string &suite,
-        const std::vector<std::string> &configs,
-        const std::vector<std::string> &workloads,
-        uint64_t instructions)
-{
-    std::mutex mutex;
-    std::vector<double> latencies;
-    LoadResult out;
-    WallTimer run_timer;
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < connections; ++t) {
-        threads.emplace_back([&] {
-            serve::Client client(port);
-            for (unsigned r = 0; r < requests; ++r) {
-                WallTimer request_timer;
-                serve::Client::SweepResult result = client.sweep(
-                    suite, configs, workloads, instructions);
-                const double seconds = request_timer.seconds();
-                std::lock_guard<std::mutex> lock(mutex);
-                if (result.ok) {
-                    ++out.completed;
-                    out.cells += result.cells.size();
-                    latencies.push_back(seconds);
-                } else {
-                    ++out.rejected;
-                }
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    out.wallSeconds = run_timer.seconds();
-    std::sort(latencies.begin(), latencies.end());
-    out.p50 = percentile(latencies, 0.50);
-    out.p99 = percentile(latencies, 0.99);
-    return out;
-}
-
-/** Client exact percentile vs server histogram edge, both at log2
- *  bucket resolution (one bucket of slack = within 2x). */
-bool
-bucketsAgree(double client_seconds, double server_edge_us)
-{
-    const double client_edge =
-        static_cast<double>(ibs::obs::log2BucketUpperEdge(
-            static_cast<uint64_t>(client_seconds * 1e6)));
-    const double hi = std::max(client_edge, server_edge_us);
-    const double lo = std::min(client_edge, server_edge_us);
-    return lo > 0 && hi / lo <= 2.01;
-}
-
-} // namespace
 
 int
 main()
@@ -214,12 +136,16 @@ main()
             return 1;
         }
         std::sort(probe_latencies.begin(), probe_latencies.end());
-        const double client_p50 = percentile(probe_latencies, 0.50);
-        const double client_p99 = percentile(probe_latencies, 0.99);
+        const double client_p50 =
+            serve::percentile(probe_latencies, 0.50);
+        const double client_p99 =
+            serve::percentile(probe_latencies, 0.99);
         const double server_p50 = latency.quantile(0.50);
         const double server_p99 = latency.quantile(0.99);
-        const bool ok50 = bucketsAgree(client_p50, server_p50);
-        const bool ok99 = bucketsAgree(client_p99, server_p99);
+        const bool ok50 =
+            serve::latencyBucketsAgree(client_p50, server_p50);
+        const bool ok99 =
+            serve::latencyBucketsAgree(client_p99, server_p99);
         std::printf("cross-check: client p50=%.1fms p99=%.1fms, "
                     "server bucket p50<=%.1fms p99<=%.1fms (%s)\n",
                     client_p50 * 1e3, client_p99 * 1e3,
@@ -258,9 +184,20 @@ main()
     table.setHeader({"connections", "req/s", "p50 (ms)", "p99 (ms)",
                      "rejected"});
     for (unsigned level : levels) {
-        const LoadResult load =
-            runLoad(server.port(), level, requests_per_conn, suite,
-                    configs, workloads, n);
+        const serve::LoadResult load = serve::runLoad(
+            server.port(), level, requests_per_conn, suite, configs,
+            workloads, n);
+        if (load.failed != 0) {
+            for (const std::string &error : load.errors)
+                std::fprintf(stderr, "server_bench: %s\n",
+                             error.c_str());
+            std::fprintf(stderr,
+                         "server_bench: %llu request(s) failed at "
+                         "%u connection(s)\n",
+                         static_cast<unsigned long long>(load.failed),
+                         level);
+            return 1;
+        }
         const double rps =
             load.wallSeconds > 0
                 ? static_cast<double>(load.completed) /

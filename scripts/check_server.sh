@@ -39,7 +39,19 @@ validator="$4"
 stat="$5"
 
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/ibs_server.XXXXXX")
-trap 'rm -rf "$workdir"' EXIT INT TERM
+# Background children still running at exit (a step failed before
+# they were waited for) are killed, so a failure never leaks an
+# ibs_serve or a loadgen. Each pid is cleared once waited for.
+serve_pid=""
+loadgen_pid=""
+cleanup() {
+    for pid in $serve_pid $loadgen_pid; do
+        kill -9 "$pid" 2>/dev/null || true
+    done
+    rm -rf "$workdir"
+}
+trap cleanup EXIT
+trap 'exit 1' INT TERM
 
 # --- 1. The server benchmark writes a valid report. ----------------
 env -u IBS_OBS -u IBS_OBS_TRACE -u IBS_PROGRESS \
@@ -77,7 +89,6 @@ for _ in $(seq 1 50); do
 done
 if [ -z "$port" ]; then
     echo "FAIL: ibs_serve never printed its port" >&2
-    kill -9 "$serve_pid" 2>/dev/null || true
     exit 1
 fi
 
@@ -136,6 +147,7 @@ kill -INT "$serve_pid"
 
 rc=0
 wait "$serve_pid" || rc=$?
+serve_pid=""
 if [ "$rc" -ne 0 ]; then
     echo "FAIL: ibs_serve exited $rc after SIGINT" >&2
     cat "$workdir/serve.err" >&2
@@ -143,6 +155,7 @@ if [ "$rc" -ne 0 ]; then
 fi
 lrc=0
 wait "$loadgen_pid" || lrc=$?
+loadgen_pid=""
 if [ "$lrc" -ne 0 ]; then
     echo "FAIL: in-flight request was not drained (loadgen $lrc)" >&2
     cat "$workdir/loadgen2.out" >&2

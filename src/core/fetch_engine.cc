@@ -289,7 +289,6 @@ FetchEngine::reset()
     prefetchCancels_ = 0;
     batchedRuns_ = 0;
     batchFallbacks_ = 0;
-    streamRuns_ = 0;
     windowActive_ = false;
     prefetchValid_ = false;
 }
@@ -316,7 +315,6 @@ FetchEngine::publishCounters(obs::Registry &registry) const
                  stats_.streamBufferHits);
     registry.add("fetch.engine.batched_runs", batchedRuns_);
     registry.add("fetch.engine.batch_fallbacks", batchFallbacks_);
-    registry.add("fetch.engine.stream_runs", streamRuns_);
 }
 
 } // namespace ibs

@@ -75,15 +75,6 @@ class FetchEngine
     void fetchRun(const FetchRun &run);
 
     /**
-     * Record that `runs` fetchRun() calls replayed runs cut by the
-     * streaming generator (workload/run_stream.h). Observability-only
-     * — published as fetch.engine.stream_runs; simulated statistics
-     * are unaffected. Called by SuiteTraces::runOne (sim/runner.h)
-     * after the replay loop.
-     */
-    void noteStreamRuns(uint64_t runs) { streamRuns_ += runs; }
-
-    /**
      * Install a miss-stream capture sink (nullptr detaches). While
      * attached, every L1 miss appends its line address and
      * instruction index to `sink`, in miss order — the L2 reference
@@ -181,7 +172,6 @@ class FetchEngine
      *  statistics are identical whichever path retires a run. */
     uint64_t batchedRuns_ = 0;   ///< Runs retired by the O(1) path.
     uint64_t batchFallbacks_ = 0; ///< Runs replayed per-instruction.
-    uint64_t streamRuns_ = 0;    ///< Runs fed by a streaming source.
 
     // Bypass refill window state.
     bool windowActive_ = false;

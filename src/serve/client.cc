@@ -11,7 +11,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <mutex>
 #include <stdexcept>
+#include <thread>
+
+#include "obs/registry.h"
+#include "stats/report.h"
 
 namespace ibs::serve {
 
@@ -215,6 +221,81 @@ Client::sweep(const std::string &suite,
         "client: server closed mid-sweep (" +
         std::to_string(result.cells.size()) + " of " +
         std::to_string(result.cellsExpected) + " cells arrived)");
+}
+
+LoadResult
+runLoad(uint16_t port, unsigned connections, unsigned requests,
+        const std::string &suite,
+        const std::vector<std::string> &configs,
+        const std::vector<std::string> &workloads,
+        uint64_t instructions)
+{
+    std::mutex mutex;
+    std::vector<double> latencies; // Seconds, one per completion.
+    LoadResult out;
+    WallTimer run_timer;
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < connections; ++t) {
+        threads.emplace_back([&] {
+            try {
+                Client client(port);
+                for (unsigned r = 0; r < requests; ++r) {
+                    WallTimer request_timer;
+                    const Client::SweepResult result = client.sweep(
+                        suite, configs, workloads, instructions);
+                    const double seconds = request_timer.seconds();
+                    std::lock_guard<std::mutex> lock(mutex);
+                    if (result.ok) {
+                        ++out.completed;
+                        out.cells += result.cells.size();
+                        latencies.push_back(seconds);
+                    } else if (result.errorCode == 429) {
+                        ++out.rejected;
+                    } else {
+                        ++out.failed;
+                        out.errors.push_back(
+                            "request failed (" +
+                            std::to_string(result.errorCode) +
+                            "): " + result.errorMessage);
+                    }
+                }
+            } catch (const std::exception &e) {
+                std::lock_guard<std::mutex> lock(mutex);
+                ++out.failed;
+                out.errors.push_back(e.what());
+            }
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    out.wallSeconds = run_timer.seconds();
+    std::sort(latencies.begin(), latencies.end());
+    out.p50 = percentile(latencies, 0.50);
+    out.p99 = percentile(latencies, 0.99);
+    return out;
+}
+
+double
+percentile(const std::vector<double> &sorted, double p)
+{
+    if (sorted.empty())
+        return 0;
+    const size_t index = static_cast<size_t>(
+        p * static_cast<double>(sorted.size() - 1) + 0.5);
+    return sorted[std::min(index, sorted.size() - 1)];
+}
+
+bool
+latencyBucketsAgree(double client_seconds, double server_edge_us)
+{
+    const double client_edge = static_cast<double>(
+        obs::log2BucketUpperEdge(
+            static_cast<uint64_t>(client_seconds * 1e6)));
+    const double hi = std::max(client_edge, server_edge_us);
+    const double lo = std::min(client_edge, server_edge_us);
+    // 2.01 admits exactly one bucket of slack (adjacent edges are
+    // ~2.0005 apart); lo is 0 only for an empty server histogram.
+    return lo > 0 && hi / lo <= 2.01;
 }
 
 } // namespace ibs::serve

@@ -10,6 +10,7 @@
  * Transport failures (connect refused, peer vanished mid-frame)
  * throw std::runtime_error; structured server errors (400/429/500
  * frames) are returned as data so callers can assert on them.
+ * runLoad is the load loop ibs_loadgen and bench/server_bench share.
  */
 
 #ifndef IBS_SERVE_CLIENT_H
@@ -102,6 +103,36 @@ class Client
   private:
     int fd_ = -1;
 };
+
+/** Outcome of one runLoad. */
+struct LoadResult
+{
+    uint64_t completed = 0; ///< Requests answered with "done".
+    uint64_t rejected = 0;  ///< Requests answered with a 429.
+    uint64_t failed = 0;    ///< Other answers and transport failures.
+    uint64_t cells = 0;     ///< Cell frames of completed requests.
+    double wallSeconds = 0;
+    double p50 = 0, p99 = 0; ///< Completed-request latency, seconds.
+    std::vector<std::string> errors; ///< One line per failure.
+};
+
+/** Closed-loop load: `connections` threads each send the same sweep
+ *  request (arguments as Client::sweep) `requests` times over one
+ *  connection. Failures are counted, not thrown; a transport failure
+ *  ends its connection's loop. */
+LoadResult runLoad(uint16_t port, unsigned connections,
+                   unsigned requests, const std::string &suite,
+                   const std::vector<std::string> &configs,
+                   const std::vector<std::string> &workloads,
+                   uint64_t instructions);
+
+/** Nearest-rank percentile `p` of an ascending sample (0 if empty). */
+double percentile(const std::vector<double> &sorted, double p);
+
+/** True when a client latency's log2-bucket edge and the server
+ *  histogram's quantile edge are at most one bucket (2x) apart; edges,
+ *  not raw values, so power-of-two boundaries never flake. */
+bool latencyBucketsAgree(double client_seconds, double server_edge_us);
 
 } // namespace ibs::serve
 

@@ -24,8 +24,6 @@
 #include "obs/trace_sink.h"
 #include "serve/catalog.h"
 #include "sim/bench_report.h"
-#include "sim/collapse.h"
-#include "sim/parallel.h"
 #include "sim/sweep.h"
 
 namespace ibs::serve {
@@ -40,7 +38,7 @@ struct SweepRequest
 {
     std::string suite;
     std::vector<std::string> configNames;
-    std::vector<const FetchConfig *> configs;
+    std::vector<FetchConfig> configs;
     std::vector<WorkloadSpec> workloads;
     uint64_t instructions = 0;
 };
@@ -91,7 +89,7 @@ parseSweepRequest(const Json &request)
         if (!config)
             throw std::invalid_argument("unknown config class \"" +
                                         name + "\"");
-        out.configs.push_back(config);
+        out.configs.push_back(*config);
     }
 
     const std::vector<std::string> subset =
@@ -142,14 +140,15 @@ memoKey(const SweepRequest &request)
 
 /**
  * Request-scoped telemetry, one instance per parsed request frame:
- * a stable (seq, req_id) identity, the response byte count, and —
- * on destruction, after the response is on the wire — the latency
- * histograms, the access-log line, and the async span close. When
- * IBS_OBS_TRACE is set, construction opens a "req <id>" async span
- * and a flow; step() adds a flow step from whatever thread is
- * advancing the request (the handler after materialization, each
- * pool thread per cell), which is what stitches a request's work
- * across threads in the Perfetto view.
+ * a stable (seq, req_id) identity, the connection the request is
+ * answered on, the response byte count, and — on destruction, after
+ * the response is on the wire — the latency histograms, the
+ * access-log line, and the async span close. When IBS_OBS_TRACE is
+ * set, construction opens a "req <id>" async span and a flow; step()
+ * adds a flow step from whatever thread is advancing the request
+ * (the handler after materialization, each pool thread per cell),
+ * which is what stitches a request's work across threads in the
+ * Perfetto view.
  */
 struct RequestTelemetry
 {
@@ -162,10 +161,14 @@ struct RequestTelemetry
     bool isSweep = false;
     WallTimer timer;
     obs::TraceEventSink *sink;
+    int fd;                   ///< The connection's socket.
+    std::mutex &writeMutex;   ///< Serializes the connection's frames.
 
-    RequestTelemetry(uint64_t seq_no, std::string req_id)
+    RequestTelemetry(uint64_t seq_no, std::string req_id, int conn_fd,
+                     std::mutex &write_mutex)
         : seq(seq_no), id(std::move(req_id)),
-          sink(obs::TraceEventSink::global())
+          sink(obs::TraceEventSink::global()), fd(conn_fd),
+          writeMutex(write_mutex)
     {
         if (sink) {
             const uint64_t now = sink->nowMicros();
@@ -178,6 +181,17 @@ struct RequestTelemetry
     RequestTelemetry &operator=(const RequestTelemetry &) = delete;
 
     std::string spanName() const { return "req " + id; }
+
+    /** Send one response frame; every response leaves through here.
+     *  Stamps the req_id, keeps the frame whole against cells written
+     *  from pool threads, counts its bytes. False if the peer is gone. */
+    bool
+    reply(Json message)
+    {
+        message.set("req_id", Json::string(id));
+        std::lock_guard<std::mutex> lock(writeMutex);
+        return writeFrame(fd, message, &bytesOut);
+    }
 
     /** Flow step from the calling thread (binds to its current
      *  slice, drawing the cross-thread arrow). */
@@ -365,6 +379,18 @@ Server::handleConnection(int fd)
 }
 
 bool
+Server::replyError(RequestTelemetry &telemetry, int code,
+                   const std::string &message)
+{
+    telemetry.code = code;
+    if (code == 400)
+        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+    else if (code == 429)
+        rejected_.fetch_add(1, std::memory_order_relaxed);
+    return telemetry.reply(errorMessage(code, message));
+}
+
+bool
 Server::dispatch(int fd, const Json &request, std::mutex &write_mutex)
 {
     const uint64_t seq =
@@ -375,85 +401,46 @@ Server::dispatch(int fd, const Json &request, std::mutex &write_mutex)
         if (id && id->isString() && !id->asString().empty())
             req_id = id->asString();
     }
-    RequestTelemetry telemetry(seq, std::move(req_id));
+    RequestTelemetry telemetry(seq, std::move(req_id), fd, write_mutex);
 
     const Json *type =
         request.isObject() ? request.find("type") : nullptr;
-    if (!type || !type->isString()) {
-        telemetry.code = 400;
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(write_mutex);
-        return writeFrame(
-            fd,
-            errorMessage(400, "request needs a string \"type\"")
-                .set("req_id", Json::string(telemetry.id)),
-            &telemetry.bytesOut);
-    }
+    if (!type || !type->isString())
+        return replyError(telemetry, 400,
+                          "request needs a string \"type\"");
     const std::string &kind = type->asString();
     telemetry.kind = kind;
-    if (kind == "ping") {
-        std::lock_guard<std::mutex> lock(write_mutex);
-        return writeFrame(
-            fd,
-            Json::object()
-                .set("type", Json::string("pong"))
-                .set("req_id", Json::string(telemetry.id)),
-            &telemetry.bytesOut);
-    }
-    if (kind == "stats") {
-        Json stats = statsMessage();
-        stats.set("req_id", Json::string(telemetry.id));
-        std::lock_guard<std::mutex> lock(write_mutex);
-        return writeFrame(fd, stats, &telemetry.bytesOut);
-    }
-    if (kind == "metrics") {
-        Json metrics = metricsMessage();
-        metrics.set("req_id", Json::string(telemetry.id));
-        std::lock_guard<std::mutex> lock(write_mutex);
-        return writeFrame(fd, metrics, &telemetry.bytesOut);
-    }
+    if (kind == "ping")
+        return telemetry.reply(
+            Json::object().set("type", Json::string("pong")));
+    if (kind == "stats")
+        return telemetry.reply(statsMessage());
+    if (kind == "metrics")
+        return telemetry.reply(metricsMessage());
     if (kind == "shutdown") {
         // Stop first: once the client sees the ack, stopping() is
         // already true.
         requestStop();
-        std::lock_guard<std::mutex> lock(write_mutex);
-        writeFrame(fd,
-                   Json::object()
-                       .set("type", Json::string("shutting_down"))
-                       .set("req_id", Json::string(telemetry.id)),
-                   &telemetry.bytesOut);
+        telemetry.reply(
+            Json::object().set("type", Json::string("shutting_down")));
         return false;
     }
     if (kind == "sweep") {
-        handleSweep(fd, request, write_mutex, telemetry);
+        handleSweep(request, telemetry);
         return true;
     }
-    telemetry.code = 400;
-    protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(write_mutex);
-    return writeFrame(
-        fd,
-        errorMessage(400, "unknown request type \"" + kind + "\"")
-            .set("req_id", Json::string(telemetry.id)),
-        &telemetry.bytesOut);
+    return replyError(telemetry, 400,
+                      "unknown request type \"" + kind + "\"");
 }
 
 void
-Server::handleSweep(int fd, const Json &request,
-                    std::mutex &write_mutex,
-                    RequestTelemetry &telemetry)
+Server::handleSweep(const Json &request, RequestTelemetry &telemetry)
 {
     SweepRequest sweep;
     try {
         sweep = parseSweepRequest(request);
     } catch (const std::invalid_argument &e) {
-        telemetry.code = 400;
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(write_mutex);
-        writeFrame(fd,
-                   errorMessage(400, e.what())
-                       .set("req_id", Json::string(telemetry.id)),
-                   &telemetry.bytesOut);
+        replyError(telemetry, 400, e.what());
         return;
     }
 
@@ -462,22 +449,14 @@ Server::handleSweep(int fd, const Json &request,
     const uint64_t total_instructions = sweep.instructions * cells;
     if (total_instructions / cells != sweep.instructions ||
         total_instructions > config_.maxTotalInstructions) {
-        telemetry.code = 429;
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(write_mutex);
-        writeFrame(
-            fd,
-            errorMessage(
-                429, "request budget of " +
-                         std::to_string(cells) + " cells x " +
-                         std::to_string(sweep.instructions) +
-                         " instructions exceeds the per-request "
-                         "limit of " +
-                         std::to_string(
-                             config_.maxTotalInstructions) +
-                         " (IBS_SERVE_MAX_INSTR)")
-                .set("req_id", Json::string(telemetry.id)),
-            &telemetry.bytesOut);
+        replyError(telemetry, 429,
+                   "request budget of " + std::to_string(cells) +
+                       " cells x " +
+                       std::to_string(sweep.instructions) +
+                       " instructions exceeds the per-request limit "
+                       "of " +
+                       std::to_string(config_.maxTotalInstructions) +
+                       " (IBS_SERVE_MAX_INSTR)");
         return;
     }
 
@@ -485,16 +464,9 @@ Server::handleSweep(int fd, const Json &request,
     if (inflight_.fetch_add(1, std::memory_order_acq_rel) >=
         config_.maxInflight) {
         inflight_.fetch_sub(1, std::memory_order_acq_rel);
-        telemetry.code = 429;
-        rejected_.fetch_add(1, std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(write_mutex);
-        writeFrame(fd,
-                   errorMessage(429,
-                                "server is at its in-flight request "
-                                "limit (IBS_SERVE_MAX_INFLIGHT); "
-                                "retry later")
-                       .set("req_id", Json::string(telemetry.id)),
-                   &telemetry.bytesOut);
+        replyError(telemetry, 429,
+                   "server is at its in-flight request limit "
+                   "(IBS_SERVE_MAX_INFLIGHT); retry later");
         return;
     }
     struct InflightGuard
@@ -525,15 +497,9 @@ Server::handleSweep(int fd, const Json &request,
             },
             &memo_hit);
     } catch (const std::exception &e) {
-        telemetry.code = 500;
-        std::lock_guard<std::mutex> lock(write_mutex);
-        writeFrame(fd,
-                   errorMessage(
-                       500, std::string(
-                                "trace materialization failed: ") +
-                                e.what())
-                       .set("req_id", Json::string(telemetry.id)),
-                   &telemetry.bytesOut);
+        replyError(telemetry, 500,
+                   std::string("trace materialization failed: ") +
+                       e.what());
         return;
     }
     if (registry.enabled())
@@ -543,102 +509,51 @@ Server::handleSweep(int fd, const Json &request,
                                   1e6));
     telemetry.step(); // Flow: handler thread, traces are warm.
 
-    {
-        Json start = Json::object()
-                         .set("type", Json::string("start"))
-                         .set("protocol",
-                              Json::number(uint64_t{kProtocolVersion}))
-                         .set("cells", Json::number(cells))
-                         .set("memo_hit", Json::boolean(memo_hit))
-                         .set("req_id", Json::string(telemetry.id));
-        std::lock_guard<std::mutex> lock(write_mutex);
-        if (!writeFrame(fd, start, &telemetry.bytesOut))
-            return;
-    }
-
-    // Shard cells over the shared pool; stream each one the moment
-    // it completes. Configs differing only in L2 geometry collapse
-    // onto one capture-plus-replay task per workload
-    // (sim/collapse.h), exactly as runSweep does; the remaining
-    // configs run the per-cell path. A failed socket write aborts
-    // the whole loop via the pool's exception drain.
-    const size_t workloads = sweep.workloads.size();
-    std::vector<FetchConfig> grid;
-    grid.reserve(sweep.configs.size());
-    for (const FetchConfig *config : sweep.configs)
-        grid.push_back(*config);
-    const CollapsePlan plan = planCollapse(grid);
-    publishCollapsePlan(plan, workloads);
-
-    // One cell frame, identical in shape whichever path computed it.
-    const auto emit_cell = [&](size_t c, size_t w,
-                               const FetchStats &stats,
-                               double seconds) {
-        WallTimer serialize_timer;
-        Json cell =
+    if (!telemetry.reply(
             Json::object()
-                .set("type", Json::string("cell"))
-                .set("config",
-                     Json::string(sweep.configNames[c]))
-                .set("config_index", Json::number(c))
-                .set("workload",
-                     Json::string(sweep.workloads[w].name))
-                .set("workload_index", Json::number(w))
-                .set("stats", toJson(stats))
-                .set("timing",
-                     timingJson(seconds, stats.instructions))
-                .set("req_id", Json::string(telemetry.id));
-        {
-            std::lock_guard<std::mutex> lock(write_mutex);
-            if (!writeFrame(fd, cell, &telemetry.bytesOut))
-                throw std::runtime_error(
-                    "client connection lost mid-sweep");
-        }
-        if (registry.enabled()) {
-            registry.observe(
-                "serve.sweep.simulate_us",
-                static_cast<uint64_t>(seconds * 1e6));
-            registry.observe(
-                "serve.sweep.serialize_us",
-                static_cast<uint64_t>(
-                    serialize_timer.seconds() * 1e6));
-        }
-        cellsDone_.fetch_add(1, std::memory_order_relaxed);
-    };
+                .set("type", Json::string("start"))
+                .set("protocol", Json::number(uint64_t{kProtocolVersion}))
+                .set("cells", Json::number(cells))
+                .set("memo_hit", Json::boolean(memo_hit))))
+        return;
 
-    const size_t single_tasks = plan.singles.size() * workloads;
+    // runSweep (sim/sweep.h) schedules the grid exactly as the
+    // benches do, collapse plan included; its sink streams each cell
+    // from the pool thread that finished it. A failed socket write
+    // aborts the sweep through the pool's exception drain.
     try {
-        parallelFor(
-            single_tasks + plan.groups.size() * workloads,
-            config_.threads ? config_.threads : sweepThreads(),
-            [&](size_t i) {
-                if (i < single_tasks) {
-                    const size_t c = plan.singles[i / workloads];
-                    const size_t w = i % workloads;
-                    WallTimer cell_timer;
-                    const FetchStats stats =
-                        suite->runOne(w, grid[c]);
-                    const double seconds = cell_timer.seconds();
-                    telemetry.step(); // Flow: this cell's thread.
-                    emit_cell(c, w, stats, seconds);
-                    return;
-                }
-                const size_t g = (i - single_tasks) / workloads;
-                const size_t w = (i - single_tasks) % workloads;
-                WallTimer group_timer;
-                const std::vector<CollapsedCell> group_cells =
-                    runCollapsedGroup(*suite, w, grid,
-                                      plan.groups[g]);
+        runSweep(
+            *suite, sweep.configs, 0,
+            [&](size_t c, size_t w, const FetchStats &stats,
+                const CellTiming &timing) {
+                telemetry.step(); // Flow: this cell's pool thread.
+                WallTimer serialize_timer;
+                if (!telemetry.reply(
+                        Json::object()
+                            .set("type", Json::string("cell"))
+                            .set("config",
+                                 Json::string(sweep.configNames[c]))
+                            .set("config_index", Json::number(c))
+                            .set("workload",
+                                 Json::string(sweep.workloads[w].name))
+                            .set("workload_index", Json::number(w))
+                            .set("stats", toJson(stats))
+                            .set("timing",
+                                 timingJson(timing.wallSeconds,
+                                            timing.instructions))))
+                    throw std::runtime_error(
+                        "client connection lost mid-sweep");
                 if (registry.enabled()) {
                     registry.observe(
-                        "serve.sweep.collapse_us",
+                        "serve.sweep.simulate_us",
+                        static_cast<uint64_t>(timing.wallSeconds *
+                                              1e6));
+                    registry.observe(
+                        "serve.sweep.serialize_us",
                         static_cast<uint64_t>(
-                            group_timer.seconds() * 1e6));
+                            serialize_timer.seconds() * 1e6));
                 }
-                telemetry.step(); // Flow: this group's pool thread.
-                for (const CollapsedCell &cell : group_cells)
-                    emit_cell(cell.config, w, cell.stats,
-                              cell.wallSeconds);
+                cellsDone_.fetch_add(1, std::memory_order_relaxed);
             });
     } catch (const std::exception &e) {
         obs::log(obs::LogLevel::Warn, "serve: sweep aborted: %s",
@@ -651,15 +566,12 @@ Server::handleSweep(int fd, const Json &request,
     // retained.
     memo_.refresh(memoKey(sweep), *suite);
 
-    Json done = Json::object()
-                    .set("type", Json::string("done"))
-                    .set("cells", Json::number(cells))
-                    .set("memo_hit", Json::boolean(memo_hit))
-                    .set("wall_seconds",
-                         Json::number(request_timer.seconds()))
-                    .set("req_id", Json::string(telemetry.id));
-    std::lock_guard<std::mutex> lock(write_mutex);
-    writeFrame(fd, done, &telemetry.bytesOut);
+    telemetry.reply(Json::object()
+                        .set("type", Json::string("done"))
+                        .set("cells", Json::number(cells))
+                        .set("memo_hit", Json::boolean(memo_hit))
+                        .set("wall_seconds",
+                             Json::number(request_timer.seconds())));
 }
 
 Json

@@ -8,10 +8,11 @@
  * resident so many overlapping clients share its warm state. One
  * accept loop hands each connection to a handler thread; a request
  * names a (config-class grid × workload subset × instruction budget)
- * cell space, which the handler shards over the process-wide
- * sim/parallel ThreadPool — the same persistent workers every
- * connection shares — streaming each cell's schema-v2 stats frame
- * back the moment the cell finishes. Materialized traces live in a
+ * cell space, which the handler runs with one runSweep call
+ * (sim/sweep.h) — the benches' scheduler and collapse plan, on the
+ * process-wide sim/parallel ThreadPool every connection shares —
+ * whose per-cell sink streams each cell's schema-v2 stats frame back
+ * the moment the cell finishes. Materialized traces live in a
  * byte-budgeted LRU (serve/memo.h), so a repeated request pays only
  * replay.
  *
@@ -24,8 +25,11 @@
  * serve.sweep.materialize_us / simulate_us / serialize_us), and —
  * when IBS_OBS_TRACE is set — one async span per request with flow
  * events stepping from the handler through materialization into
- * each cell on the pool threads. The "metrics" request exposes the
- * whole registry in Prometheus text exposition format.
+ * each cell on the pool threads. Like any runSweep call, a sweep
+ * also emits "cell"/"group" trace spans and sim.sweep.* counters and
+ * reports progress under IBS_PROGRESS (obs/progress.h). The
+ * "metrics" request exposes the whole registry in Prometheus text
+ * exposition format.
  *
  * Admission control keeps the process answerable under overload:
  * at most `maxInflight` sweep requests execute at once and a request
@@ -60,7 +64,8 @@ namespace ibs::serve {
 /** Per-request telemetry scope (defined in server.cc). */
 struct RequestTelemetry;
 
-/** Server tunables; defaults are safe for tests and local use. */
+/** Server tunables; defaults are safe for tests and local use.
+ *  Sweeps run on sweepThreads() workers (IBS_THREADS), like any. */
 struct ServerConfig
 {
     uint16_t port = 0;          ///< 0 binds an ephemeral port.
@@ -68,8 +73,6 @@ struct ServerConfig
     uint64_t memoBytes = 512ull << 20; ///< Trace-memo budget.
     /** Per-request ceiling on cells × instructions-per-workload. */
     uint64_t maxTotalInstructions = 2'000'000'000;
-    /** Participant cap per request's cell loop; 0 = sweepThreads. */
-    unsigned threads = 0;
 
     /** Defaults overlaid with the IBS_SERVE_* environment. */
     static ServerConfig fromEnv();
@@ -132,9 +135,12 @@ class Server
     /** Returns false when the connection must close. */
     bool dispatch(int fd, const Json &request,
                   std::mutex &write_mutex);
-    void handleSweep(int fd, const Json &request,
-                     std::mutex &write_mutex,
-                     RequestTelemetry &telemetry);
+    void handleSweep(const Json &request, RequestTelemetry &telemetry);
+    /** A structured error response: records `code` on the request,
+     *  counts a 400 as a protocol error and a 429 as a rejection.
+     *  Returns false when the peer is gone. */
+    bool replyError(RequestTelemetry &telemetry, int code,
+                    const std::string &message);
     Json statsMessage();
     /** The "metrics" response: Prometheus exposition text of the obs
      *  registry plus the server's own lifetime counters. */

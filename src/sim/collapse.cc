@@ -89,7 +89,6 @@ publishCollapsedCell(const MissStream &ms, const FetchStats &stats,
     registry.add("fetch.engine.stream_buffer_hits", 0);
     registry.add("fetch.engine.batched_runs", ms.batchedRuns);
     registry.add("fetch.engine.batch_fallbacks", ms.batchFallbacks);
-    registry.add("fetch.engine.stream_runs", ms.runsReplayed);
     registry.observe("sim.cell.instructions", stats.instructions);
 }
 
@@ -148,13 +147,11 @@ planCollapse(const std::vector<FetchConfig> &configs)
     return plan;
 }
 
-std::vector<CollapsedCell>
+void
 runCollapsedGroup(const SuiteTraces &suite, size_t workload,
                   const std::vector<FetchConfig> &configs,
-                  const CollapseGroup &group)
+                  const CollapseGroup &group, const CellSink &sink)
 {
-    std::vector<CollapsedCell> out(group.members.size());
-
     // Capture (or fetch from the memo) the shared miss stream. Its
     // cost lands on the leader cell's timing; warm memo hits make it
     // near-zero, which is honest — the run really was skipped.
@@ -255,28 +252,14 @@ runCollapsedGroup(const SuiteTraces &suite, size_t workload,
     for (size_t k = 0; k < group.members.size(); ++k) {
         const size_t c = group.members[k];
         WallTimer derive_timer;
-        CollapsedCell &cell = out[k];
-        cell.config = c;
-        cell.leader = k == 0;
-        cell.stats = deriveStats(ms, configs[c], l2[k].misses);
-        publishCollapsedCell(ms, cell.stats, l2[k]);
-        cell.wallSeconds = seconds[k] + derive_timer.seconds() +
-            (cell.leader ? capture_seconds : 0.0);
+        const FetchStats stats = deriveStats(ms, configs[c], l2[k].misses);
+        publishCollapsedCell(ms, stats, l2[k]);
+        const bool leader = k == 0;
+        sink(c, workload, stats,
+             CellTiming{seconds[k] + derive_timer.seconds() +
+                            (leader ? capture_seconds : 0.0),
+                        stats.instructions, !leader});
     }
-    return out;
-}
-
-void
-publishCollapsePlan(const CollapsePlan &plan, size_t workloads)
-{
-    obs::Registry &registry = obs::Registry::global();
-    if (!registry.enabled())
-        return;
-    registry.add("sim.sweep.groups", plan.groups.size());
-    registry.add("sim.sweep.collapsed_cells",
-                 plan.collapsedCells(workloads));
-    registry.add("sim.sweep.fallback_cells",
-                 plan.singles.size() * workloads);
 }
 
 } // namespace ibs

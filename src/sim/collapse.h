@@ -56,6 +56,7 @@
 #include "core/fetch_config.h"
 #include "core/fetch_stats.h"
 #include "sim/runner.h"
+#include "sim/sweep.h"
 
 namespace ibs {
 
@@ -72,7 +73,7 @@ bool collapseEligible(const FetchConfig &config);
  * Canonical shared-front-end key of an eligible config: every field
  * except the L2 geometry and L2 fill timing (neither feeds back into
  * the L1). Two eligible configs with equal keys may share one
- * capture run.
+ * capture run; SuiteTraces::missStream memoizes captures by it.
  */
 std::string collapseKey(const FetchConfig &config);
 
@@ -109,15 +110,6 @@ struct CollapsePlan
  */
 CollapsePlan planCollapse(const std::vector<FetchConfig> &configs);
 
-/** One derived cell of a collapsed group. */
-struct CollapsedCell
-{
-    size_t config = 0; ///< Grid index.
-    FetchStats stats;
-    double wallSeconds = 0.0;
-    bool leader = false; ///< Charged with the capture run's cost.
-};
-
 /**
  * Resolve every member of `group` for one workload: capture (or
  * reuse) the leader's miss stream, stack-simulate the LRU
@@ -126,21 +118,13 @@ struct CollapsedCell
  * suite.runOne on each member config. Publishes, per member, the
  * same registry counters and the sim.cell.instructions histogram
  * sample runOne would have (synthesized from the capture run), so
- * obs snapshots are collapse-invariant. Returned cells are in member
- * order.
+ * obs snapshots are collapse-invariant. Hands each member's cell to
+ * `sink` in member order; the leader's timing carries the capture
+ * run's cost, every other member's is marked collapsed.
  */
-std::vector<CollapsedCell>
-runCollapsedGroup(const SuiteTraces &suite, size_t workload,
-                  const std::vector<FetchConfig> &configs,
-                  const CollapseGroup &group);
-
-/**
- * Publish the plan-level counters (sim.sweep.groups,
- * sim.sweep.collapsed_cells, sim.sweep.fallback_cells) when the
- * registry is enabled. Counts are pure functions of (grid,
- * workloads), hence thread-count-invariant.
- */
-void publishCollapsePlan(const CollapsePlan &plan, size_t workloads);
+void runCollapsedGroup(const SuiteTraces &suite, size_t workload,
+                       const std::vector<FetchConfig> &configs,
+                       const CollapseGroup &group, const CellSink &sink);
 
 } // namespace ibs
 

@@ -11,6 +11,7 @@
 #include "obs/log.h"
 #include "obs/registry.h"
 #include "obs/timer.h"
+#include "sim/collapse.h"
 #include "workload/model.h"
 #include "workload/run_stream.h"
 
@@ -150,21 +151,12 @@ const MissStream &
 SuiteTraces::missStream(size_t i, const FetchConfig &config) const
 {
     // The capture depends only on the L1 side of the config (the
-    // perfect L2 never feeds back). CacheConfig::toString omits the
-    // replacement policy, which does change the miss stream — spell
-    // the key out field by field.
-    std::string key = std::to_string(config.l1.sizeBytes) + "/" +
-        std::to_string(config.l1.assoc) + "/" +
-        std::to_string(config.l1.lineBytes) + "/" +
-        replacementName(config.l1.replacement) + "|" +
-        std::to_string(config.l1Fill.latencyCycles) + ":" +
-        std::to_string(config.l1Fill.bytesPerCycle);
-
+    // perfect L2 never feeds back): exactly what collapseKey names.
     Slot<MissStream> *entry;
     {
         std::lock_guard<std::mutex> lock(missStreamMutex_);
         std::unique_ptr<Slot<MissStream>> &slot =
-            missStreams_[{i, std::move(key)}];
+            missStreams_[{i, collapseKey(config)}];
         if (!slot)
             slot = std::make_unique<Slot<MissStream>>();
         entry = slot.get();
@@ -217,7 +209,6 @@ SuiteTraces::runOne(size_t i, const FetchConfig &config) const
     const RunTrace &runs = runTrace(i, config.l1.lineBytes);
     for (const FetchRun &run : runs.runs)
         engine.fetchRun(run);
-    engine.noteStreamRuns(runs.runs.size());
     obs::Registry &registry = obs::Registry::global();
     if (registry.enabled()) {
         // Published per replay, not per run-trace build: the memo

@@ -148,10 +148,11 @@ class SuiteTraces
      * the capture run replays the workload through a FetchEngine
      * with perfectL2 forced on (L1-only, so one capture serves every
      * L2 variant) and records each L1 miss's line address
-     * (trace/miss_trace.h). Memoized per (workload, L1 geometry +
-     * L1 fill timing) with the same build-exactly-once discipline as
-     * runTrace — warm server sweeps skip the L1 run entirely — and
-     * charged by retainedTraceBytes() so serve/memo.h budgets it.
+     * (trace/miss_trace.h). Memoized per (workload, collapseKey:
+     * L1 geometry + L1 fill timing) with the same build-exactly-once
+     * discipline as runTrace — warm server sweeps skip the L1 run
+     * entirely — and charged by retainedTraceBytes() so serve/memo.h
+     * budgets it.
      * Only sim/collapse.h should need this. The returned reference
      * stays valid for the lifetime of this SuiteTraces.
      */
@@ -193,7 +194,7 @@ class SuiteTraces
                      std::unique_ptr<Slot<RunTrace>>>
         runTraces_;
 
-    // (workload, L1-side key) -> lazily captured miss stream; same
+    // (workload, collapseKey) -> lazily captured miss stream; same
     // stable-address + once_flag discipline as runTraces_.
     mutable std::mutex missStreamMutex_;
     mutable std::map<std::pair<size_t, std::string>,

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "obs/progress.h"
+#include "obs/registry.h"
 #include "obs/timer.h"
 #include "sim/collapse.h"
 #include "sim/parallel.h"
@@ -23,9 +24,9 @@ sweepThreads()
     return n > 0 ? static_cast<unsigned>(n) : 1;
 }
 
-SweepResult
+void
 runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
-         unsigned threads)
+         unsigned threads, const CellSink &sink)
 {
     // Fail fast, on the calling thread, before any work is scheduled.
     for (const FetchConfig &config : configs)
@@ -33,26 +34,38 @@ runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
 
     const size_t workloads = suite.count();
     const size_t total = configs.size() * workloads;
-    SweepResult result(configs.size(), workloads);
     if (total == 0)
-        return result;
+        return;
 
     if (threads == 0)
         threads = sweepThreads();
 
     // Collapse configs that share an L1 front end (sim/collapse.h);
-    // the rest run per cell.
+    // the rest run per cell. The plan counters are pure functions of
+    // (grid, workloads), hence thread-count-invariant.
     const CollapsePlan plan = planCollapse(configs);
-    publishCollapsePlan(plan, workloads);
+    obs::Registry &registry = obs::Registry::global();
+    if (registry.enabled()) {
+        registry.add("sim.sweep.groups", plan.groups.size());
+        registry.add("sim.sweep.collapsed_cells",
+                     plan.collapsedCells(workloads));
+        registry.add("sim.sweep.fallback_cells",
+                     plan.singles.size() * workloads);
+    }
 
     obs::SweepProgress progress("sweep", total);
+    const CellSink finish = [&](size_t c, size_t w,
+                                const FetchStats &stats,
+                                const CellTiming &timing) {
+        sink(c, w, stats, timing);
+        progress.cellDone(stats.instructions);
+    };
 
     // Task space: one item per (single config, workload) cell plus
     // one per (group, workload) — a group's capture and derivations
     // run inside one task, so no task depends on another. Each task
-    // writes only its own pre-sized result slots, so the shared pool
-    // needs no synchronization on the results (see sim/parallel.h
-    // for the scheduling and determinism contract).
+    // hands only its own cells to the sink (see sim/parallel.h for
+    // the scheduling and determinism contract).
     const size_t single_tasks = plan.singles.size() * workloads;
     const size_t group_tasks = plan.groups.size() * workloads;
     parallelFor(single_tasks + group_tasks, threads, [&](size_t i) {
@@ -64,11 +77,8 @@ runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
                 "sweep");
             const FetchStats stats = suite.runOne(w, configs[c]);
             timer.stop();
-            result.cell(c, w) = stats;
-            CellTiming &timing = result.timing(c, w);
-            timing.wallSeconds = timer.seconds();
-            timing.instructions = stats.instructions;
-            progress.cellDone(stats.instructions);
+            finish(c, w, stats,
+                   CellTiming{timer.seconds(), stats.instructions, false});
             return;
         }
         const size_t g = (i - single_tasks) / workloads;
@@ -76,31 +86,21 @@ runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
         obs::ScopedTimer timer(
             "group " + std::to_string(g) + ":" + suite.name(w),
             "sweep");
-        const std::vector<CollapsedCell> cells =
-            runCollapsedGroup(suite, w, configs, plan.groups[g]);
-        timer.stop();
-        for (const CollapsedCell &cell : cells) {
-            result.cell(cell.config, w) = cell.stats;
-            CellTiming &timing = result.timing(cell.config, w);
-            timing.wallSeconds = cell.wallSeconds;
-            timing.instructions = cell.stats.instructions;
-            timing.collapsed = !cell.leader;
-            progress.cellDone(cell.stats.instructions);
-        }
+        runCollapsedGroup(suite, w, configs, plan.groups[g], finish);
     });
-    return result;
 }
 
-std::vector<FetchStats>
-sweepSuite(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
-           unsigned threads)
+SweepResult
+runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
+         unsigned threads)
 {
-    const SweepResult result = runSweep(suite, configs, threads);
-    std::vector<FetchStats> out;
-    out.reserve(configs.size());
-    for (size_t c = 0; c < configs.size(); ++c)
-        out.push_back(result.suite(c));
-    return out;
+    SweepResult result(configs.size(), suite.count());
+    runSweep(suite, configs, threads,
+             [&result](size_t c, size_t w, const FetchStats &stats,
+                       const CellTiming &timing) {
+                 result.record(c, w, stats, timing);
+             });
+    return result;
 }
 
 } // namespace ibs

@@ -1,15 +1,17 @@
 /**
  * @file
- * Parallel parameter-sweep executor.
+ * Parallel parameter-sweep executor, for the benches and the sweep
+ * server alike.
  *
  * Every table/figure bench replays the same immutable SuiteTraces
  * through a grid of FetchConfigs. Each (config, workload) cell is an
  * independent simulation — a FetchEngine built fresh from the config
  * and driven by one memoized run trace — so the grid
  * parallelizes perfectly. runSweep schedules cells onto a pool of
- * std::thread workers and stores each cell's FetchStats into a
- * pre-sized vector addressed by (config, workload) index; because no
- * cell reads another cell's output and the merge in
+ * std::thread workers and hands each finished cell to a sink — the
+ * SweepResult overload stores it into a pre-sized vector addressed
+ * by (config, workload) index, the server streams it as a frame.
+ * Because no cell reads another cell's output and the merge in
  * SweepResult::suite always folds workloads in index order, the
  * result is bit-for-bit identical to the serial path regardless of
  * how the scheduler interleaves the work.
@@ -24,6 +26,7 @@
 #define IBS_SIM_SWEEP_H
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "core/fetch_config.h"
@@ -86,12 +89,6 @@ class SweepResult
         return cells_[config * workloads_ + workload];
     }
 
-    FetchStats &
-    cell(size_t config, size_t workload)
-    {
-        return cells_[config * workloads_ + workload];
-    }
-
     /** Wall-clock timing of one (config, workload) cell. */
     const CellTiming &
     timing(size_t config, size_t workload) const
@@ -99,10 +96,14 @@ class SweepResult
         return timings_[config * workloads_ + workload];
     }
 
-    CellTiming &
-    timing(size_t config, size_t workload)
+    /** Store one cell. runSweep's sink calls this concurrently for
+     *  distinct cells, which own distinct slots. */
+    void
+    record(size_t config, size_t workload, const FetchStats &stats,
+           const CellTiming &timing)
     {
-        return timings_[config * workloads_ + workload];
+        cells_[config * workloads_ + workload] = stats;
+        timings_[config * workloads_ + workload] = timing;
     }
 
     /** Sum of per-cell wall-clock (CPU-seconds of simulation, not
@@ -139,34 +140,47 @@ class SweepResult
 };
 
 /**
+ * Receives one finished cell on the pool thread that finished it, so
+ * calls for different cells may run concurrently. A sink that throws
+ * aborts the sweep: runSweep rethrows once the cells in flight have
+ * drained, and the remaining cells never arrive.
+ */
+using CellSink = std::function<void(size_t config, size_t workload,
+                                    const FetchStats &stats,
+                                    const CellTiming &timing)>;
+
+/**
  * Run every (config × workload) cell of the grid, in parallel when
- * more than one worker is available.
+ * more than one worker is available, handing each finished cell to
+ * `sink`.
  *
  * Cells whose configs differ only in L2 geometry are collapsed onto
  * a shared L1 capture run plus per-variant replay of its miss stream
  * (sim/collapse.h) — one pool task per (group, workload), with the
  * leader's capture and the dependent derivations sequenced inside
  * the task, so the producer/consumer dependency never crosses
- * workers. Per-cell stats stay bit-identical to runOne. Publishes
- * sim.sweep.{groups,collapsed_cells,fallback_cells} when the obs
- * registry is enabled.
+ * workers. Per-cell stats stay bit-identical to runOne.
+ * Publishes sim.sweep.{groups,collapsed_cells,fallback_cells} when
+ * the obs registry is enabled, reports progress on stderr
+ * (obs/progress.h) and emits one "cell" or "group" trace span per
+ * task when IBS_OBS_TRACE is set.
  *
  * @param suite immutable traces, shared const across workers
  * @param configs grid points (validated before any thread starts)
  * @param threads worker count; 0 means sweepThreads()
- * @return per-cell stats, identical to calling runOne serially
+ * @param sink called once per cell (see CellSink on aborts)
+ */
+void runSweep(const SuiteTraces &suite,
+              const std::vector<FetchConfig> &configs, unsigned threads,
+              const CellSink &sink);
+
+/**
+ * Run the grid and collect it: per-cell stats and timings,
+ * identical to calling runOne serially.
  */
 SweepResult runSweep(const SuiteTraces &suite,
                      const std::vector<FetchConfig> &configs,
                      unsigned threads = 0);
-
-/**
- * Convenience wrapper: suite-average stats per config, one merge per
- * grid point (what most benches want).
- */
-std::vector<FetchStats> sweepSuite(const SuiteTraces &suite,
-                                   const std::vector<FetchConfig> &configs,
-                                   unsigned threads = 0);
 
 } // namespace ibs
 

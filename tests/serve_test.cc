@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,8 +91,11 @@ TEST(Serve, PingAndStatsRoundTrip)
 
 TEST(Serve, SweepMatchesDirectRunExactly)
 {
+    // The repeated L2 class shares its L1 front end with itself, so
+    // its two copies form a collapsed group (sim/collapse.h) next to
+    // a per-cell config: both sweep paths reach the wire.
     const std::vector<std::string> config_names = {
-        "economy", "high_performance_l2"};
+        "economy", "high_performance_l2", "high_performance_l2"};
 
     Server server(testConfig());
     server.start();
@@ -99,12 +103,13 @@ TEST(Serve, SweepMatchesDirectRunExactly)
     const Client::SweepResult result = client.sweep(
         "ibs_mach", config_names, testWorkloads(), kInstr);
     ASSERT_TRUE(result.ok) << result.errorMessage;
-    ASSERT_EQ(result.cells.size(), 4u);
-    EXPECT_EQ(result.cellsExpected, 4u);
+    ASSERT_EQ(result.cells.size(), 6u);
+    EXPECT_EQ(result.cellsExpected, 6u);
     EXPECT_FALSE(result.memoHit);
 
     // The reference: the same cells, straight through the library.
     const SuiteTraces direct(testSpecs(), kInstr);
+    std::set<std::pair<size_t, size_t>> seen;
     for (const Json &cell : result.cells) {
         const size_t c = static_cast<size_t>(
             cell.at("config_index").asNumber());
@@ -112,6 +117,8 @@ TEST(Serve, SweepMatchesDirectRunExactly)
             cell.at("workload_index").asNumber());
         ASSERT_LT(c, config_names.size());
         ASSERT_LT(w, direct.count());
+        EXPECT_TRUE(seen.insert({c, w}).second)
+            << "cell (" << c << ", " << w << ") arrived twice";
         EXPECT_EQ(cell.at("config").asString(), config_names[c]);
         EXPECT_EQ(cell.at("workload").asString(),
                   testWorkloads()[w]);
@@ -418,6 +425,16 @@ TEST(Serve, ReqIdEchoesClientTokenOrAssignsServerId)
     ASSERT_TRUE(client.receive(response));
     EXPECT_EQ(response.at("req_id").asString().substr(0, 2), "s-");
 
+    // Every other single-frame reply echoes it as well.
+    for (const char *type : {"stats", "metrics"}) {
+        client.send(Json::object()
+                        .set("type", Json::string(type))
+                        .set("req_id", Json::string(type)));
+        ASSERT_TRUE(client.receive(response));
+        EXPECT_EQ(response.at("type").asString(), type);
+        EXPECT_EQ(response.at("req_id").asString(), type);
+    }
+
     // A sweep echoes the id on every frame: start, cells, done.
     Json configs = Json::array();
     configs.push(Json::string("economy"));
@@ -443,14 +460,49 @@ TEST(Serve, ReqIdEchoesClientTokenOrAssignsServerId)
     }
     EXPECT_EQ(frames, 4u); // start + 2 cells + done.
 
-    // Structured rejections carry the id too.
+    // Structured rejections carry the id too: 400s for a bad sweep,
+    // an unknown type and a typeless request, a 429 for a sweep over
+    // the per-request instruction budget.
+    const auto expect_error = [&](const Json &request, int code,
+                                  const std::string &req_id) {
+        client.send(request);
+        ASSERT_TRUE(client.receive(response));
+        EXPECT_EQ(response.at("type").asString(), "error");
+        EXPECT_EQ(response.at("code").asNumber(), code);
+        EXPECT_EQ(response.at("req_id").asString(), req_id);
+    };
+    expect_error(Json::object()
+                     .set("type", Json::string("sweep"))
+                     .set("suite", Json::string("no_such_suite"))
+                     .set("req_id", Json::string("bad-1")),
+                 400, "bad-1");
+    expect_error(Json::object()
+                     .set("type", Json::string("no_such_type"))
+                     .set("req_id", Json::string("bad-2")),
+                 400, "bad-2");
+    expect_error(Json::object().set("req_id", Json::string("bad-3")),
+                 400, "bad-3");
+    Json one_config = Json::array();
+    one_config.push(Json::string("economy"));
+    expect_error(Json::object()
+                     .set("type", Json::string("sweep"))
+                     .set("suite", Json::string("ibs_mach"))
+                     .set("configs", std::move(one_config))
+                     .set("instructions",
+                          Json::number(
+                              testConfig().maxTotalInstructions + 1))
+                     .set("req_id", Json::string("big-1")),
+                 429, "big-1");
+    EXPECT_EQ(server.counters().protocolErrors, 3u);
+    EXPECT_EQ(server.counters().rejected, 1u);
+
+    // The last reply of a connection, too.
     client.send(Json::object()
-                    .set("type", Json::string("sweep"))
-                    .set("suite", Json::string("no_such_suite"))
-                    .set("req_id", Json::string("bad-1")));
+                    .set("type", Json::string("shutdown"))
+                    .set("req_id", Json::string("bye")));
     ASSERT_TRUE(client.receive(response));
-    EXPECT_EQ(response.at("type").asString(), "error");
-    EXPECT_EQ(response.at("req_id").asString(), "bad-1");
+    EXPECT_EQ(response.at("type").asString(), "shutting_down");
+    EXPECT_EQ(response.at("req_id").asString(), "bye");
 }
 
 TEST(Serve, ServerHistogramAgreesWithClientLatencies)

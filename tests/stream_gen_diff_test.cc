@@ -239,25 +239,32 @@ TEST(StreamGenDiff, ObsCountersFlowFromStreamingReplay)
 
     // Every SuiteTraces replay publishes the streamed-run counters,
     // and republishes on *every* replay (warm memo included) so sweep
-    // snapshots do not depend on memo state or thread count.
+    // snapshots do not depend on memo state or thread count. Each
+    // streamed run reaches fetchRun exactly once, which retires it
+    // either batched or through the scalar fallback.
     const WorkloadSpec spec = makeIbs(IbsBenchmark::Gs, OsType::Mach);
     const SuiteTraces suite({spec}, 10000);
+    const auto expect_every_run_replayed = [&](uint64_t replays) {
+        const auto snap = reg.snapshot();
+        ASSERT_TRUE(snap.count("workload.model.runs_emitted"));
+        ASSERT_TRUE(snap.count("fetch.engine.batched_runs"));
+        ASSERT_TRUE(snap.count("fetch.engine.batch_fallbacks"));
+        const uint64_t emitted = snap.at("workload.model.runs_emitted");
+        EXPECT_EQ(emitted,
+                  replays *
+                      suite.runTrace(0, economyBaseline().l1.lineBytes)
+                          .runs.size());
+        EXPECT_EQ(snap.at("fetch.engine.batched_runs") +
+                      snap.at("fetch.engine.batch_fallbacks"),
+                  emitted);
+    };
+
     const FetchStats cold = suite.runOne(0, economyBaseline());
     EXPECT_EQ(cold.instructions, 10000u);
-    auto snap = reg.snapshot();
-    ASSERT_TRUE(snap.count("workload.model.runs_emitted"));
-    ASSERT_TRUE(snap.count("fetch.engine.stream_runs"));
-    const uint64_t after_cold = snap.at("workload.model.runs_emitted");
-    EXPECT_EQ(after_cold,
-              suite.runTrace(0, economyBaseline().l1.lineBytes)
-                  .runs.size());
-    EXPECT_EQ(snap.at("fetch.engine.stream_runs"), after_cold);
+    expect_every_run_replayed(1);
 
     suite.runOne(0, economyBaseline());
-    EXPECT_EQ(reg.snapshot().at("workload.model.runs_emitted"),
-              2 * after_cold);
-    EXPECT_EQ(reg.snapshot().at("fetch.engine.stream_runs"),
-              2 * after_cold);
+    expect_every_run_replayed(2);
 
     reg.reset();
     reg.setEnabled(was_enabled);

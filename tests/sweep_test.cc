@@ -8,6 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
+#include <mutex>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/sweep.h"
@@ -81,11 +85,42 @@ TEST(Sweep, SuiteMergeMatchesRunSuite)
 {
     SuiteTraces suite(specSuite(), 15000);
     const std::vector<FetchConfig> grid = smallGrid();
-    const std::vector<FetchStats> swept = sweepSuite(suite, grid, 4);
-    ASSERT_EQ(swept.size(), grid.size());
+    const SweepResult swept = runSweep(suite, grid, 4);
+    ASSERT_EQ(swept.configCount(), grid.size());
     for (size_t c = 0; c < grid.size(); ++c)
-        expectEqualStats(swept[c], suite.runSuite(grid[c]),
+        expectEqualStats(swept.suite(c), suite.runSuite(grid[c]),
                          "config " + std::to_string(c));
+}
+
+TEST(Sweep, SinkReceivesEachCellOnce)
+{
+    // The small grid plus an L2 variant of its third config: those
+    // two form a collapsed group (sim/collapse.h), the rest run per
+    // cell, and both kinds of task must hand every cell to the sink
+    // exactly once with its own stats and timing.
+    SuiteTraces suite(specSuite(), 15000);
+    std::vector<FetchConfig> grid = smallGrid();
+    grid.push_back(withOnChipL2(economyBaseline(), 128 * 1024, 64, 4));
+
+    std::mutex mutex;
+    std::map<std::pair<size_t, size_t>, int> calls;
+    runSweep(suite, grid, 4,
+             [&](size_t c, size_t w, const FetchStats &stats,
+                 const CellTiming &timing) {
+                 std::lock_guard<std::mutex> lock(mutex);
+                 const std::string label = "cell " + std::to_string(c) +
+                     "," + std::to_string(w);
+                 ++calls[{c, w}];
+                 expectEqualStats(stats, suite.runOne(w, grid[c]), label);
+                 EXPECT_EQ(timing.instructions, stats.instructions)
+                     << label;
+                 // Only the group's non-leader member is derived.
+                 EXPECT_EQ(timing.collapsed, c == grid.size() - 1)
+                     << label;
+             });
+    EXPECT_EQ(calls.size(), grid.size() * suite.count());
+    for (const auto &[cell, count] : calls)
+        EXPECT_EQ(count, 1) << cell.first << "," << cell.second;
 }
 
 TEST(Sweep, OneThreadEqualsManyThreads)

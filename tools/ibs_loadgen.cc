@@ -4,9 +4,9 @@
  *
  * Opens N concurrent connections to a running server and drives each
  * with a stream of sweep requests, then prints aggregate throughput
- * and latency percentiles. This is the command-line face of the
- * serve::Client; bench/server_bench wraps the same loop to produce
- * BENCH_server.json.
+ * and latency percentiles. This is the command-line face of
+ * serve::runLoad (serve/client.h); bench/server_bench wraps the same
+ * loop to produce BENCH_server.json.
  *
  * Usage:
  *   ibs_loadgen --port P [--connections N] [--requests-per-conn R]
@@ -22,33 +22,30 @@
  * After the run the server's own sweep-latency histogram
  * (ibs_serve_sweep_latency_us from the `metrics` request) is printed
  * next to the client-side percentiles. Both sides are compared at
- * log2-bucket resolution — the client's exact percentile is
- * bucketized with obs::log2BucketUpperEdge — so two views of the
- * same distribution land on the same edge instead of flaking at
- * power-of-two boundaries. Under --check, a divergence of more than
- * one bucket (i.e. more than 2x) at p50 or p99 is a hard failure
- * with a message naming both sides. --check is meaningful with
+ * log2-bucket resolution (serve::latencyBucketsAgree) — the
+ * client's exact percentile is bucketized with
+ * obs::log2BucketUpperEdge — so two views of the same distribution
+ * land on the same edge instead of flaking at power-of-two
+ * boundaries. Under --check, a divergence of more than one bucket
+ * (i.e. more than 2x) at p50 or p99 is a hard failure with a
+ * message naming both sides. --check is meaningful with
  * --connections 1: with concurrent clients on a busy machine, time
  * a request spends queued in the socket buffer before the server
  * reads the frame is visible only to the client clock, so the two
  * views legitimately differ.
  */
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <csignal>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/prom.h"
 #include "obs/registry.h"
 #include "serve/client.h"
-#include "stats/report.h"
 
 namespace {
 
@@ -141,39 +138,20 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
-double
-percentile(std::vector<double> sorted, double p)
-{
-    if (sorted.empty())
-        return 0;
-    const size_t index = static_cast<size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
-    return sorted[std::min(index, sorted.size() - 1)];
-}
-
-/**
- * Compare one client-side percentile (seconds) against the server
- * histogram's bucket-edge quantile (microseconds), both at log2
- * bucket resolution. Adjacent buckets agree to within 2x and pass;
- * two or more buckets apart is a real divergence. Prints one line
- * either way; returns false on divergence.
- */
+/** Print one client-vs-server percentile line; false on divergence. */
 bool
 comparePercentile(const char *label, double client_seconds,
                   double server_edge_us)
 {
-    const uint64_t client_us = static_cast<uint64_t>(
-        client_seconds * 1e6);
-    const double client_edge = static_cast<double>(
-        ibs::obs::log2BucketUpperEdge(client_us));
-    const double hi = std::max(client_edge, server_edge_us);
-    const double lo = std::min(client_edge, server_edge_us);
-    // lo > 0 always (bucket edges are >= 1); 2.01 admits exactly one
-    // bucket of slack (adjacent edges ratio ~2.0005).
-    const bool agree = hi / lo <= 2.01;
-    std::printf("%s client=%.0fus (bucket<=%.0f) server_bucket<=%.0f "
+    const uint64_t client_us =
+        static_cast<uint64_t>(client_seconds * 1e6);
+    const bool agree =
+        serve::latencyBucketsAgree(client_seconds, server_edge_us);
+    std::printf("%s client=%lluus (bucket<=%llu) server_bucket<=%.0f "
                 "%s\n",
-                label, static_cast<double>(client_us), client_edge,
+                label, static_cast<unsigned long long>(client_us),
+                static_cast<unsigned long long>(
+                    obs::log2BucketUpperEdge(client_us)),
                 server_edge_us, agree ? "agree" : "DIVERGE");
     return agree;
 }
@@ -186,71 +164,32 @@ main(int argc, char **argv)
     std::signal(SIGPIPE, SIG_IGN);
     const Options opt = parseArgs(argc, argv);
 
-    std::mutex mutex;
-    std::vector<double> latencies; ///< Seconds, one per request.
-    uint64_t completed = 0, rejected = 0, failed = 0, cells = 0;
-
-    WallTimer run_timer;
-    std::vector<std::thread> threads;
-    for (unsigned t = 0; t < opt.connections; ++t) {
-        threads.emplace_back([&] {
-            try {
-                serve::Client client(opt.port);
-                for (unsigned r = 0; r < opt.requestsPerConn; ++r) {
-                    WallTimer request_timer;
-                    serve::Client::SweepResult result =
-                        client.sweep(opt.suite, opt.configs,
-                                     opt.workloads,
-                                     opt.instructions);
-                    const double seconds = request_timer.seconds();
-                    std::lock_guard<std::mutex> lock(mutex);
-                    if (result.ok) {
-                        ++completed;
-                        cells += result.cells.size();
-                        latencies.push_back(seconds);
-                    } else if (result.errorCode == 429) {
-                        ++rejected;
-                    } else {
-                        ++failed;
-                        std::fprintf(stderr,
-                                     "loadgen: request failed "
-                                     "(%d): %s\n",
-                                     result.errorCode,
-                                     result.errorMessage.c_str());
-                    }
-                }
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mutex);
-                ++failed;
-                std::fprintf(stderr, "loadgen: %s\n", e.what());
-            }
-        });
-    }
-    for (std::thread &thread : threads)
-        thread.join();
-    const double wall = run_timer.seconds();
-
-    std::sort(latencies.begin(), latencies.end());
-    const double p50 = percentile(latencies, 0.50);
-    const double p99 = percentile(latencies, 0.99);
+    const serve::LoadResult load = serve::runLoad(
+        opt.port, opt.connections, opt.requestsPerConn, opt.suite,
+        opt.configs, opt.workloads, opt.instructions);
+    for (const std::string &error : load.errors)
+        std::fprintf(stderr, "loadgen: %s\n", error.c_str());
     std::printf("connections=%u requests=%llu rejected=%llu "
                 "failed=%llu cells=%llu\n",
                 opt.connections,
-                static_cast<unsigned long long>(completed),
-                static_cast<unsigned long long>(rejected),
-                static_cast<unsigned long long>(failed),
-                static_cast<unsigned long long>(cells));
+                static_cast<unsigned long long>(load.completed),
+                static_cast<unsigned long long>(load.rejected),
+                static_cast<unsigned long long>(load.failed),
+                static_cast<unsigned long long>(load.cells));
     std::printf("wall_seconds=%.3f requests_per_second=%.2f "
                 "p50_seconds=%.4f p99_seconds=%.4f\n",
-                wall,
-                wall > 0 ? static_cast<double>(completed) / wall : 0,
-                p50, p99);
+                load.wallSeconds,
+                load.wallSeconds > 0
+                    ? static_cast<double>(load.completed) /
+                          load.wallSeconds
+                    : 0,
+                load.p50, load.p99);
 
     // Server-side view of the same requests: the sweep-latency
     // histogram from the metrics endpoint, printed next to the
     // client percentiles (and gated under --check).
     bool check_ok = true;
-    if (completed > 0) {
+    if (load.completed > 0) {
         try {
             serve::Client client(opt.port);
             const std::string text = client.metricsText();
@@ -259,9 +198,9 @@ main(int argc, char **argv)
                     text, "ibs_serve_sweep_latency_us", latency) &&
                 latency.count > 0) {
                 const bool ok50 = comparePercentile(
-                    "p50:", p50, latency.quantile(0.50));
+                    "p50:", load.p50, latency.quantile(0.50));
                 const bool ok99 = comparePercentile(
-                    "p99:", p99, latency.quantile(0.99));
+                    "p99:", load.p99, latency.quantile(0.99));
                 check_ok = ok50 && ok99;
                 if (!check_ok && opt.check)
                     std::fprintf(
@@ -299,7 +238,7 @@ main(int argc, char **argv)
                          e.what());
         }
     }
-    if (failed != 0)
+    if (load.failed != 0)
         return 1;
     return opt.check && !check_ok ? 1 : 0;
 }
