@@ -103,8 +103,8 @@ fi
 
 # Warn-only: the collapsed sweep executor should beat the per-cell
 # path by >=2x on the fig4 grid shape (eight of nine configs share
-# one L1 capture + LRU stack pass per workload; see EXPERIMENTS.md
-# "Sweep collapsing"). Exactness is gated separately and hard — by
+# one L1 capture per workload and replay its miss stream; see
+# EXPERIMENTS.md "Sweep collapsing"). Exactness is gated separately and hard — by
 # sweep_collapse_test and the golden_<bench> ctests — so this only
 # watches the speed.
 if [ "$bench_name" = "sweep_collapse" ]; then

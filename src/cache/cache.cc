@@ -135,8 +135,9 @@ Cache::accessEx(uint64_t addr)
     const int w = probeWays(base, tag);
     if (w >= 0) {
         ++hits_;
+        outcome.slot = base + static_cast<uint32_t>(w);
         if (config_.replacement == Replacement::LRU)
-            stamps_[base + static_cast<uint32_t>(w)] = ++clock_;
+            stamps_[outcome.slot] = ++clock_;
         outcome.hit = true;
         return outcome;
     }
@@ -149,6 +150,7 @@ Cache::accessEx(uint64_t addr)
     tags_[slot] = tag;
     setValid(slot);
     stamps_[slot] = ++clock_;
+    outcome.slot = slot;
     return outcome;
 }
 

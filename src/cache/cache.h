@@ -47,6 +47,11 @@ class Cache
         bool hit = false;
         bool evicted = false;    ///< A valid line was replaced.
         uint64_t victimAddr = 0; ///< Line address of the victim.
+        /** Line index (set * assoc + way) holding the referenced
+         *  line after the access: the way that hit, or the way the
+         *  miss filled. Stable until that line is replaced, so
+         *  callers can keep per-line state beside the tag store. */
+        size_t slot = 0;
     };
 
     /**
@@ -56,8 +61,8 @@ class Cache
      */
     bool access(uint64_t addr);
 
-    /** As access(), but reports the evicted line (for inclusion
-     *  enforcement in multi-level hierarchies). */
+    /** As access(), but reports the evicted line and the slot (for
+     *  inclusion enforcement, victim buffers and sub-block state). */
     AccessOutcome accessEx(uint64_t addr);
 
     /**

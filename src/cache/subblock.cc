@@ -5,104 +5,49 @@
 
 #include "cache/subblock.h"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace ibs {
 
 SubBlockCache::SubBlockCache(const CacheConfig &config,
                              uint32_t sub_block_bytes)
-    : config_(config), subBytes_(sub_block_bytes)
+    : lines_(config), subBytes_(sub_block_bytes)
 {
-    config_.validate();
     if (sub_block_bytes == 0 || config.lineBytes % sub_block_bytes != 0)
         throw std::invalid_argument(
             "sub-block size must divide the line size");
     subsPerLine_ = config.lineBytes / sub_block_bytes;
     if (subsPerLine_ > 32)
         throw std::invalid_argument("at most 32 sub-blocks per line");
-    assoc_ = config_.assoc;
-    lineShift_ = config_.lineShift();
-    setMask_ = config_.numSets() - 1;
-    const size_t lines = config_.numSets() * assoc_;
-    tags_.assign(lines, kInvalidTag);
-    stamps_.assign(lines, 0);
-    validMask_.assign(lines, 0);
-}
-
-uint32_t
-SubBlockCache::victimWay(uint64_t set) const
-{
-    const size_t base = set * assoc_;
-    for (uint32_t w = 0; w < assoc_; ++w) {
-        if (tags_[base + w] == kInvalidTag)
-            return w;
-    }
-    uint32_t victim = 0;
-    uint64_t oldest = stamps_[base];
-    for (uint32_t w = 1; w < assoc_; ++w) {
-        if (stamps_[base + w] < oldest) {
-            oldest = stamps_[base + w];
-            victim = w;
-        }
-    }
-    return victim;
+    validMask_.assign(config.sizeBytes / config.lineBytes, 0);
 }
 
 SubBlockResult
 SubBlockCache::access(uint64_t addr)
 {
-    ++accesses_;
-    const uint64_t tag = addr >> lineShift_;
-    const uint64_t set = tag & setMask_;
-    const uint32_t sub = static_cast<uint32_t>(
-        (addr & (config_.lineBytes - 1)) / subBytes_);
-    const size_t base = set * assoc_;
-
+    const Cache::AccessOutcome line = lines_.accessEx(addr);
+    uint32_t &valid = validMask_[line.slot];
     SubBlockResult result;
-    for (uint32_t w = 0; w < assoc_; ++w) {
-        if (tags_[base + w] != tag)
-            continue;
-        const size_t slot = base + w;
-        stamps_[slot] = ++clock_;
-        if (validMask_[slot] & (1u << sub)) {
-            result.hit = true;
-            return result;
-        }
-        // Sub-block miss within a present line: fill from the missing
-        // sub-block to the end of the line.
-        ++misses_;
-        for (uint32_t s = sub; s < subsPerLine_; ++s) {
-            if (!(validMask_[slot] & (1u << s))) {
-                validMask_[slot] |= 1u << s;
-                ++result.filled;
-            }
-        }
-        filled_ += result.filled;
+    if (!line.hit) {
+        result.tagMiss = true;
+        valid = 0;
+    }
+    const uint32_t sub = static_cast<uint32_t>(
+        (addr & (config().lineBytes - 1)) / subBytes_);
+    if (valid & (1u << sub)) {
+        result.hit = true;
         return result;
     }
-
-    // Whole-line (tag) miss.
+    // Fill from the missing sub-block to the end of the line.
     ++misses_;
-    ++tagMisses_;
-    result.tagMiss = true;
-    const size_t slot = base + victimWay(set);
-    tags_[slot] = tag;
-    stamps_[slot] = ++clock_;
-    validMask_[slot] = 0;
     for (uint32_t s = sub; s < subsPerLine_; ++s) {
-        validMask_[slot] |= 1u << s;
-        ++result.filled;
+        if (!(valid & (1u << s))) {
+            valid |= 1u << s;
+            ++result.filled;
+        }
     }
     filled_ += result.filled;
     return result;
-}
-
-void
-SubBlockCache::invalidateAll()
-{
-    tags_.assign(tags_.size(), kInvalidTag);
-    validMask_.assign(validMask_.size(), 0);
 }
 
 } // namespace ibs

@@ -9,6 +9,12 @@
  * the line, trading some pollution for cheaper refills. This class
  * models that design; `bench/ablation_subblock` reproduces the
  * comparison.
+ *
+ * The line tags live in a Cache (cache/cache.h); this class keeps
+ * only a valid mask per Cache slot (Cache::AccessOutcome::slot). Line
+ * replacement therefore honours `config.replacement` like any Cache
+ * — a FIFO or Random sub-block cache is no longer silently LRU. Every
+ * bench and test configures LRU, whose behaviour is unchanged.
  */
 
 #ifndef IBS_CACHE_SUBBLOCK_H
@@ -18,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/cache.h"
 #include "cache/config.h"
 #include "obs/registry.h"
 
@@ -47,18 +54,18 @@ class SubBlockCache
      */
     SubBlockResult access(uint64_t addr);
 
-    const CacheConfig &config() const { return config_; }
+    const CacheConfig &config() const { return lines_.config(); }
     uint32_t subBlockBytes() const { return subBytes_; }
     uint32_t subBlocksPerLine() const { return subsPerLine_; }
 
-    uint64_t accesses() const { return accesses_; }
+    uint64_t accesses() const { return lines_.accesses(); }
     uint64_t misses() const { return misses_; }
-    uint64_t tagMisses() const { return tagMisses_; }
+    uint64_t tagMisses() const { return lines_.misses(); }
 
     /** Total sub-blocks transferred from the next level. */
     uint64_t subBlocksFilled() const { return filled_; }
 
-    void invalidateAll();
+    void invalidateAll() { lines_.invalidateAll(); }
 
     /**
      * Publish access/miss/fill counts to the observability registry
@@ -70,35 +77,20 @@ class SubBlockCache
                     const std::string &instance) const
     {
         const std::string prefix = "subblock." + instance + ".";
-        registry.add(prefix + "accesses", accesses_);
+        registry.add(prefix + "accesses", accesses());
         registry.add(prefix + "misses", misses_);
-        registry.add(prefix + "tag_misses", tagMisses_);
+        registry.add(prefix + "tag_misses", tagMisses());
         registry.add(prefix + "sub_blocks_filled", filled_);
     }
 
   private:
-    /** Tag stored in invalid slots (cannot collide with a real tag,
-     *  which is at most addr >> 2). */
-    static constexpr uint64_t kInvalidTag = ~uint64_t{0};
-
-    uint32_t victimWay(uint64_t set) const;
-
-    CacheConfig config_;
+    Cache lines_;
     uint32_t subBytes_;
     uint32_t subsPerLine_;
-
-    // Precomputed geometry + SoA line state (see cache/cache.h for
-    // the layout rationale).
-    uint32_t assoc_ = 1;
-    unsigned lineShift_ = 0;
-    uint64_t setMask_ = 0;
-    std::vector<uint64_t> tags_;      ///< kInvalidTag when invalid.
-    std::vector<uint64_t> stamps_;
-    std::vector<uint32_t> validMask_; ///< Bit i = sub-block i present.
-    uint64_t clock_ = 0;
-    uint64_t accesses_ = 0;
-    uint64_t misses_ = 0;
-    uint64_t tagMisses_ = 0;
+    /** Per Cache slot: bit i = sub-block i present. A tag miss
+     *  resets its slot's mask, so invalidation needs no clearing. */
+    std::vector<uint32_t> validMask_;
+    uint64_t misses_ = 0; ///< Tag and sub-block misses.
     uint64_t filled_ = 0;
 };
 

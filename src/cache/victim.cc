@@ -11,93 +11,38 @@ namespace ibs {
 
 VictimCache::VictimCache(const CacheConfig &config,
                          uint32_t victim_lines)
-    : config_(config), victimLines_(victim_lines)
+    : main_(config), victimLines_(victim_lines)
 {
-    config_.validate();
-    assoc_ = config_.assoc;
-    lineShift_ = config_.lineShift();
-    setMask_ = config_.numSets() - 1;
-    const size_t lines = config_.numSets() * assoc_;
-    tags_.assign(lines, kInvalidTag);
-    stamps_.assign(lines, 0);
-}
-
-uint32_t
-VictimCache::victimWay(uint64_t set) const
-{
-    const size_t base = set * assoc_;
-    for (uint32_t w = 0; w < assoc_; ++w) {
-        if (tags_[base + w] == kInvalidTag)
-            return w;
-    }
-    uint32_t victim = 0;
-    uint64_t oldest = stamps_[base];
-    for (uint32_t w = 1; w < assoc_; ++w) {
-        if (stamps_[base + w] < oldest) {
-            oldest = stamps_[base + w];
-            victim = w;
-        }
-    }
-    return victim;
-}
-
-void
-VictimCache::pushVictim(uint64_t line_addr)
-{
-    if (victimLines_ == 0)
-        return;
-    if (victims_.size() >= victimLines_)
-        victims_.pop_front();
-    victims_.push_back(line_addr);
-}
-
-bool
-VictimCache::popVictim(uint64_t line_addr)
-{
-    auto it = std::find(victims_.begin(), victims_.end(), line_addr);
-    if (it == victims_.end())
-        return false;
-    victims_.erase(it);
-    return true;
 }
 
 int
 VictimCache::access(uint64_t addr)
 {
-    ++accesses_;
-    const uint64_t tag = addr >> lineShift_;
-    const uint64_t set = tag & setMask_;
-    const uint64_t line_addr = config_.lineAddr(addr);
-    const size_t base = set * assoc_;
+    const Cache::AccessOutcome outcome = main_.accessEx(addr);
+    if (outcome.hit)
+        return 0;
 
-    for (uint32_t w = 0; w < assoc_; ++w) {
-        if (tags_[base + w] == tag) {
-            ++mainHits_;
-            stamps_[base + w] = ++clock_;
-            return 0;
-        }
-    }
-
-    // Choose the main-cache victim; the incoming line replaces it.
-    const size_t slot = base + victimWay(set);
-    const bool had = tags_[slot] != kInvalidTag;
-    const uint64_t evicted = tags_[slot] << lineShift_;
-
-    const bool in_victim = popVictim(line_addr);
-    if (in_victim)
+    // The incoming line leaves the buffer (a victim hit swaps it
+    // back); the line it displaced from the main array enters it.
+    const auto it = std::find(victims_.begin(), victims_.end(),
+                              main_.config().lineAddr(addr));
+    const bool in_victim = it != victims_.end();
+    if (in_victim) {
+        victims_.erase(it);
         ++victimHits_;
-
-    tags_[slot] = tag;
-    stamps_[slot] = ++clock_;
-    if (had)
-        pushVictim(evicted);
+    }
+    if (outcome.evicted && victimLines_ > 0) {
+        if (victims_.size() >= victimLines_)
+            victims_.pop_front();
+        victims_.push_back(outcome.victimAddr);
+    }
     return in_victim ? 1 : 2;
 }
 
 void
 VictimCache::invalidateAll()
 {
-    tags_.assign(tags_.size(), kInvalidTag);
+    main_.invalidateAll();
     victims_.clear();
 }
 

@@ -9,6 +9,12 @@
  * lines evicted from a direct-mapped cache, swapping a line back on a
  * victim hit. `bench/ablation_victim` compares it against the
  * associativity the paper recommends.
+ *
+ * The main array is a plain Cache (cache/cache.h); the buffer takes
+ * the line each main-array miss evicts (Cache::accessEx). The main
+ * array therefore honours `config.replacement` like any Cache — a
+ * FIFO or Random main array is no longer silently LRU. Every bench
+ * and test configures LRU, whose behaviour is unchanged.
  */
 
 #ifndef IBS_CACHE_VICTIM_H
@@ -17,8 +23,8 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <vector>
 
+#include "cache/cache.h"
 #include "cache/config.h"
 #include "obs/registry.h"
 
@@ -47,15 +53,15 @@ class VictimCache
      */
     int access(uint64_t addr);
 
-    uint64_t accesses() const { return accesses_; }
-    uint64_t mainHits() const { return mainHits_; }
+    uint64_t accesses() const { return main_.accesses(); }
+    uint64_t mainHits() const { return main_.hits(); }
     uint64_t victimHits() const { return victimHits_; }
     uint64_t misses() const
     {
-        return accesses_ - mainHits_ - victimHits_;
+        return accesses() - mainHits() - victimHits_;
     }
 
-    const CacheConfig &config() const { return config_; }
+    const CacheConfig &config() const { return main_.config(); }
     uint32_t victimLines() const { return victimLines_; }
 
     void invalidateAll();
@@ -70,40 +76,16 @@ class VictimCache
                     const std::string &instance) const
     {
         const std::string prefix = "victim." + instance + ".";
-        registry.add(prefix + "accesses", accesses_);
-        registry.add(prefix + "main_hits", mainHits_);
+        registry.add(prefix + "accesses", accesses());
+        registry.add(prefix + "main_hits", mainHits());
         registry.add(prefix + "victim_hits", victimHits_);
         registry.add(prefix + "misses", misses());
     }
 
   private:
-    /** Tag stored in invalid slots (cannot collide with a real tag,
-     *  which is at most addr >> 2). */
-    static constexpr uint64_t kInvalidTag = ~uint64_t{0};
-
-    uint32_t victimWay(uint64_t set) const;
-
-    /** Push an evicted line into the victim buffer. */
-    void pushVictim(uint64_t line_addr);
-
-    /** Remove a line from the victim buffer; true if found. */
-    bool popVictim(uint64_t line_addr);
-
-    CacheConfig config_;
+    Cache main_;
     uint32_t victimLines_;
-
-    // Precomputed geometry + SoA line state (see cache/cache.h for
-    // the layout rationale).
-    uint32_t assoc_ = 1;
-    unsigned lineShift_ = 0;
-    uint64_t setMask_ = 0;
-    std::vector<uint64_t> tags_;   ///< kInvalidTag when invalid.
-    std::vector<uint64_t> stamps_;
-
     std::deque<uint64_t> victims_; ///< FIFO of line addresses.
-    uint64_t clock_ = 0;
-    uint64_t accesses_ = 0;
-    uint64_t mainHits_ = 0;
     uint64_t victimHits_ = 0;
 };
 

@@ -3,10 +3,10 @@
  * Hierarchical counter/gauge/histogram registry.
  *
  * Simulation components (Cache, VictimCache, SubBlockCache,
- * StreamBuffer, FetchEngine, Tlb, the trace cache) publish their
- * event counts here so long runs are observable without perturbing
- * the experiment, and the serving layer (src/serve) records its
- * request telemetry through the same surface. Names follow
+ * StreamBuffer, FetchEngine, Tlb) publish their event counts here so
+ * long runs are observable without perturbing the experiment, and
+ * the serving layer (src/serve) records its request telemetry
+ * through the same surface. Names follow
  * `component.instance.event` (e.g. "cache.l1.misses",
  * "serve.request.latency_us").
  *
@@ -15,10 +15,9 @@
  *  - counters: add(name, delta); shards merge by addition;
  *  - gauges: gaugeMax(name, value); shards merge by maximum;
  *  - histograms: observe(name, value); fixed power-of-two buckets
- *    (bucket k holds [2^k, 2^(k+1)), values 0 and 1 share bucket 0 —
- *    the stats/histogram.h Log2Histogram rule), values past
- *    kHistogramBuckets land in a dedicated overflow bin; shards
- *    merge by per-bucket addition.
+ *    (bucket k = bit_width(v) - 1 holds [2^k, 2^(k+1)), and values
+ *    0 and 1 share bucket 0), values past kHistogramBuckets land in
+ *    a dedicated overflow bin; shards merge by per-bucket addition.
  *
  * Concurrency model: each thread writes to its own shard; snapshots
  * merge every shard under the registry lock. All three merges are
@@ -66,7 +65,8 @@ namespace ibs::obs {
 
 /** Log2 buckets per histogram (exponents 0..kHistogramBuckets-1);
  *  values >= 2^kHistogramBuckets land in the overflow bin. 41
- *  matches the stats/histogram.h Log2Histogram default. */
+ *  buckets reach 2^41 - 1, past any microsecond latency or
+ *  per-cell count the simulator records. */
 constexpr size_t kHistogramBuckets = 41;
 
 /** Merged view of one histogram across all shards. */
@@ -83,9 +83,8 @@ struct HistogramSnapshot
      * resolves to 2^(k+1)-1 (bucket 0, holding values 0 and 1,
      * resolves to 1). When the requested mass lies entirely in the
      * overflow bin — or the histogram is empty — returns UINT64_MAX
-     * ("beyond the tracked range") or 0 respectively. Same
-     * conservative upper-edge semantics as
-     * LinearHistogram::percentile: the true quantile v satisfies
+     * ("beyond the tracked range") or 0 respectively. The answer
+     * is conservative: the true quantile v satisfies
      * v <= quantile(q) < 2*v, so bucket resolution bounds the error
      * to under one octave.
      */

@@ -42,25 +42,6 @@ currentTid()
     return id;
 }
 
-/** Rotation threshold: constructor override, else the environment,
- *  else the default. */
-size_t
-bufferLimit(size_t override_events)
-{
-    if (override_events > 0)
-        return override_events;
-    if (const char *env = std::getenv("IBS_OBS_TRACE_BUFFER");
-        env && *env != '\0') {
-        char *end = nullptr;
-        const unsigned long long v = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0)
-            return static_cast<size_t>(v);
-        log(LogLevel::Warn,
-            "ignoring invalid IBS_OBS_TRACE_BUFFER=\"%s\"", env);
-    }
-    return kDefaultBufferEvents;
-}
-
 /**
  * Owner of the process-global sink. Function-local static so the
  * sink's exit-time flush runs before the stdio teardown, and the
@@ -92,7 +73,8 @@ globalSink()
 TraceEventSink::TraceEventSink(std::string path,
                                size_t max_buffered_events)
     : path_(std::move(path)),
-      maxBuffered_(bufferLimit(max_buffered_events)),
+      maxBuffered_(max_buffered_events ? max_buffered_events
+                                       : kDefaultBufferEvents),
       epoch_(std::chrono::steady_clock::now()),
       pid_(static_cast<int>(::getpid()))
 {

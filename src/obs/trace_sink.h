@@ -32,14 +32,14 @@
  * request sequence number), so concurrent requests never collide.
  *
  * Memory is bounded: events buffer in RAM only up to a rotation
- * threshold (IBS_OBS_TRACE_BUFFER events, default 65536), then spill
- * to the output file incrementally. Each flush appends the buffered
- * batch inside the traceEvents array and rewrites the closing
- * bracket, so the file on disk is a complete, valid JSON document
- * after every flush — a long-running server can flush periodically
- * for days without growing the heap, and a crash between flushes
- * loses only the unflushed tail. flush() is also the explicit hook
- * the server's shutdown path calls before exit.
+ * threshold (65536 events; tests pass a smaller one to the
+ * constructor), then spill to the output file incrementally. Each
+ * flush appends the buffered batch inside the traceEvents array and
+ * rewrites the closing bracket, so the file on disk is a complete,
+ * valid JSON document after every flush — a long-running server can
+ * flush periodically for days without growing the heap, and a crash
+ * between flushes loses only the unflushed tail. flush() is also the
+ * explicit hook the server's shutdown path calls before exit.
  *
  * Enabled by IBS_OBS_TRACE=<path>: the process-global sink then
  * exists and every ScopedTimer feeds it; the file is finalized at
@@ -74,7 +74,7 @@ class TraceEventSink
      * @param path output file, written incrementally by flush() and
      *        finalized by write() / the destructor
      * @param max_buffered_events buffered-event rotation threshold;
-     *        0 means "from IBS_OBS_TRACE_BUFFER, default 65536"
+     *        0 means the default, 65536 events
      */
     explicit TraceEventSink(std::string path,
                             size_t max_buffered_events = 0);

@@ -238,8 +238,8 @@ ServerConfig
 ServerConfig::fromEnv()
 {
     ServerConfig config;
-    const uint64_t port = parseEnvCount("IBS_SERVE_PORT", 0);
-    config.port = port <= 65535 ? static_cast<uint16_t>(port) : 0;
+    config.port = static_cast<uint16_t>(
+        parseEnvCount("IBS_SERVE_PORT", 0, 0, 65535));
     config.maxInflight = static_cast<unsigned>(parseEnvCount(
         "IBS_SERVE_MAX_INFLIGHT", config.maxInflight));
     config.memoBytes =

@@ -6,7 +6,6 @@
 #include "sim/collapse.h"
 
 #include <algorithm>
-#include <bit>
 #include <map>
 #include <sstream>
 #include <tuple>
@@ -14,7 +13,6 @@
 
 #include "cache/cache.h"
 #include "obs/registry.h"
-#include "sim/stack_sim.h"
 #include "stats/report.h"
 
 namespace ibs {
@@ -160,103 +158,38 @@ runCollapsedGroup(const SuiteTraces &suite, size_t workload,
         suite.missStream(workload, configs[group.members.front()]);
     const double capture_seconds = capture_timer.seconds();
 
-    // Partition the members: LRU variants bucketed by L2 line size
-    // resolve in one stack pass per bucket; everything else (non-LRU
-    // replacement, non-power-of-two set counts, shallow buckets)
-    // replays the miss stream through a Cache. Both are exact.
-    //
-    // The stack pass only amortizes past a measured break-even: its
-    // per-reference walk saturates near the largest geometry's line
-    // count (~35 ms flat over a 1M-instruction IBS miss stream)
-    // while the vectorized Cache replay costs a few probes per
-    // distinct geometry (~0.7 ms each on the same stream), so replay
-    // wins below ~48 distinct (sets, assoc) points. Shallow buckets
-    // take the replay path, which additionally dedups members whose
-    // L2 configs are identical (Cache is deterministic in its
-    // config, including the Random-replacement LFSR seed), so e.g.
-    // fig4's economy/high-perf arms sharing geometry replay once.
-    constexpr size_t kStackMinDistinctGeometries = 48;
-    std::map<uint32_t, std::vector<size_t>> stack_buckets;
-    std::vector<size_t> replays;
-    for (size_t k = 0; k < group.members.size(); ++k) {
-        const FetchConfig &cfg = configs[group.members[k]];
-        if (cfg.l2.replacement == Replacement::LRU &&
-            std::has_single_bit(cfg.l2.numSets()))
-            stack_buckets[cfg.l2.lineBytes].push_back(k);
-        else
-            replays.push_back(k);
-    }
-
-    std::vector<L2Counts> l2(group.members.size());
-    std::vector<double> seconds(group.members.size(), 0.0);
-
-    for (auto &bucket : stack_buckets) {
-        std::vector<std::pair<uint64_t, uint32_t>> distinct;
-        distinct.reserve(bucket.second.size());
-        for (size_t k : bucket.second) {
-            const CacheConfig &g = configs[group.members[k]].l2;
-            distinct.emplace_back(g.numSets(), g.assoc);
-        }
-        std::sort(distinct.begin(), distinct.end());
-        distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                       distinct.end());
-        if (distinct.size() < kStackMinDistinctGeometries) {
-            replays.insert(replays.end(), bucket.second.begin(),
-                           bucket.second.end());
-            continue;
-        }
-        WallTimer pass_timer;
-        std::vector<StackGeometry> geometries;
-        geometries.reserve(bucket.second.size());
-        for (size_t k : bucket.second) {
-            const CacheConfig &g = configs[group.members[k]].l2;
-            geometries.push_back(StackGeometry{g.numSets(), g.assoc});
-        }
-        StackSimulator sim(
-            std::countr_zero(uint64_t{bucket.first}), geometries);
-        ms.trace.forEachLine(
-            [&](uint64_t addr) { sim.reference(addr); });
-        const std::vector<StackCounts> counts = sim.counts();
-        for (size_t j = 0; j < bucket.second.size(); ++j) {
-            const size_t k = bucket.second[j];
-            l2[k] = L2Counts{ms.trace.misses, counts[j].hits,
-                             counts[j].misses, counts[j].evictions};
-        }
-        // The pass resolves the whole bucket at once; charge it to
-        // the bucket's first member rather than inventing a split.
-        seconds[bucket.second.front()] += pass_timer.seconds();
-    }
-
+    // Replay the miss stream through one Cache per distinct L2
+    // config. Cache is deterministic in its config (including the
+    // Random-replacement LFSR seed), so members with equal L2 configs
+    // share one replay: fig4's economy and high-performance arms
+    // replay each geometry once.
     std::map<std::tuple<uint64_t, uint32_t, uint32_t, Replacement>,
-             size_t>
+             L2Counts>
         replayed;
-    for (size_t k : replays) {
-        const CacheConfig &g = configs[group.members[k]].l2;
-        const auto key = std::make_tuple(g.sizeBytes, g.assoc,
-                                         g.lineBytes, g.replacement);
-        const auto prior = replayed.find(key);
-        if (prior != replayed.end()) {
-            l2[k] = l2[prior->second];
-            continue;
-        }
-        WallTimer replay_timer;
-        Cache cache(g);
-        ms.trace.forEachLine(
-            [&](uint64_t addr) { cache.access(addr); });
-        l2[k] = L2Counts{cache.accesses(), cache.hits(),
-                         cache.misses(), cache.evictions()};
-        seconds[k] += replay_timer.seconds();
-        replayed.emplace(key, k);
-    }
-
     for (size_t k = 0; k < group.members.size(); ++k) {
         const size_t c = group.members[k];
-        WallTimer derive_timer;
-        const FetchStats stats = deriveStats(ms, configs[c], l2[k].misses);
-        publishCollapsedCell(ms, stats, l2[k]);
+        const CacheConfig &g = configs[c].l2;
+        WallTimer timer;
+        const auto key = std::make_tuple(g.sizeBytes, g.assoc,
+                                         g.lineBytes, g.replacement);
+        auto it = replayed.find(key);
+        if (it == replayed.end()) {
+            Cache cache(g);
+            ms.trace.forEachLine(
+                [&](uint64_t addr) { cache.access(addr); });
+            it = replayed
+                     .emplace(key, L2Counts{cache.accesses(),
+                                            cache.hits(),
+                                            cache.misses(),
+                                            cache.evictions()})
+                     .first;
+        }
+        const FetchStats stats = deriveStats(ms, configs[c],
+                                             it->second.misses);
+        publishCollapsedCell(ms, stats, it->second);
         const bool leader = k == 0;
         sink(c, workload, stats,
-             CellTiming{seconds[k] + derive_timer.seconds() +
+             CellTiming{timer.seconds() +
                             (leader ? capture_seconds : 0.0),
                         stats.instructions, !leader});
     }

@@ -19,8 +19,9 @@
  *     perfect L2, capturing the L1-refill reference stream as a
  *     run-encoded miss trace (SuiteTraces::missStream) — 5-50x
  *     shorter than the instruction stream;
- *  3. replay each L2 variant over the short stream and derive the
- *     full FetchStats arithmetically (runCollapsedGroup), exactly:
+ *  3. replay the short stream through one Cache per distinct L2
+ *     config and derive each variant's full FetchStats
+ *     arithmetically (runCollapsedGroup), exactly:
  *
  *       l2Accesses   = misses in the stream
  *       l2Misses     = replayed L2 misses
@@ -31,14 +32,19 @@
  *     prefetch/bypass/stream-buffer counters are structurally zero
  *     for eligible configs).
  *
- * Variants sharing line size and LRU replacement go further: one
- * Mattson-style stack pass (sim/stack_sim.h) resolves every
- * (size, associativity) point in a single walk. Non-LRU or
- * odd-line-size members fall back to a per-variant Cache replay of
- * the miss stream — still far cheaper than a full cell. Configs that
- * fail the eligibility test (no real L2, prefetch, bypass,
- * pipelined/stream-buffer, unified L2) and singleton groups run per
- * cell through SuiteTraces::runOne.
+ * Members with identical L2 configs share one replay. Replay is the
+ * only L2 path: no bench or catalog grid has more than 5 distinct
+ * geometries per line size, and one Mattson stack walk
+ * (sim/stack_sim.h) costs more than replaying that many. Cache is
+ * also the tag store that Tlb, VictimCache and SubBlockCache are
+ * built on, which deliberately changes two configurations nothing
+ * uses: a Random-replacement Tlb draws from Cache's LFSR, and
+ * VictimCache and SubBlockCache honour a non-LRU `replacement`
+ * instead of always running LRU.
+ *
+ * Configs that fail the eligibility test (no real L2, prefetch,
+ * bypass, pipelined/stream-buffer, unified L2) and singleton groups
+ * run per cell through SuiteTraces::runOne.
  *
  * Every sweep plans this way; there is no other sweep path. Derived
  * cells are bit-identical to runOne on the same config — enforced
@@ -112,15 +118,15 @@ CollapsePlan planCollapse(const std::vector<FetchConfig> &configs);
 
 /**
  * Resolve every member of `group` for one workload: capture (or
- * reuse) the leader's miss stream, stack-simulate the LRU
- * same-line-size buckets in one pass each, Cache-replay the rest,
- * and derive full FetchStats per member — bit-identical to
- * suite.runOne on each member config. Publishes, per member, the
- * same registry counters and the sim.cell.instructions histogram
- * sample runOne would have (synthesized from the capture run), so
- * obs snapshots are collapse-invariant. Hands each member's cell to
- * `sink` in member order; the leader's timing carries the capture
- * run's cost, every other member's is marked collapsed.
+ * reuse) the leader's miss stream, replay it through one Cache per
+ * distinct L2 config, and derive full FetchStats per member —
+ * bit-identical to suite.runOne on each member config. Publishes,
+ * per member, the same registry counters and the
+ * sim.cell.instructions histogram sample runOne would have
+ * (synthesized from the capture run), so obs snapshots are
+ * collapse-invariant. Hands each member's cell to `sink` in member
+ * order; the leader's timing carries the capture run's cost, every
+ * other member's is marked collapsed.
  */
 void runCollapsedGroup(const SuiteTraces &suite, size_t workload,
                        const std::vector<FetchConfig> &configs,

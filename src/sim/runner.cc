@@ -36,7 +36,8 @@ warnShortTrace(const std::string &name, uint64_t got, uint64_t wanted)
 } // namespace
 
 uint64_t
-parseEnvCount(const char *name, uint64_t fallback)
+parseEnvCount(const char *name, uint64_t fallback, uint64_t min,
+              uint64_t max)
 {
     const char *env = std::getenv(name);
     if (!env || *env == '\0')
@@ -49,11 +50,14 @@ parseEnvCount(const char *name, uint64_t fallback)
     char *end = nullptr;
     const unsigned long long v = std::strtoull(env, &end, 10);
     if (end == env || *end != '\0' || env[0] == '-' ||
-        errno == ERANGE || v == 0) {
+        errno == ERANGE || v < min || v > max) {
+        const std::string want = min == 1 && max == UINT64_MAX
+            ? "a positive integer"
+            : "an integer in [" + std::to_string(min) + ", " +
+                std::to_string(max) + "]";
         obs::log(obs::LogLevel::Warn,
-                 "ignoring invalid %s=\"%s\" (want a positive "
-                 "integer); using %llu",
-                 name, env,
+                 "ignoring invalid %s=\"%s\" (want %s); using %llu",
+                 name, env, want.c_str(),
                  static_cast<unsigned long long>(fallback));
         return fallback;
     }

@@ -58,11 +58,13 @@ struct MissStream
 };
 
 /**
- * Parse a positive integer from environment variable `name`.
- * Malformed values (trailing garbage, sign, overflow, zero) are
- * rejected with a warning on stderr and `fallback` is returned.
+ * Parse an integer in [min, max] — by default any positive integer —
+ * from environment variable `name`; unset or empty gives `fallback`.
+ * Malformed values (trailing garbage, sign, overflow, out of range)
+ * are rejected with a warning on stderr and `fallback` is returned.
  */
-uint64_t parseEnvCount(const char *name, uint64_t fallback);
+uint64_t parseEnvCount(const char *name, uint64_t fallback,
+                       uint64_t min = 1, uint64_t max = UINT64_MAX);
 
 /** Instructions per workload used by benches unless overridden by
  *  the IBS_BENCH_INSTR environment variable. */

@@ -174,7 +174,7 @@ StackSimulator::counts() const
     for (size_t v = 0; v < geometries_.size(); ++v) {
         out[v].hits = hits_[v];
         out[v].misses = misses_[v];
-        // Cache::victimWay prefers an invalid way and nothing is
+        // Cache fills an invalid way before evicting and nothing is
         // invalidated mid-run, so a set with M demand misses evicts
         // exactly max(0, M - assoc) valid lines.
         uint64_t evictions = 0;

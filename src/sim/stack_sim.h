@@ -14,18 +14,18 @@
  * down to the referenced line, counting, per set mask, the entries
  * that share the reference's set.
  *
- * sim/collapse.h uses this to resolve a whole sweep group's deep L2
- * size x associativity ladders in one walk of the run-encoded miss
- * trace, instead of one cache replay per variant — but only past a
- * measured break-even in distinct geometries (see
- * kStackMinDistinctGeometries in collapse.cc); shallow grids like
- * fig3/fig4 replay faster. The counts are exact with respect to
- * cache/cache.h for demand-only LRU streams:
+ * No simulation path uses it any more: sweep collapsing
+ * (sim/collapse.h) replays every L2 variant through Cache, because
+ * one walk costs more than replaying the at most 5 distinct
+ * geometries per line size that any bench grid has. It stays as the
+ * `sim.stack` layer perfbench times, and its tests keep it exact.
+ * The counts are exact with respect to cache/cache.h for
+ * demand-only LRU streams:
  *
  *  - hits: the stack-distance property above (Cache::access touches
  *    recency on every hit and allocates on every miss, i.e. pure
  *    LRU);
- *  - evictions: Cache::victimWay prefers an invalid way, lines are
+ *  - evictions: Cache fills an invalid way before evicting, lines are
  *    never invalidated mid-run, so a set with M misses evicts
  *    max(0, M - A) lines; per-set miss counts are tracked per
  *    variant.

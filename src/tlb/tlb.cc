@@ -10,6 +10,20 @@
 
 namespace ibs {
 
+namespace {
+
+/** The Cache geometry holding a TLB's entries. */
+CacheConfig
+entryStore(const TlbConfig &config)
+{
+    config.validate();
+    return CacheConfig{uint64_t{config.entries} * PAGE_SIZE, config.assoc,
+                       static_cast<uint32_t>(PAGE_SIZE),
+                       config.replacement};
+}
+
+} // namespace
+
 void
 TlbConfig::validate() const
 {
@@ -34,53 +48,8 @@ TlbConfig::toString() const
 }
 
 Tlb::Tlb(const TlbConfig &config)
-    : config_(config)
+    : config_(config), entries_(entryStore(config))
 {
-    config_.validate();
-    entries_.resize(config_.entries);
-}
-
-int
-Tlb::findWay(uint64_t set, Asid asid, uint64_t vpn) const
-{
-    const size_t base = set * config_.assoc;
-    for (uint32_t w = 0; w < config_.assoc; ++w) {
-        const Entry &e = entries_[base + w];
-        if (e.valid && e.vpn == vpn && e.asid == asid)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-uint32_t
-Tlb::victimWay(uint64_t set)
-{
-    const size_t base = set * config_.assoc;
-    for (uint32_t w = 0; w < config_.assoc; ++w) {
-        if (!entries_[base + w].valid)
-            return w;
-    }
-    switch (config_.replacement) {
-      case Replacement::LRU:
-      case Replacement::FIFO: {
-        uint32_t victim = 0;
-        uint64_t oldest = entries_[base].stamp;
-        for (uint32_t w = 1; w < config_.assoc; ++w) {
-            if (entries_[base + w].stamp < oldest) {
-                oldest = entries_[base + w].stamp;
-                victim = w;
-            }
-        }
-        return victim;
-      }
-      case Replacement::Random: {
-        const uint64_t bit = ((lfsr_ >> 0) ^ (lfsr_ >> 2) ^
-                              (lfsr_ >> 3) ^ (lfsr_ >> 5)) & 1u;
-        lfsr_ = (lfsr_ >> 1) | (bit << 15);
-        return static_cast<uint32_t>(lfsr_ % config_.assoc);
-      }
-    }
-    return 0;
 }
 
 bool
@@ -88,25 +57,7 @@ Tlb::access(Asid asid, uint64_t vaddr)
 {
     if (config_.kseg0Bypasses && isKseg0(vaddr))
         return true;
-
-    ++accesses_;
-    const uint64_t vpn = pageNumber(vaddr);
-    const uint64_t set = vpn & (config_.numSets() - 1);
-    const int way = findWay(set, asid, vpn);
-    if (way >= 0) {
-        ++hits_;
-        if (config_.replacement == Replacement::LRU)
-            entries_[set * config_.assoc + way].stamp = ++clock_;
-        return true;
-    }
-
-    const uint32_t victim = victimWay(set);
-    Entry &e = entries_[set * config_.assoc + victim];
-    e.vpn = vpn;
-    e.asid = asid;
-    e.valid = true;
-    e.stamp = ++clock_;
-    return false;
+    return entries_.access(key(asid, vaddr));
 }
 
 bool
@@ -114,32 +65,16 @@ Tlb::contains(Asid asid, uint64_t vaddr) const
 {
     if (config_.kseg0Bypasses && isKseg0(vaddr))
         return true;
-    const uint64_t vpn = pageNumber(vaddr);
-    const uint64_t set = vpn & (config_.numSets() - 1);
-    return findWay(set, asid, vpn) >= 0;
+    return entries_.contains(key(asid, vaddr));
 }
 
 void
 Tlb::flushAsid(Asid asid)
 {
-    for (auto &e : entries_) {
-        if (e.valid && e.asid == asid)
-            e.valid = false;
+    for (uint64_t line : entries_.validLineAddrs()) {
+        if (line >> kAsidShift == asid)
+            entries_.invalidate(line);
     }
-}
-
-void
-Tlb::flushAll()
-{
-    for (auto &e : entries_)
-        e.valid = false;
-}
-
-void
-Tlb::resetStats()
-{
-    accesses_ = 0;
-    hits_ = 0;
 }
 
 } // namespace ibs

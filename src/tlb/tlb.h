@@ -9,15 +9,24 @@
  * not consult it. This model supports fully- and set-associative
  * geometries with LRU/FIFO/random replacement so TLB reach can be
  * studied alongside the caches.
+ *
+ * The entries live in a Cache (cache/cache.h), the one tag store of
+ * the library: each entry is a 4-KB line whose key carries the ASID
+ * above the page address, so the set index is the low VPN bits and
+ * one tag compare matches VPN and ASID together. Only the kseg0
+ * bypass is the TLB's own. Random replacement therefore draws from
+ * Cache's geometry-seeded, unbiased LFSR rather than a TLB-private
+ * one; no bench or test uses a Random TLB.
  */
 
 #ifndef IBS_TLB_TLB_H
 #define IBS_TLB_TLB_H
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
+#include "cache/cache.h"
 #include "cache/config.h"
 #include "obs/registry.h"
 #include "trace/record.h"
@@ -45,7 +54,8 @@ class Tlb
     explicit Tlb(const TlbConfig &config);
 
     /**
-     * Translate a reference; refills the entry on a miss.
+     * Translate a reference; refills the entry on a miss. Translated
+     * addresses must lie below 2^48 (see key()).
      *
      * @retval true TLB hit (or kseg0 bypass)
      */
@@ -58,23 +68,17 @@ class Tlb
     void flushAsid(Asid asid);
 
     /** Drop everything. */
-    void flushAll();
+    void flushAll() { entries_.invalidateAll(); }
 
     const TlbConfig &config() const { return config_; }
-    uint64_t accesses() const { return accesses_; }
-    uint64_t hits() const { return hits_; }
-    uint64_t misses() const { return accesses_ - hits_; }
+    uint64_t accesses() const { return entries_.accesses(); }
+    uint64_t hits() const { return entries_.hits(); }
+    uint64_t misses() const { return entries_.misses(); }
 
     /** Misses per access. */
-    double
-    missRatio() const
-    {
-        return accesses_ ? static_cast<double>(misses()) /
-                           static_cast<double>(accesses_)
-                         : 0.0;
-    }
+    double missRatio() const { return entries_.missRatio(); }
 
-    void resetStats();
+    void resetStats() { entries_.resetStats(); }
 
     /**
      * Publish access/hit/miss counts to the observability registry
@@ -86,29 +90,29 @@ class Tlb
                     const std::string &instance) const
     {
         const std::string prefix = "tlb." + instance + ".";
-        registry.add(prefix + "accesses", accesses_);
-        registry.add(prefix + "hits", hits_);
+        registry.add(prefix + "accesses", accesses());
+        registry.add(prefix + "hits", hits());
         registry.add(prefix + "misses", misses());
     }
 
   private:
-    struct Entry
-    {
-        uint64_t vpn = 0;
-        Asid asid = 0;
-        uint64_t stamp = 0;
-        bool valid = false;
-    };
+    /** Bit position of the ASID in an entry key. */
+    static constexpr unsigned kAsidShift = 48;
 
-    int findWay(uint64_t set, Asid asid, uint64_t vpn) const;
-    uint32_t victimWay(uint64_t set);
+    /** Entry key of (asid, vaddr): the page address, ASID on top.
+     *  Throws std::out_of_range for a translated address at or above
+     *  2^48, which would alias the ASID (the R2000's are 32-bit). */
+    static uint64_t
+    key(Asid asid, uint64_t vaddr)
+    {
+        if (vaddr >> kAsidShift)
+            throw std::out_of_range("Tlb: virtual address >= 2^48");
+        return (uint64_t{asid} << kAsidShift) |
+            (vaddr & ~(PAGE_SIZE - 1));
+    }
 
     TlbConfig config_;
-    std::vector<Entry> entries_;
-    uint64_t clock_ = 0;
-    uint64_t lfsr_ = 0xbeefu;
-    uint64_t accesses_ = 0;
-    uint64_t hits_ = 0;
+    Cache entries_; ///< One PAGE_SIZE line per entry.
 };
 
 } // namespace ibs

@@ -233,6 +233,30 @@ TEST(Cache, InvalidateSingleLine)
     c.invalidate(0x200); // Absent: no-op.
 }
 
+TEST(Cache, AccessExReportsSlot)
+{
+    // 1 KB, 2-way, 32-B lines: 16 sets. 0x40 and 0x240 both map to
+    // set 2, whose ways are slots 4 and 5.
+    Cache c(cfg(1024, 2, 32));
+    const Cache::AccessOutcome fill = c.accessEx(0x40);
+    ASSERT_FALSE(fill.hit);
+    const Cache::AccessOutcome hit = c.accessEx(0x5c); // Same line.
+    ASSERT_TRUE(hit.hit);
+    EXPECT_EQ(hit.slot, fill.slot);
+
+    const Cache::AccessOutcome other = c.accessEx(0x240);
+    ASSERT_FALSE(other.hit);
+    EXPECT_FALSE(other.evicted);
+    EXPECT_NE(other.slot, fill.slot);
+    const size_t base = c.config().setIndex(0x240) * 2;
+    EXPECT_EQ(base, 4u);
+    for (const size_t slot : {fill.slot, other.slot}) {
+        EXPECT_GE(slot, base);
+        EXPECT_LT(slot, base + 2);
+    }
+    EXPECT_EQ(c.accessEx(0x240).slot, other.slot);
+}
+
 TEST(Cache, InvalidateAllAndResetStats)
 {
     Cache c(cfg(1024, 2, 32));

@@ -59,8 +59,9 @@ TEST(CacheHierarchy, InclusiveModeMaintainsInvariant)
     CacheHierarchy h(cfg(8192, 1, 32), cfg(8192, 1, 64), true);
     for (int i = 0; i < 30000; ++i) {
         h.access(rng.nextBounded(1 << 16) & ~3ull);
-        if (i % 1000 == 0)
+        if (i % 1000 == 0) {
             ASSERT_TRUE(h.checkInclusion()) << "at access " << i;
+        }
     }
     EXPECT_TRUE(h.checkInclusion());
     EXPECT_GT(h.backInvalidations(), 0u);

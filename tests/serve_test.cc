@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <set>
 #include <string>
@@ -18,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/log.h"
 #include "obs/prom.h"
 #include "obs/registry.h"
 #include "serve/catalog.h"
@@ -558,6 +560,38 @@ TEST(Serve, CatalogNamesResolveAndValidate)
     for (const std::string &suite : suiteNames())
         EXPECT_FALSE(suiteByName(suite).empty()) << suite;
     EXPECT_TRUE(suiteByName("bogus").empty());
+}
+
+TEST(Serve, PortFromEnvAcceptsZeroTo65535AndWarnsOtherwise)
+{
+    // 0 is the documented ephemeral port; out-of-range and malformed
+    // values warn and bind an ephemeral port instead.
+    const struct
+    {
+        const char *value;
+        uint16_t port;
+        bool warns;
+    } cases[] = {
+        {"0", 0, false},
+        {"8080", 8080, false},
+        {"70000", 0, true},
+        {"x", 0, true},
+    };
+    const obs::LogLevel level = obs::logLevel();
+    obs::setLogLevel(obs::LogLevel::Warn);
+    for (const auto &c : cases) {
+        ::setenv("IBS_SERVE_PORT", c.value, 1);
+        ::testing::internal::CaptureStderr();
+        const uint16_t port = ServerConfig::fromEnv().port;
+        const std::string err =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(port, c.port) << c.value;
+        EXPECT_EQ(err.find("IBS_SERVE_PORT") != std::string::npos,
+                  c.warns)
+            << c.value << ": " << err;
+    }
+    ::unsetenv("IBS_SERVE_PORT");
+    obs::setLogLevel(level);
 }
 
 TEST(TraceMemo, EvictsColdEntriesWhenOverBudget)

@@ -325,7 +325,7 @@ TEST(StreamGenDiff, ProbeFindsTagInEveryWayPosition)
     cache.invalidate(3 * kLine);
     for (uint64_t i = 0; i < kWays; ++i)
         EXPECT_EQ(cache.contains(i * kLine), i != 3) << i;
-    // victimWay's invalid-slot scan (also probeWays) must re-fill
+    // The victim choice's invalid-slot scan (also probeWays) must re-fill
     // the hole rather than evicting a valid line.
     const uint64_t before = cache.evictions();
     cache.insert(99 * kLine);

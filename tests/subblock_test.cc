@@ -69,8 +69,10 @@ TEST(SubBlockCache, EvictionClearsValidBits)
     SubBlockCache c(cfg(1024, 1, 64), 16);
     c.access(0x0);          // Line 0, fills all.
     c.access(0x400);        // Conflicts in 1-KB DM: evicts line 0.
-    const SubBlockResult r = c.access(0x0);
-    EXPECT_TRUE(r.tagMiss); // Fully gone.
+    const SubBlockResult r = c.access(0x20);
+    EXPECT_TRUE(r.tagMiss); // Fully gone...
+    EXPECT_EQ(r.filled, 2u); // ...so only sub-blocks 2..3 return,
+    EXPECT_FALSE(c.access(0x0).hit); // and sub-block 0 still misses.
 }
 
 TEST(SubBlockCache, CountsTransfers)

@@ -2,8 +2,9 @@
  * @file
  * Tests for sweep collapsing (sim/collapse.h): runSweep must be
  * bit-for-bit identical to the oracle, a plain SuiteTraces::runOne
- * loop over every cell — stats and registry counters alike — and the
- * LRU stack simulator must agree exactly with the real Cache.
+ * loop over every cell — stats and registry counters alike. The LRU
+ * stack simulator (sim/stack_sim.h, timed by perfbench) must agree
+ * exactly with the real Cache.
  */
 
 #include <gtest/gtest.h>
@@ -175,8 +176,8 @@ TEST(StackSim, MatchesCacheOnRandomizedGeometries)
 TEST(Collapse, GeometryGridMatchesPerCellExactly)
 {
     // One collapse group spanning L2 sizes, line sizes and
-    // associativities: a shallow grid, so every member resolves via
-    // (deduplicated) Cache replay of the shared miss stream.
+    // associativities, each member resolved by Cache replay of the
+    // shared miss stream.
     SuiteTraces suite(specSuite(), 20000);
     std::vector<FetchConfig> grid;
     for (uint64_t size : {16ull * 1024, 64ull * 1024}) {
@@ -196,9 +197,9 @@ TEST(Collapse, GeometryGridMatchesPerCellExactly)
 TEST(Collapse, DeepLadderMatchesPerCellExactly)
 {
     // 10 sizes x 5 associativities = 50 distinct (sets, assoc)
-    // points at one line size — past the stack-pass break-even
-    // (kStackMinDistinctGeometries), so this exercises the
-    // all-associativity stack pass end-to-end through runSweep.
+    // points at one line size in one group: 50 deduplicated Cache
+    // replays of one shared miss stream, end to end through
+    // runSweep.
     SuiteTraces suite(specSuite(), 12000);
     std::vector<FetchConfig> grid;
     for (uint64_t size = 4 * 1024; size <= 2 * 1024 * 1024;
@@ -216,10 +217,9 @@ TEST(Collapse, DeepLadderMatchesPerCellExactly)
 
 TEST(Collapse, ReplacementVariantsMatchPerCellExactly)
 {
-    // FIFO and Random L2s share the group with the LRU members but
-    // must take the Cache-replay path (the stack algorithm only
-    // holds for LRU); Random's LFSR sequence is deterministic per
-    // Cache instance, so replay is exact there too.
+    // FIFO and Random L2s share the group with the LRU members;
+    // Random's LFSR sequence is deterministic per Cache instance, so
+    // replaying the shared miss stream is exact there too.
     SuiteTraces suite(ibsSuite(OsType::Mach), 10000);
     std::vector<FetchConfig> grid;
     for (const Replacement repl :

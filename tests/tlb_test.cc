@@ -45,6 +45,9 @@ TEST(Tlb, AsidTagged)
     EXPECT_FALSE(tlb.access(2, 0x00400000));
     EXPECT_TRUE(tlb.access(1, 0x00400000));
     EXPECT_TRUE(tlb.access(2, 0x00400000));
+    // The ASID sits above bit 48 of the entry key, so a translated
+    // address there is rejected rather than aliased.
+    EXPECT_THROW(tlb.access(1, uint64_t{1} << 48), std::out_of_range);
 }
 
 TEST(Tlb, Kseg0Bypass)

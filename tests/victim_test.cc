@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.h"
 #include "cache/victim.h"
 #include "stats/rng.h"
 
@@ -96,6 +97,42 @@ TEST(VictimCache, NeverWorseThanPlainOnRandomStream)
         without.access(a);
     }
     EXPECT_LT(with.misses(), without.misses());
+}
+
+TEST(VictimCache, MainArrayMatchesPlainCache)
+{
+    // The main array is a plain Cache: whatever the buffer catches,
+    // main-array hits are exactly a plain cache's hits on the same
+    // stream, and every access is a main hit, a victim hit or a
+    // miss.
+    Rng rng(47);
+    std::vector<uint64_t> addrs;
+    uint64_t pc = 0;
+    for (int i = 0; i < 20000; ++i) {
+        if (rng.nextBool(0.25))
+            pc = rng.nextBounded(1 << 14) * 4;
+        addrs.push_back(pc);
+        pc += 4;
+    }
+    for (const uint32_t lines : {0u, 1u, 4u}) {
+        VictimCache victim(cfg(2048), lines);
+        Cache plain(cfg(2048));
+        for (uint64_t a : addrs) {
+            victim.access(a);
+            plain.access(a);
+        }
+        EXPECT_EQ(victim.mainHits(), plain.hits()) << lines;
+        EXPECT_EQ(victim.mainHits() + victim.victimHits() +
+                      victim.misses(),
+                  victim.accesses())
+            << lines;
+        EXPECT_EQ(victim.accesses(), addrs.size()) << lines;
+        if (lines == 0) {
+            EXPECT_EQ(victim.victimHits(), 0u);
+        } else {
+            EXPECT_GT(victim.victimHits(), 0u) << lines;
+        }
+    }
 }
 
 } // namespace

@@ -275,8 +275,9 @@ TEST(WorkloadModel, KernelRefsAreKseg0)
     TraceRecord rec;
     for (int i = 0; i < 100000; ++i) {
         model.next(rec);
-        if (rec.asid == KERNEL_ASID && rec.isInstr())
+        if (rec.asid == KERNEL_ASID && rec.isInstr()) {
             EXPECT_TRUE(isKseg0(rec.vaddr)) << std::hex << rec.vaddr;
+        }
     }
 }
 
@@ -288,9 +289,10 @@ TEST(Catalog, AllWorkloadsConstructAndValidate)
             EXPECT_FALSE(spec.components.empty());
             EXPECT_GE(spec.findComponent(ComponentKind::User), 0);
             EXPECT_GE(spec.findComponent(ComponentKind::Kernel), 0);
-            if (os == OsType::Ultrix)
+            if (os == OsType::Ultrix) {
                 EXPECT_LT(spec.findComponent(ComponentKind::BsdServer),
                           0);
+            }
             WorkloadModel model(spec);
             TraceRecord rec;
             EXPECT_TRUE(model.next(rec));
