@@ -15,13 +15,15 @@
 
 #include <iostream>
 
-#include "cache/cache.h"
 #include "sim/bench_report.h"
 #include "sim/cml_sim.h"
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
 #include "stats/table.h"
+#include "vm/page.h"
 #include "workload/ibs.h"
+#include "workload/model.h"
+#include "workload/run_stream.h"
 
 int
 main()
@@ -39,22 +41,24 @@ main()
     for (IbsBenchmark b : {IbsBenchmark::Verilog, IbsBenchmark::Gs,
                            IbsBenchmark::Gcc}) {
         const WorkloadSpec spec = makeIbs(b, OsType::Mach);
+        // One page trace serves all three sizes, with and without
+        // the CML buffer and at 2 ways.
+        WorkloadModel model(spec);
+        const RunTrace trace = generateRunTrace(model, PAGE_SIZE, n);
         for (uint64_t kb : {16u, 32u, 64u}) {
             CmlExperiment experiment;
             experiment.cache =
                 CacheConfig{kb * 1024, 1, 32, Replacement::LRU};
-            experiment.instructions = n;
             WallTimer cell_timer;
-            const CmlResult r = runCml(spec, experiment);
+            const CmlResult r = runCml(trace, experiment);
 
             // The 2-way reference point via a one-trial Tapeworm run
-            // with the same instruction budget.
+            // over the same trace.
             TapewormConfig tw;
             tw.cache = CacheConfig{kb * 1024, 2, 32,
                                    Replacement::LRU};
             tw.trials = 1;
-            tw.instructions = n;
-            const TapewormResult assoc = runTapeworm(spec, tw);
+            const TapewormResult assoc = runTapeworm(trace, tw);
 
             const Json config_json = Json::object()
                 .set("cache", toJson(experiment.cache))

@@ -24,8 +24,10 @@
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
 #include "stats/table.h"
+#include "vm/page.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
+#include "workload/run_stream.h"
 
 namespace {
 
@@ -109,6 +111,10 @@ main()
     os_table.setHeader({"workload", "random", "bin-hopping",
                         "page-coloring"});
     for (IbsBenchmark b : {IbsBenchmark::Verilog, IbsBenchmark::Gs}) {
+        // One page trace serves all three policies.
+        WorkloadModel model(makeIbs(b, OsType::Mach));
+        const RunTrace trace =
+            generateRunTrace(model, PAGE_SIZE, n / 2);
         std::vector<std::string> row = {benchmarkName(b)};
         for (PagePolicy policy : {PagePolicy::Random,
                                   PagePolicy::BinHopping,
@@ -118,10 +124,8 @@ main()
                                        Replacement::LRU};
             config.policy = policy;
             config.trials = 3;
-            config.instructions = n / 2;
             WallTimer cell_timer;
-            const TapewormResult r =
-                runTapeworm(makeIbs(b, OsType::Mach), config);
+            const TapewormResult r = runTapeworm(trace, config);
             row.push_back(TextTable::num(r.cpiInstr.mean()));
 
             const char *policy_name =
@@ -140,7 +144,7 @@ main()
                      Json::number(r.cpiInstr.stddev()));
             g_report.addCell(benchmarkName(b), config_json, stats,
                              cell_timer.seconds(),
-                             config.instructions * config.trials,
+                             trace.instructions * config.trials,
                              "page_placement", policy_name);
         }
         os_table.addRow(row);

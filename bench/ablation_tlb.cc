@@ -8,6 +8,10 @@
  * suites (instruction *and* data references) and reports misses per
  * 100 instructions.
  *
+ * Each workload's I+D stream is generated once and every record goes
+ * to all ten TLBs side by side; a (TLB, workload) cell is timed as a
+ * tenth of that shared pass.
+ *
  * Expected shape: IBS needs several times the TLB reach of SPEC for
  * equal miss rates, and low-associativity TLBs suffer under the
  * multi-address-space Mach workloads.
@@ -27,8 +31,6 @@ namespace {
 
 using namespace ibs;
 
-BenchReport g_report("ablation_tlb");
-
 Json
 tlbConfigJson(const TlbConfig &config)
 {
@@ -37,25 +39,59 @@ tlbConfigJson(const TlbConfig &config)
         .set("assoc", Json::number(uint64_t{config.assoc}));
 }
 
-double
-tlbMpi(std::vector<WorkloadSpec> suite, const TlbConfig &config,
-       uint64_t n, const std::string &grid)
+/** One workload's stream replayed through every TLB config. */
+struct WorkloadPass
 {
-    uint64_t misses = 0, instrs = 0;
+    std::string name;
+    uint64_t instructions = 0;
+    std::vector<uint64_t> misses; ///< Per config.
+    double cellSeconds = 0;       ///< The pass's time per config.
+};
+
+/** Run `n` instructions of each workload of `suite`, with data
+ *  references, through one TLB per config. */
+std::vector<WorkloadPass>
+passSuite(std::vector<WorkloadSpec> suite,
+          const std::vector<TlbConfig> &configs, uint64_t n,
+          const std::string &grid)
+{
+    std::vector<WorkloadPass> passes;
     for (WorkloadSpec &spec : suite) {
         spec.data.enabled = true;
-        WallTimer cell_timer;
+        WallTimer pass_timer;
         WorkloadModel model(spec);
-        Tlb tlb(config);
+        std::vector<Tlb> tlbs(configs.begin(), configs.end());
+        WorkloadPass pass;
+        pass.name = spec.name;
         TraceRecord rec;
-        uint64_t done = 0;
-        uint64_t workload_misses = 0;
-        while (done < n && model.next(rec)) {
+        while (pass.instructions < n && model.next(rec)) {
             if (rec.isInstr())
-                ++done;
-            if (!tlb.access(rec.asid, rec.vaddr))
-                ++workload_misses;
+                ++pass.instructions;
+            for (Tlb &tlb : tlbs)
+                tlb.access(rec.asid, rec.vaddr);
         }
+        pass.cellSeconds = pass_timer.seconds() /
+            static_cast<double>(configs.size());
+        for (const Tlb &tlb : tlbs) {
+            pass.misses.push_back(tlb.misses());
+            if (obs::Registry::global().enabled())
+                tlb.publishCounters(obs::Registry::global(), grid);
+        }
+        passes.push_back(std::move(pass));
+    }
+    return passes;
+}
+
+/** Report config `k`'s cells and return its suite MPI*100. */
+double
+tlbMpi(const std::vector<WorkloadPass> &passes, size_t k,
+       const TlbConfig &config, const std::string &grid,
+       BenchReport &report)
+{
+    uint64_t misses = 0, instrs = 0;
+    for (const WorkloadPass &pass : passes) {
+        const uint64_t done = pass.instructions;
+        const uint64_t workload_misses = pass.misses[k];
         const Json stats = Json::object()
             .set("instructions", Json::number(done))
             .set("tlb_misses", Json::number(workload_misses))
@@ -65,10 +101,8 @@ tlbMpi(std::vector<WorkloadSpec> suite, const TlbConfig &config,
                                       workload_misses) /
                                   static_cast<double>(done)
                                    : 0.0));
-        g_report.addCell(spec.name, tlbConfigJson(config), stats,
-                         cell_timer.seconds(), done, grid);
-        if (obs::Registry::global().enabled())
-            tlb.publishCounters(obs::Registry::global(), grid);
+        report.addCell(pass.name, tlbConfigJson(config), stats,
+                       pass.cellSeconds, done, grid);
         misses += workload_misses;
         instrs += done;
     }
@@ -83,29 +117,34 @@ main()
 {
     using namespace ibs;
 
+    BenchReport report("ablation_tlb");
     const uint64_t n = benchInstructions(500000);
-    const auto ibs_suite = ibsSuite(OsType::Mach);
-    const auto spec_suite = specSuite();
+    std::vector<TlbConfig> configs;
+    for (uint32_t entries : {16u, 32u, 64u, 128u, 256u}) {
+        for (uint32_t assoc : {4u, entries})
+            configs.push_back(
+                TlbConfig{entries, assoc, Replacement::LRU, true});
+    }
+    const std::vector<WorkloadPass> spec_passes =
+        passSuite(specSuite(), configs, n, "spec92");
+    const std::vector<WorkloadPass> ibs_passes =
+        passSuite(ibsSuite(OsType::Mach), configs, n, "ibs_mach");
 
     TextTable table("Ablation: TLB misses per 100 instructions "
                     "(I+D references)");
     table.setHeader({"TLB", "SPEC", "IBS (Mach)"});
-    for (uint32_t entries : {16u, 32u, 64u, 128u, 256u}) {
-        for (uint32_t assoc : {4u, entries}) {
-            if (assoc > entries)
-                continue;
-            TlbConfig config{entries, assoc, Replacement::LRU, true};
-            table.addRow({
-                std::to_string(entries) + "-entry/" +
-                    (assoc == entries ? "full"
-                                      : std::to_string(assoc) +
-                                            "-way"),
-                TextTable::num(tlbMpi(spec_suite, config, n,
-                                      "spec92"), 3),
-                TextTable::num(tlbMpi(ibs_suite, config, n,
-                                      "ibs_mach"), 3),
-            });
-        }
+    for (size_t k = 0; k < configs.size(); ++k) {
+        const TlbConfig &config = configs[k];
+        table.addRow({
+            std::to_string(config.entries) + "-entry/" +
+                (config.assoc == config.entries
+                     ? "full"
+                     : std::to_string(config.assoc) + "-way"),
+            TextTable::num(tlbMpi(spec_passes, k, config, "spec92",
+                                  report), 3),
+            TextTable::num(tlbMpi(ibs_passes, k, config, "ibs_mach",
+                                  report), 3),
+        });
     }
     std::cout << table.render();
     std::cout << "\nexpected shape: IBS needs a several-times larger "
@@ -113,8 +152,7 @@ main()
                  "64-entry fully-associative design sits at the "
                  "knee for SPEC\nbut not for IBS.\n";
 
-    g_report.meta().set("instructions_per_workload",
-                        Json::number(n));
-    g_report.write();
+    report.meta().set("instructions_per_workload", Json::number(n));
+    report.write();
     return 0;
 }

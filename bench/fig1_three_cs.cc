@@ -10,6 +10,11 @@
  * conflict component and is still missing at 128-256 KB; SPEC starts
  * near 1.1 and is negligible by 64 KB. IBS at 64 KB DM is comparable
  * to SPEC at 8 KB DM.
+ *
+ * Every cell replays its workload's 32-byte run trace
+ * (SuiteTraces::runTrace(i, 32)), generated once per workload: each
+ * run lies in one line of both caches, so the classifier takes it
+ * whole (ThreeCClassifier::accessRun).
  */
 
 #include <iostream>
@@ -38,8 +43,8 @@ emitSuite(const std::string &title, const SuiteTraces &traces,
         for (size_t i = 0; i < traces.count(); ++i) {
             WallTimer cell_timer;
             ThreeCClassifier classifier(kb * 1024, 32, 1, 8);
-            for (uint64_t addr : traces.addresses(i))
-                classifier.access(addr);
+            for (const FetchRun &run : traces.runTrace(i, 32).runs)
+                classifier.accessRun(run.startVaddr, run.count);
             const ThreeCBreakdown b = classifier.breakdown();
             const Json config = Json::object()
                 .set("size_bytes", Json::number(kb * 1024))

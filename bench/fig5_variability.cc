@@ -12,6 +12,11 @@
  * sizes, is near zero for eqntott/espresso, and small associativity
  * strongly damps it — the argument for associative L2s over CML
  * buffers.
+ *
+ * Each workload is generated once, as its page trace (runs cut at
+ * 4-KB pages, each tagged with its ASID), and all 27 cells of its
+ * table replay it: 135 trials, each translating once per run and
+ * probing once per cache-line piece.
  */
 
 #include <iostream>
@@ -20,7 +25,10 @@
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
 #include "stats/table.h"
+#include "vm/page.h"
 #include "workload/ibs.h"
+#include "workload/model.h"
+#include "workload/run_stream.h"
 
 namespace {
 
@@ -30,6 +38,8 @@ void
 sweep(const std::string &name, const WorkloadSpec &spec, uint64_t n,
       BenchReport &report)
 {
+    WorkloadModel model(spec);
+    const RunTrace trace = generateRunTrace(model, PAGE_SIZE, n);
     TextTable table("Figure 5: std dev of CPIinstr — " + name);
     table.setHeader({"I-cache size", "1-way", "2-way", "4-way"});
     for (uint64_t kb : {4u, 8u, 16u, 32u, 64u, 128u, 256u, 512u,
@@ -41,10 +51,9 @@ sweep(const std::string &name, const WorkloadSpec &spec, uint64_t n,
                 CacheConfig{kb * 1024, assoc, 32, Replacement::LRU};
             config.missPenalty = 7;
             config.trials = 5;
-            config.instructions = n;
             config.policy = PagePolicy::Random;
             WallTimer cell_timer;
-            const TapewormResult r = runTapeworm(spec, config);
+            const TapewormResult r = runTapeworm(trace, config);
             row.push_back(TextTable::num(r.cpiInstr.stddev(), 4));
 
             const Json config_json = Json::object()

@@ -83,6 +83,19 @@ class Cache
      */
     bool accessRun(uint64_t addr, uint64_t count);
 
+    /**
+     * Reference the line containing `addr` `count` times (count >=
+     * 1), allocating it on a miss: counters, recency, replacement
+     * state and later outcomes end exactly as after `count` access()
+     * calls, of which at most the first can miss. One accessRun probe
+     * on a hit; on a miss, access() followed by accessRun(count - 1).
+     * This is how a driver replays one line piece of a run when it
+     * needs every miss filled (sim/tapeworm.h, cache/three_c.h).
+     *
+     * @retval true the first reference hit (so all of them did)
+     */
+    bool accessLine(uint64_t addr, uint64_t count);
+
     /** Hit/miss test without any state change. */
     bool contains(uint64_t addr) const;
 
@@ -258,6 +271,17 @@ Cache::accessRun(uint64_t addr, uint64_t count)
         stamps_[base + static_cast<uint32_t>(w)] = clock_;
     }
     return true;
+}
+
+inline bool
+Cache::accessLine(uint64_t addr, uint64_t count)
+{
+    if (accessRun(addr, count))
+        return true;
+    access(addr);
+    if (count > 1)
+        accessRun(addr, count - 1);
+    return false;
 }
 
 } // namespace ibs

@@ -32,14 +32,15 @@ ThreeCClassifier::ThreeCClassifier(uint64_t size_bytes,
 }
 
 void
-ThreeCClassifier::access(uint64_t addr)
+ThreeCClassifier::accessRun(uint64_t addr, uint64_t count)
 {
-    ++accesses_;
+    accesses_ += count;
+    // Only the first reference of a piece can touch its line first.
     const uint64_t line = measured_.config().lineAddr(addr);
     if (touched_.insert(line).second)
         ++compulsory_;
-    measured_.access(addr);
-    proxy_.access(addr);
+    measured_.accessLine(addr, count);
+    proxy_.accessLine(addr, count);
 }
 
 ThreeCBreakdown

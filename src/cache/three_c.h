@@ -67,7 +67,16 @@ class ThreeCClassifier
                      uint32_t proxy_assoc = 8);
 
     /** Classify one reference. */
-    void access(uint64_t addr);
+    void access(uint64_t addr) { accessRun(addr, 1); }
+
+    /**
+     * Classify `count` references to the line containing `addr`
+     * (one line piece of a run, e.g. a FetchRun cut at this
+     * classifier's line size): the same breakdown as `count` access()
+     * calls, for one first-touch check and one Cache::accessLine per
+     * cache.
+     */
+    void accessRun(uint64_t addr, uint64_t count);
 
     /** Breakdown so far. */
     ThreeCBreakdown breakdown() const;

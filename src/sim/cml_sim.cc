@@ -5,80 +5,59 @@
 
 #include "sim/cml_sim.h"
 
-#include <vector>
-
 #include "cache/cache.h"
-#include "trace/stream.h"
+#include "sim/tapeworm.h"
 #include "vm/address_space.h"
 #include "vm/page.h"
-#include "workload/model.h"
 
 namespace ibs {
 
 CmlResult
-runCml(const WorkloadSpec &spec, const CmlExperiment &experiment)
+runCml(const RunTrace &trace, const CmlExperiment &experiment)
 {
-    // One trace, replayed twice with the same initial page mapping.
-    std::vector<TraceRecord> trace;
-    trace.reserve(experiment.instructions);
-    {
-        WorkloadModel model(spec);
-        TraceRecord rec;
-        while (trace.size() < experiment.instructions &&
-               model.next(rec)) {
-            if (rec.isInstr())
-                trace.push_back(rec);
-        }
-    }
-    const double n = static_cast<double>(trace.size());
-
     CmlResult result;
 
-    // Baseline: plain direct-mapped, fixed mapping.
-    {
-        MemoryMap map(makeAllocator(experiment.policy,
-                                    experiment.frames,
-                                    experiment.cache.colors(),
-                                    experiment.seed));
-        Cache cache(experiment.cache);
-        uint64_t misses = 0;
-        for (const TraceRecord &rec : trace) {
-            if (!cache.access(map.translate(rec.asid, rec.vaddr)))
-                ++misses;
-        }
-        result.cpiBaseline = static_cast<double>(misses) / n *
-            experiment.missPenalty;
-    }
+    // Baseline: plain direct-mapped under the initial mapping — a
+    // one-trial Tapeworm run whose allocator is seeded like the CML
+    // run's below. No page moves there, so it translates per run.
+    TapewormConfig baseline;
+    baseline.cache = experiment.cache;
+    baseline.missPenalty = experiment.missPenalty;
+    baseline.policy = experiment.policy;
+    baseline.frames = experiment.frames;
+    baseline.trials = 1;
+    result.cpiBaseline =
+        runTapeworm(trace, baseline, experiment.seed).cpiInstr.mean();
 
     // With the CML buffer: identical initial mapping (same seed), but
     // hot conflicting pages get recolored as the buffer triggers.
-    {
-        const uint64_t colors = experiment.cache.colors();
-        MemoryMap map(makeAllocator(experiment.policy,
-                                    experiment.frames, colors,
-                                    experiment.seed));
-        Cache cache(experiment.cache);
-        CmlBuffer cml(colors, experiment.cml);
-        uint64_t misses = 0;
-        uint64_t remap_cycles = 0;
-        uint64_t recolors = 0;
-        for (const TraceRecord &rec : trace) {
+    const uint64_t colors = experiment.cache.colors();
+    MemoryMap map(makeAllocator(experiment.policy, experiment.frames,
+                                colors, experiment.seed));
+    Cache cache(experiment.cache);
+    CmlBuffer cml(colors, experiment.cml);
+    uint64_t misses = 0;
+    uint64_t remap_cycles = 0;
+    uint64_t recolors = 0;
+    for (const FetchRun &run : trace.runs) {
+        uint64_t vaddr = run.startVaddr;
+        for (uint32_t k = 0; k < run.count; ++k, vaddr += kInstrBytes) {
             cml.tick();
-            const uint64_t paddr =
-                map.translate(rec.asid, rec.vaddr);
+            // Translated per instruction: a recolor below moves the
+            // rest of this run's page to a new frame.
+            const uint64_t paddr = map.translate(run.asid, vaddr);
             if (cache.access(paddr))
                 continue;
             ++misses;
             CmlAdvice advice;
-            if (cml.recordMiss(pageNumber(paddr) % colors, rec.asid,
-                               pageNumber(rec.vaddr), advice)) {
+            if (cml.recordMiss(pageNumber(paddr) % colors, run.asid,
+                               pageNumber(vaddr), advice)) {
                 // The OS recolors the page: new frame, page copy,
                 // and the page's old lines die in the cache.
                 uint64_t old_pfn, new_pfn;
                 if (map.recolor(advice.asid, advice.vpn, old_pfn,
                                 new_pfn)) {
-                    const uint64_t old_base =
-                        makeAddr(old_pfn, 0);
+                    const uint64_t old_base = makeAddr(old_pfn, 0);
                     for (uint64_t off = 0; off < PAGE_SIZE;
                          off += experiment.cache.lineBytes)
                         cache.invalidate(old_base + off);
@@ -87,14 +66,14 @@ runCml(const WorkloadSpec &spec, const CmlExperiment &experiment)
                 }
             }
         }
-        // Count only recolors the OS could act on (kseg0 kernel
-        // pages are not remappable and produce no overhead).
-        result.recolors = recolors;
-        result.cpiRecolorOverhead =
-            static_cast<double>(remap_cycles) / n;
-        result.cpiWithCml = static_cast<double>(misses) / n *
-            experiment.missPenalty + result.cpiRecolorOverhead;
     }
+    // Count only recolors the OS could act on (kseg0 kernel pages
+    // are not remappable and produce no overhead).
+    const double n = static_cast<double>(trace.instructions);
+    result.recolors = recolors;
+    result.cpiRecolorOverhead = static_cast<double>(remap_cycles) / n;
+    result.cpiWithCml = static_cast<double>(misses) / n *
+        experiment.missPenalty + result.cpiRecolorOverhead;
     return result;
 }
 

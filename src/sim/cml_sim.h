@@ -3,6 +3,10 @@
  * CML-buffer experiment driver: direct-mapped physically-indexed
  * cache with dynamic page recoloring, against plain direct-mapped
  * and set-associative caches of the same size — the §5.1 comparison.
+ *
+ * It replays the same page trace as the Tapeworm driver
+ * (sim/tapeworm.h) but translates every instruction: a recolor in the
+ * middle of a run moves the rest of that run to a new frame.
  */
 
 #ifndef IBS_SIM_CML_SIM_H
@@ -11,9 +15,9 @@
 #include <cstdint>
 
 #include "cache/config.h"
+#include "trace/run_trace.h"
 #include "vm/cml.h"
 #include "vm/page_allocator.h"
-#include "workload/params.h"
 
 namespace ibs {
 
@@ -25,7 +29,6 @@ struct CmlExperiment
     CmlConfig cml;
     PagePolicy policy = PagePolicy::Random;
     uint64_t frames = 16384;
-    uint64_t instructions = 1'000'000;
     uint64_t seed = 0xc311;
 };
 
@@ -40,8 +43,13 @@ struct CmlResult
     uint64_t recolors = 0;
 };
 
-/** Run the paired experiment on one workload. */
-CmlResult runCml(const WorkloadSpec &spec,
+/**
+ * Run the paired experiment on one workload's trace.
+ *
+ * @param trace instruction runs tagged with their ASIDs (RunStream's
+ *        are), normally the page trace
+ */
+CmlResult runCml(const RunTrace &trace,
                  const CmlExperiment &experiment);
 
 } // namespace ibs

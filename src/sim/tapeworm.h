@@ -11,6 +11,13 @@
  * virtual-to-physical mapping drawn from the configured OS page-
  * allocation policy. Kernel (kseg0) code keeps its fixed direct
  * mapping across trials, exactly as on the real machine.
+ *
+ * The trace is a run trace cut at most at page size, normally the
+ * page trace (generateRunTrace or SuiteTraces::runTrace at
+ * PAGE_SIZE): a run never crosses a page and carries its ASID, so a
+ * trial translates once per run and probes once per cache-line piece
+ * of it, with the same result as translating and probing every
+ * instruction.
  */
 
 #ifndef IBS_SIM_TAPEWORM_H
@@ -21,8 +28,8 @@
 
 #include "cache/config.h"
 #include "stats/summary.h"
+#include "trace/run_trace.h"
 #include "vm/page_allocator.h"
-#include "workload/params.h"
 
 namespace ibs {
 
@@ -34,7 +41,6 @@ struct TapewormConfig
     PagePolicy policy = PagePolicy::Random;
     uint64_t frames = 16384;   ///< Physical pool (64 MB of 4-KB pages).
     uint32_t trials = 5;       ///< The paper used 5.
-    uint64_t instructions = 1'000'000;
 };
 
 /** Across-trial distribution of the metrics. */
@@ -47,12 +53,16 @@ struct TapewormResult
 /**
  * Run the multi-trial experiment.
  *
- * @param spec workload (the *same* trace is replayed every trial)
+ * @param trace the workload's instruction trace, replayed unchanged
+ *        every trial; its runs must carry ASIDs (RunStream's do) and
+ *        its lineBytes must not exceed PAGE_SIZE
  * @param config experiment point
  * @param base_seed trial i re-seeds the page allocator with
- *        base_seed + i; the workload stream seed is fixed
+ *        base_seed + i
+ * @throws std::invalid_argument if trace.lineBytes is 0 or above
+ *         PAGE_SIZE (runs could then cross a page)
  */
-TapewormResult runTapeworm(const WorkloadSpec &spec,
+TapewormResult runTapeworm(const RunTrace &trace,
                            const TapewormConfig &config,
                            uint64_t base_seed = 0x7a9e);
 

@@ -18,6 +18,12 @@
  * builds those straight from the workload model (workload/run_stream.h
  * cuts runs exactly where compressRuns does); compressRuns remains the
  * reference encoder for tests and the microbench.
+ *
+ * Cut at a 4-KB "line" (PAGE_SIZE), the same encoding is the page
+ * trace: maximal sequential runs that never cross a page or an
+ * address-space switch, each tagged with its ASID. The drivers that
+ * map virtual to physical pages (sim/tapeworm.h, sim/cml_sim.h)
+ * replay it, translating once per run where the mapping is fixed.
  */
 
 #ifndef IBS_TRACE_RUN_TRACE_H
@@ -25,6 +31,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include "trace/record.h"
 
 namespace ibs {
 
@@ -34,13 +42,22 @@ inline constexpr uint32_t kInstrBytes = 4;
 /**
  * One maximal sequential fetch run: `count` instructions at
  * startVaddr, startVaddr+4, ..., startVaddr+4*(count-1), all inside
- * one cache line of the RunTrace's lineBytes.
+ * one cache line of the RunTrace's lineBytes and all issued by
+ * address space `asid`.
  */
 struct FetchRun
 {
     uint64_t startVaddr = 0;
     uint32_t count = 0;
+    /** Issuing address space. The stream generator (RunStream)
+     *  never lets a run span an ASID change; compressRuns has no
+     *  ASIDs and leaves it KERNEL_ASID. */
+    Asid asid = KERNEL_ASID;
 };
+
+// The ASID lives in what was padding: a run stays 16 bytes, so
+// RunTrace::bytes() and every memo budget built on it are unchanged.
+static_assert(sizeof(FetchRun) == 16);
 
 /** A whole instruction trace as line-bounded sequential runs. */
 struct RunTrace

@@ -30,6 +30,7 @@ RunStream::refill()
         return false;
     if (!perRecord_) {
         blockLen_ = model_.nextInstrBlock(cap_ - pulled_, blockStart_);
+        blockAsid_ = model_.currentAsid();
         pulled_ += blockLen_;
         return true;
     }
@@ -41,6 +42,7 @@ RunStream::refill()
         if (!rec.isInstr())
             continue;
         blockStart_ = rec.vaddr;
+        blockAsid_ = rec.asid;
         blockLen_ = 1;
         ++pulled_;
         return true;
@@ -55,7 +57,7 @@ RunStream::next(FetchRun &run)
         if (blockLen_ == 0 && !refill()) {
             if (pendCount_ == 0)
                 return false;
-            run = FetchRun{pendStart_, pendCount_};
+            run = FetchRun{pendStart_, pendCount_, pendAsid_};
             pendCount_ = 0;
             emitted_ += run.count;
             ++runs_;
@@ -64,12 +66,14 @@ RunStream::next(FetchRun &run)
         if (pendCount_ != 0) {
             // Same cut rule as compressRuns: extend only while the
             // next address is contiguous *and* still in the line the
-            // run started in.
+            // run started in. An address-space switch also cuts, so
+            // every run has one ASID.
             const uint64_t pend_end =
                 pendStart_ + uint64_t{pendCount_} * kInstrBytes;
             const uint64_t run_line = pendStart_ & lineMask_;
             if (blockStart_ == pend_end &&
-                (blockStart_ & lineMask_) == run_line) {
+                (blockStart_ & lineMask_) == run_line &&
+                blockAsid_ == pendAsid_) {
                 const uint64_t room =
                     (run_line + lineBytes_ - blockStart_) /
                     kInstrBytes;
@@ -79,7 +83,7 @@ RunStream::next(FetchRun &run)
                 blockLen_ -= m;
                 continue;
             }
-            run = FetchRun{pendStart_, pendCount_};
+            run = FetchRun{pendStart_, pendCount_, pendAsid_};
             pendCount_ = 0;
             emitted_ += run.count;
             ++runs_;
@@ -91,6 +95,7 @@ RunStream::next(FetchRun &run)
             kInstrBytes;
         const uint64_t m = std::min(blockLen_, room);
         pendStart_ = blockStart_;
+        pendAsid_ = blockAsid_;
         pendCount_ = static_cast<uint32_t>(m);
         blockStart_ += m * kInstrBytes;
         blockLen_ -= m;

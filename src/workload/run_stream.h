@@ -18,6 +18,16 @@
  * same, applied incrementally (differential-tested run-for-run in
  * tests/stream_gen_diff_test.cc).
  *
+ * Each run also carries the ASID of the component that issued it
+ * (WorkloadModel::currentAsid, or the record's ASID in data mode),
+ * and a run is never extended across an ASID change. That extra cut
+ * only fires when a component switch happens to continue at the
+ * next sequential address, which the shipped workloads never do (the
+ * components' text segments are disjoint), so their runs still equal
+ * compressRuns' run-for-run. With line_bytes == PAGE_SIZE the output
+ * is the page-bounded, ASID-tagged trace of the address-translating
+ * drivers (sim/tapeworm.h).
+ *
  * Workloads with data references enabled fall back to pulling one
  * record at a time (every instruction then draws from the scheduler
  * RNG, so blocks cannot skip records), which still avoids the flat
@@ -85,10 +95,12 @@ class RunStream
     // Contiguous block not yet sliced into runs.
     uint64_t blockStart_ = 0;
     uint64_t blockLen_ = 0;
+    Asid blockAsid_ = KERNEL_ASID;
     // Run being extended (possibly across blocks: a sequential
     // fall-through in the walker continues the same line).
     uint64_t pendStart_ = 0;
     uint32_t pendCount_ = 0;
+    Asid pendAsid_ = KERNEL_ASID;
 };
 
 /**

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -619,6 +620,54 @@ TEST(Cache, LfsrSeedDecorrelatesDistinctGeometries)
         cfg(131072, 4, 64, Replacement::Random));
     EXPECT_NE(l1, l2);
     EXPECT_NE(l2, l2b);
+}
+
+/**
+ * accessLine applies a line piece in one call; it must leave the
+ * cache exactly as `count` scalar access() calls do — counters,
+ * evictions, victim choice and so every later outcome — for every
+ * replacement policy, direct-mapped through fully associative.
+ */
+TEST(Cache, AccessLineEqualsCountScalarAccesses)
+{
+    constexpr uint32_t kLine = 32;
+    constexpr uint64_t kSize = 16 * kLine;
+    for (Replacement repl : {Replacement::LRU, Replacement::FIFO,
+                             Replacement::Random}) {
+        for (uint32_t assoc : {1u, 2u, 4u, 16u}) {
+            const std::string label = std::string(replacementName(repl)) +
+                "/" + std::to_string(assoc) + "-way";
+            Cache batched(cfg(kSize, assoc, kLine, repl));
+            Cache scalar(cfg(kSize, assoc, kLine, repl));
+            Rng rng(0xacce55 + assoc);
+            for (int step = 0; step < 4000; ++step) {
+                // A piece of 1..8 instructions inside one of 48 lines
+                // (3x capacity, so hits, misses and evictions mix).
+                const uint64_t first = rng.nextBounded(kLine / 4);
+                const uint64_t count =
+                    1 + rng.nextBounded(kLine / 4 - first);
+                const uint64_t addr =
+                    rng.nextBounded(48) * kLine + first * 4;
+                const bool hit = batched.accessLine(addr, count);
+                ASSERT_EQ(hit, scalar.access(addr))
+                    << label << " step " << step;
+                for (uint64_t k = 1; k < count; ++k)
+                    ASSERT_TRUE(scalar.access(addr + 4 * k)) << label;
+                ASSERT_EQ(batched.accesses(), scalar.accesses())
+                    << label;
+                ASSERT_EQ(batched.hits(), scalar.hits()) << label;
+                ASSERT_EQ(batched.evictions(), scalar.evictions())
+                    << label;
+            }
+            EXPECT_EQ(batched.validLineAddrs(), scalar.validLineAddrs())
+                << label;
+            for (uint64_t line = 0; line < 48; ++line) {
+                EXPECT_EQ(batched.access(line * kLine),
+                          scalar.access(line * kLine))
+                    << label << " line " << line;
+            }
+        }
+    }
 }
 
 } // namespace

@@ -8,10 +8,21 @@
 #include "sim/cml_sim.h"
 #include "vm/address_space.h"
 #include "vm/cml.h"
+#include "vm/page.h"
 #include "workload/ibs.h"
+#include "workload/model.h"
+#include "workload/run_stream.h"
 
 namespace ibs {
 namespace {
+
+/** Page trace of the first `n` instructions of `spec`. */
+RunTrace
+pageTrace(const WorkloadSpec &spec, uint64_t n)
+{
+    WorkloadModel model(spec);
+    return generateRunTrace(model, PAGE_SIZE, n);
+}
 
 TEST(CmlBuffer, DetectsTwoPagePingPong)
 {
@@ -121,10 +132,10 @@ TEST(CmlSim, PairedRunsShareBaselinePlacement)
     // start from the same mapping, so with a huge threshold (no
     // recolors) they must agree exactly.
     CmlExperiment experiment;
-    experiment.instructions = 30000;
     experiment.cml.alternationThreshold = 1000000;
-    const CmlResult r =
-        runCml(makeSpec(SpecBenchmark::Espresso), experiment);
+    const CmlResult r = runCml(
+        pageTrace(makeSpec(SpecBenchmark::Espresso), 30000),
+        experiment);
     EXPECT_EQ(r.recolors, 0u);
     EXPECT_DOUBLE_EQ(r.cpiBaseline, r.cpiWithCml);
 }
@@ -132,11 +143,11 @@ TEST(CmlSim, PairedRunsShareBaselinePlacement)
 TEST(CmlSim, RecoloringBoundedAndAccounted)
 {
     CmlExperiment experiment;
-    experiment.instructions = 60000;
     experiment.cache = CacheConfig{16 * 1024, 1, 32,
                                    Replacement::LRU};
-    const CmlResult r =
-        runCml(makeIbs(IbsBenchmark::Gs, OsType::Mach), experiment);
+    const CmlResult r = runCml(
+        pageTrace(makeIbs(IbsBenchmark::Gs, OsType::Mach), 60000),
+        experiment);
     EXPECT_DOUBLE_EQ(
         r.cpiRecolorOverhead,
         static_cast<double>(r.recolors) *

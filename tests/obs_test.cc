@@ -61,6 +61,16 @@ readFile(const std::string &path)
     return buffer.str();
 }
 
+/** `prefix` followed by the decimal `n`, built by appending: GCC 12
+ *  reports a false -Wrestrict overlap for "literal" +
+ *  std::to_string(n), which prepends into the temporary. */
+std::string
+numbered(std::string prefix, uint64_t n)
+{
+    prefix += std::to_string(n);
+    return prefix;
+}
+
 TEST(ObsRegistry, CountersSumAcrossCallsAndThreads)
 {
     RegistryGuard guard;
@@ -467,8 +477,7 @@ TEST(ObsTraceSink, ConcurrentSpansAllSurviveAndStayMonotonicPerTid)
             workers.emplace_back([&sink, t] {
                 for (int i = 0; i < SPANS; ++i) {
                     const uint64_t ts = sink.nowMicros();
-                    sink.span("w" + std::to_string(t) + "/" +
-                                  std::to_string(i),
+                    sink.span(numbered(numbered("w", t) + "/", i),
                               "test", ts, 1);
                 }
             });
@@ -682,7 +691,7 @@ TEST(ObsTraceSink, RotationSpillsInsteadOfBufferingUnboundedly)
     {
         obs::TraceEventSink sink(path, THRESHOLD);
         for (size_t i = 0; i < EVENTS; ++i)
-            sink.span("e" + std::to_string(i), "test", i, 1);
+            sink.span(numbered("e", i), "test", i, 1);
         // Rotation kept the in-memory buffer under the threshold the
         // whole time: everything but the tail is already on disk.
         EXPECT_GE(sink.spilledCount(),
@@ -697,7 +706,7 @@ TEST(ObsTraceSink, RotationSpillsInsteadOfBufferingUnboundedly)
     for (size_t i = 0; i < events.size(); ++i)
         ++names[events.at(i).at("name").asString()];
     for (size_t i = 0; i < EVENTS; ++i)
-        EXPECT_EQ(names["e" + std::to_string(i)], 1) << i;
+        EXPECT_EQ(names[numbered("e", i)], 1) << i;
     obs::Registry::global().setEnabled(was);
     std::remove(path.c_str());
 }

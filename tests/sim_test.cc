@@ -7,10 +7,20 @@
 
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
+#include "vm/page.h"
 #include "workload/model.h"
+#include "workload/run_stream.h"
 
 namespace ibs {
 namespace {
+
+/** Page trace of the first `n` instructions of `spec`. */
+RunTrace
+pageTrace(const WorkloadSpec &spec, uint64_t n)
+{
+    WorkloadModel model(spec);
+    return generateRunTrace(model, PAGE_SIZE, n);
+}
 
 TEST(Runner, RunFetchProducesStats)
 {
@@ -89,10 +99,9 @@ TEST(Runner, ParseEnvCountRejectsMalformedValues)
 TEST(Tapeworm, ProducesRequestedTrials)
 {
     TapewormConfig config;
-    config.instructions = 30000;
     config.trials = 4;
-    const TapewormResult r =
-        runTapeworm(makeSpec(SpecBenchmark::Espresso), config);
+    const TapewormResult r = runTapeworm(
+        pageTrace(makeSpec(SpecBenchmark::Espresso), 30000), config);
     EXPECT_EQ(r.cpiInstr.count(), 4u);
     EXPECT_GT(r.cpiInstr.mean(), 0.0);
     EXPECT_DOUBLE_EQ(r.cpiInstr.mean(),
@@ -105,12 +114,11 @@ TEST(Tapeworm, RandomMappingVaries)
     // page placement must produce run-to-run variation (Figure 5).
     TapewormConfig config;
     config.cache = CacheConfig{32 * 1024, 1, 32, Replacement::LRU};
-    config.instructions = 60000;
     config.trials = 5;
     config.policy = PagePolicy::Random;
-    const TapewormResult r =
-        runTapeworm(makeIbs(IbsBenchmark::Verilog, OsType::Mach),
-                    config);
+    const TapewormResult r = runTapeworm(
+        pageTrace(makeIbs(IbsBenchmark::Verilog, OsType::Mach), 60000),
+        config);
     EXPECT_GT(r.cpiInstr.stddev(), 0.0);
 }
 
@@ -121,16 +129,15 @@ TEST(Tapeworm, PageColoringIsDeterministicAcrossTrials)
     // identical across trials even though frames differ.
     TapewormConfig config;
     config.cache = CacheConfig{32 * 1024, 1, 32, Replacement::LRU};
-    config.instructions = 60000;
     config.trials = 5;
+    const RunTrace trace =
+        pageTrace(makeIbs(IbsBenchmark::Verilog, OsType::Mach), 60000);
 
     config.policy = PagePolicy::Random;
-    const TapewormResult random = runTapeworm(
-        makeIbs(IbsBenchmark::Verilog, OsType::Mach), config);
+    const TapewormResult random = runTapeworm(trace, config);
 
     config.policy = PagePolicy::PageColoring;
-    const TapewormResult colored = runTapeworm(
-        makeIbs(IbsBenchmark::Verilog, OsType::Mach), config);
+    const TapewormResult colored = runTapeworm(trace, config);
 
     EXPECT_LT(colored.cpiInstr.stddev(),
               random.cpiInstr.stddev() + 1e-9);
@@ -143,10 +150,10 @@ TEST(Tapeworm, FullyAssociativeCacheImmuneToPlacement)
     // cannot change its behaviour at all.
     TapewormConfig config;
     config.cache = CacheConfig{16 * 1024, 512, 32, Replacement::LRU};
-    config.instructions = 40000;
     config.trials = 3;
     const TapewormResult r = runTapeworm(
-        makeIbs(IbsBenchmark::Gs, OsType::Mach), config);
+        pageTrace(makeIbs(IbsBenchmark::Gs, OsType::Mach), 40000),
+        config);
     EXPECT_NEAR(r.cpiInstr.stddev(), 0.0, 1e-9);
 }
 

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "cache/three_c.h"
+#include "sim/runner.h"
 #include "stats/rng.h"
+#include "workload/ibs.h"
 
 namespace ibs {
 namespace {
@@ -94,6 +98,42 @@ TEST(ThreeC, ComponentsSumToClassifiedMisses)
     EXPECT_GE(c.measuredMisses(), c.proxyMisses());
     EXPECT_EQ(b.total(), c.measuredMisses());
     EXPECT_GT(b.conflict, 0u);
+}
+
+TEST(ThreeC, AccessRunOverRunsEqualsPerAddressAccess)
+{
+    // fig1's replay: 32-byte runs fed whole, one piece per run,
+    // against the flat per-address loop it replaced. Each run lies
+    // in one line of either classifier line size.
+    const SuiteTraces traces({makeIbs(IbsBenchmark::Gs, OsType::Mach),
+                              makeSpec(SpecBenchmark::Espresso)},
+                             30000);
+    for (size_t w = 0; w < traces.count(); ++w) {
+        for (uint32_t line : {32u, 64u}) {
+            for (uint64_t kb : {1u, 8u, 64u}) {
+                const std::string label = traces.name(w) + "/" +
+                    std::to_string(kb) + "KB/line" +
+                    std::to_string(line);
+                ThreeCClassifier runs(kb * 1024, line, 1, 8);
+                for (const FetchRun &run : traces.runTrace(w, 32).runs)
+                    runs.accessRun(run.startVaddr, run.count);
+                ThreeCClassifier flat(kb * 1024, line, 1, 8);
+                for (uint64_t addr : traces.addresses(w))
+                    flat.access(addr);
+
+                const ThreeCBreakdown a = runs.breakdown();
+                const ThreeCBreakdown b = flat.breakdown();
+                EXPECT_EQ(a.accesses, b.accesses) << label;
+                EXPECT_EQ(a.compulsory, b.compulsory) << label;
+                EXPECT_EQ(a.capacity, b.capacity) << label;
+                EXPECT_EQ(a.conflict, b.conflict) << label;
+                EXPECT_EQ(runs.measuredMisses(), flat.measuredMisses())
+                    << label;
+                EXPECT_EQ(runs.proxyMisses(), flat.proxyMisses())
+                    << label;
+            }
+        }
+    }
 }
 
 } // namespace
