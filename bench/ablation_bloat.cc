@@ -11,16 +11,20 @@
  *  - portability: the Mach user task carries the dynamically-linked
  *    BSD API-emulation library — compared here by running the user
  *    component alone under both builds.
+ *
+ * Each group of workloads below is one sweep of one L2-less blocking
+ * config: with no L2, prefetch, bypass or stream buffer, the engine
+ * misses exactly where a bare cache does.
  */
 
 #include <iostream>
+#include <vector>
 
-#include "cache/cache.h"
 #include "sim/bench_report.h"
 #include "sim/runner.h"
+#include "sim/sweep.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
-#include "workload/model.h"
 
 namespace {
 
@@ -28,31 +32,21 @@ using namespace ibs;
 
 BenchReport g_report("ablation_bloat");
 
-double
-mpiOf(const WorkloadSpec &spec, uint64_t n,
+/** MPI per 100 instructions of each of `specs` in the 8-KB L1, in
+ *  order; the sweep's cells go into the report under `grid`. */
+std::vector<double>
+mpiOf(const std::vector<WorkloadSpec> &specs, uint64_t n,
       const std::string &grid)
 {
-    WallTimer cell_timer;
-    WorkloadModel model(spec);
-    Cache cache(CacheConfig{8 * 1024, 1, 32, Replacement::LRU});
-    TraceRecord rec;
-    uint64_t instrs = 0, misses = 0;
-    while (instrs < n && model.next(rec)) {
-        if (!rec.isInstr())
-            continue;
-        ++instrs;
-        if (!cache.access(rec.vaddr))
-            ++misses;
-    }
-    const double mpi = 100.0 * static_cast<double>(misses) /
-        static_cast<double>(instrs);
-    const Json stats = Json::object()
-        .set("instructions", Json::number(instrs))
-        .set("l1_misses", Json::number(misses))
-        .set("mpi100", Json::number(mpi));
-    g_report.addCell(spec.name + " (" + osName(spec.os) + ")",
-                     Json::object(), stats, cell_timer.seconds(),
-                     instrs, grid);
+    const SuiteTraces suite(specs, n);
+    FetchConfig config;
+    config.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    const std::vector<FetchConfig> configs = {config};
+    const SweepResult result = runSweep(suite, configs);
+    g_report.addSweep(grid, suite, configs, result);
+    std::vector<double> mpi;
+    for (size_t w = 0; w < suite.count(); ++w)
+        mpi.push_back(result.cell(0, w).mpi100());
     return mpi;
 }
 
@@ -78,10 +72,11 @@ main()
     TextTable t1("Bloat source: object-oriented rewrite "
                  "(maintainability)");
     t1.setHeader({"workload", "MPI", "ratio"});
-    const double nroff = mpiOf(
-        makeIbs(IbsBenchmark::Nroff, OsType::Mach), n, "rewrite");
-    const double groff = mpiOf(
-        makeIbs(IbsBenchmark::Groff, OsType::Mach), n, "rewrite");
+    const std::vector<double> rewrite = mpiOf(
+        {makeIbs(IbsBenchmark::Nroff, OsType::Mach),
+         makeIbs(IbsBenchmark::Groff, OsType::Mach)},
+        n, "rewrite");
+    const double nroff = rewrite[0], groff = rewrite[1];
     t1.addRow({"nroff (C)", TextTable::num(nroff, 2), "1.00"});
     t1.addRow({"groff (C++)", TextTable::num(groff, 2),
                TextTable::num(groff / nroff, 2)});
@@ -90,11 +85,11 @@ main()
 
     TextTable t2("Bloat source: feature growth (functionality)");
     t2.setHeader({"workload", "MPI", "ratio"});
-    const double gcc_spec = mpiOf(
-        userOnly(makeSpec(SpecBenchmark::Gcc)), n, "features");
-    const double gcc_ibs = mpiOf(
-        userOnly(makeIbs(IbsBenchmark::Gcc, OsType::Ultrix)), n,
-        "features");
+    const std::vector<double> features = mpiOf(
+        {userOnly(makeSpec(SpecBenchmark::Gcc)),
+         userOnly(makeIbs(IbsBenchmark::Gcc, OsType::Ultrix))},
+        n, "features");
+    const double gcc_spec = features[0], gcc_ibs = features[1];
     t2.addRow({"gcc 1.35 (SPEC)", TextTable::num(gcc_spec, 2),
                "1.00"});
     t2.addRow({"gcc 2.6 (IBS)", TextTable::num(gcc_ibs, 2),
@@ -105,16 +100,19 @@ main()
     TextTable t3("Bloat source: OS structure (maintainability) — "
                  "Mach 3.0 vs Ultrix 3.1");
     t3.setHeader({"workload", "Ultrix MPI", "Mach MPI", "ratio"});
+    const std::vector<double> ultrix =
+        mpiOf(ibsSuite(OsType::Ultrix), n, "os_structure");
+    const std::vector<double> mach =
+        mpiOf(ibsSuite(OsType::Mach), n, "os_structure");
     double mach_sum = 0, ultrix_sum = 0;
-    for (IbsBenchmark b : allIbsBenchmarks()) {
-        const double u =
-            mpiOf(makeIbs(b, OsType::Ultrix), n, "os_structure");
-        const double m =
-            mpiOf(makeIbs(b, OsType::Mach), n, "os_structure");
+    for (size_t i = 0; i < ultrix.size(); ++i) {
+        const double u = ultrix[i];
+        const double m = mach[i];
         mach_sum += m;
         ultrix_sum += u;
-        t3.addRow({benchmarkName(b), TextTable::num(u, 2),
-                   TextTable::num(m, 2), TextTable::num(m / u, 2)});
+        t3.addRow({benchmarkName(allIbsBenchmarks()[i]),
+                   TextTable::num(u, 2), TextTable::num(m, 2),
+                   TextTable::num(m / u, 2)});
     }
     t3.addRule();
     t3.addRow({"average", TextTable::num(ultrix_sum / 8, 2),
@@ -128,13 +126,19 @@ main()
                  "task alone");
     t4.setHeader({"workload", "Ultrix build", "Mach build (+emul "
                   "lib)", "ratio"});
-    for (IbsBenchmark b : {IbsBenchmark::Gcc, IbsBenchmark::Gs,
-                           IbsBenchmark::Verilog}) {
-        const double u = mpiOf(
-            userOnly(makeIbs(b, OsType::Ultrix)), n, "api_emulation");
-        const double m = mpiOf(
-            userOnly(makeIbs(b, OsType::Mach)), n, "api_emulation");
-        t4.addRow({benchmarkName(b), TextTable::num(u, 2),
+    const std::vector<IbsBenchmark> emulated = {
+        IbsBenchmark::Gcc, IbsBenchmark::Gs, IbsBenchmark::Verilog};
+    std::vector<WorkloadSpec> emul_specs;
+    for (IbsBenchmark b : emulated) {
+        emul_specs.push_back(userOnly(makeIbs(b, OsType::Ultrix)));
+        emul_specs.push_back(userOnly(makeIbs(b, OsType::Mach)));
+    }
+    const std::vector<double> emul_mpi =
+        mpiOf(emul_specs, n, "api_emulation");
+    for (size_t i = 0; i < emulated.size(); ++i) {
+        const double u = emul_mpi[2 * i];
+        const double m = emul_mpi[2 * i + 1];
+        t4.addRow({benchmarkName(emulated[i]), TextTable::num(u, 2),
                    TextTable::num(m, 2), TextTable::num(m / u, 2)});
     }
     std::cout << t4.render()

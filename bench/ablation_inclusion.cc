@@ -7,6 +7,9 @@
  * misses per 100 instructions for the IBS average, inclusive vs
  * non-inclusive, across L2 associativities (associativity reduces L2
  * evictions of live lines, shrinking the inclusion tax).
+ *
+ * Both hierarchies replay each workload's 32-B run trace, one
+ * reference per instruction.
  */
 
 #include <iostream>
@@ -45,11 +48,16 @@ main()
                 CacheConfig{8 * 1024, 1, 32, Replacement::LRU},
                 CacheConfig{64 * 1024, assoc, 64, Replacement::LRU},
                 true);
-            for (uint64_t a : suite.addresses(i)) {
-                ni.access(a);
-                incl.access(a);
+            const RunTrace &trace = suite.runTrace(i, 32);
+            for (const FetchRun &run : trace.runs) {
+                uint64_t vaddr = run.startVaddr;
+                for (uint32_t k = 0; k < run.count;
+                     ++k, vaddr += kInstrBytes) {
+                    ni.access(vaddr);
+                    incl.access(vaddr);
+                }
             }
-            const uint64_t instrs = suite.addresses(i).size();
+            const uint64_t instrs = trace.instructions;
             const Json config = Json::object()
                 .set("l1", toJson(CacheConfig{8 * 1024, 1, 32,
                                               Replacement::LRU}))

@@ -13,15 +13,22 @@
  *   - profile-placed: hot procedures clustered in popularity order,
  *     fragmentation gaps removed (the Pettis-Hansen-style ideal).
  *
+ * Each layout of the suite is one sweep of one L2-less blocking
+ * config: with no L2, prefetch, bypass or stream buffer, the engine
+ * misses exactly where a bare cache does.
+ *
  * Page-level OS placement (page coloring vs random) is reported for
- * the same workloads as the complementary software remedy.
+ * the same workloads as the complementary software remedy: each
+ * workload's page trace is generated once and replayed through
+ * Tapeworm under all three policies.
  */
 
 #include <iostream>
+#include <vector>
 
-#include "cache/cache.h"
 #include "sim/bench_report.h"
 #include "sim/runner.h"
+#include "sim/sweep.h"
 #include "sim/tapeworm.h"
 #include "stats/table.h"
 #include "vm/page.h"
@@ -46,30 +53,20 @@ profilePlaced(WorkloadSpec spec)
     return spec;
 }
 
-double
-mpiOf(const WorkloadSpec &spec, uint64_t n)
+/** MPI per 100 instructions of each of `specs` in the 8-KB L1, in
+ *  order, from one sweep whose cells go into the report. */
+std::vector<double>
+mpiOf(const std::vector<WorkloadSpec> &specs, uint64_t n)
 {
-    WallTimer cell_timer;
-    WorkloadModel model(spec);
-    Cache cache(CacheConfig{8 * 1024, 1, 32, Replacement::LRU});
-    TraceRecord rec;
-    uint64_t instrs = 0, misses = 0;
-    while (instrs < n && model.next(rec)) {
-        if (!rec.isInstr())
-            continue;
-        ++instrs;
-        if (!cache.access(rec.vaddr))
-            ++misses;
-    }
-    const double mpi = 100.0 * static_cast<double>(misses) /
-        static_cast<double>(instrs);
-    const Json stats = Json::object()
-        .set("instructions", Json::number(instrs))
-        .set("l1_misses", Json::number(misses))
-        .set("mpi100", Json::number(mpi));
-    g_report.addCell(spec.name, Json::object(), stats,
-                     cell_timer.seconds(), instrs,
-                     "procedure_placement");
+    const SuiteTraces suite(specs, n);
+    FetchConfig config;
+    config.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    const std::vector<FetchConfig> configs = {config};
+    const SweepResult result = runSweep(suite, configs);
+    g_report.addSweep("procedure_placement", suite, configs, result);
+    std::vector<double> mpi;
+    for (size_t w = 0; w < suite.count(); ++w)
+        mpi.push_back(result.cell(0, w).mpi100());
     return mpi;
 }
 
@@ -81,18 +78,26 @@ main()
     using namespace ibs;
 
     const uint64_t n = benchInstructions();
+
+    const std::vector<WorkloadSpec> natural = ibsSuite(OsType::Mach);
+    std::vector<WorkloadSpec> placed_specs;
+    for (const WorkloadSpec &spec : natural)
+        placed_specs.push_back(profilePlaced(spec));
+    const std::vector<double> nat_mpi = mpiOf(natural, n);
+    const std::vector<double> placed_mpi = mpiOf(placed_specs, n);
+
     TextTable table("Ablation: profile-guided procedure placement "
                     "(8KB DM, 32B lines)");
     table.setHeader({"workload", "natural MPI", "profile-placed MPI",
                      "recovered"});
     double nat_sum = 0, placed_sum = 0;
-    for (IbsBenchmark b : allIbsBenchmarks()) {
-        const WorkloadSpec spec = makeIbs(b, OsType::Mach);
-        const double nat = mpiOf(spec, n);
-        const double placed = mpiOf(profilePlaced(spec), n);
+    for (size_t i = 0; i < natural.size(); ++i) {
+        const double nat = nat_mpi[i];
+        const double placed = placed_mpi[i];
         nat_sum += nat;
         placed_sum += placed;
-        table.addRow({benchmarkName(b), TextTable::num(nat, 2),
+        table.addRow({benchmarkName(allIbsBenchmarks()[i]),
+                      TextTable::num(nat, 2),
                       TextTable::num(placed, 2),
                       TextTable::num(100.0 * (nat - placed) / nat,
                                      0) + "%"});

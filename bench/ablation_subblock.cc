@@ -12,6 +12,10 @@
  * Also exercises the §5.2 pollution-control variant
  * (cachePrefetchOnlyIfUsed), which the paper reports *hurts* for
  * small prefetch counts and small/medium lines.
+ *
+ * The plain and prefetch designs are sweep cells; the sub-block
+ * cache replays the 64-B run trace the sweep built, one reference
+ * per instruction.
  */
 
 #include <iostream>
@@ -31,21 +35,24 @@ using namespace ibs;
 
 /** CPIinstr of the sub-block design over one trace. */
 double
-subBlockCpi(const std::vector<uint64_t> &addrs)
+subBlockCpi(const RunTrace &trace)
 {
     SubBlockCache cache(CacheConfig{8 * 1024, 1, 64,
                                     Replacement::LRU}, 16);
     const MemoryTiming fill{6, 16};
     uint64_t stall = 0;
-    for (uint64_t addr : addrs) {
-        const SubBlockResult r = cache.access(addr);
-        if (!r.hit)
-            stall += fill.fillCycles(uint64_t{r.filled} * 16);
+    for (const FetchRun &run : trace.runs) {
+        uint64_t vaddr = run.startVaddr;
+        for (uint32_t k = 0; k < run.count; ++k, vaddr += kInstrBytes) {
+            const SubBlockResult r = cache.access(vaddr);
+            if (!r.hit)
+                stall += fill.fillCycles(uint64_t{r.filled} * 16);
+        }
     }
     if (obs::Registry::global().enabled())
         cache.publishCounters(obs::Registry::global(), "l1");
     return static_cast<double>(stall) /
-        static_cast<double>(addrs.size());
+        static_cast<double>(trace.instructions);
 }
 
 } // namespace
@@ -88,8 +95,9 @@ main()
     double sub = 0;
     for (size_t i = 0; i < suite.count(); ++i) {
         WallTimer cell_timer;
-        const double cpi = subBlockCpi(suite.addresses(i));
-        const uint64_t instrs = suite.addresses(i).size();
+        const RunTrace &trace = suite.runTrace(i, plain64.l1.lineBytes);
+        const double cpi = subBlockCpi(trace);
+        const uint64_t instrs = trace.instructions;
         const Json config = Json::object()
             .set("l1", toJson(CacheConfig{8 * 1024, 1, 64,
                                           Replacement::LRU}))

@@ -535,9 +535,9 @@ BM_TraceMaterializeCold(benchmark::State &state)
     const uint64_t n = materializeLength();
     for (auto _ : state) {
         SuiteTraces traces(suite, n);
-        // Construction generates nothing; the flat-trace request is
+        // Construction generates nothing; the run-trace request is
         // what forces the cold walk this cell measures.
-        benchmark::DoNotOptimize(traces.addresses(0).size());
+        benchmark::DoNotOptimize(traces.runTrace(0, 32).runs.size());
     }
     state.SetItemsProcessed(state.iterations() * n);
 }

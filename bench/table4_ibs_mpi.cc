@@ -5,6 +5,12 @@
  * execution-time breakdown across workload components, plus the
  * suite averages under Mach, Ultrix and for SPEC92.
  *
+ * Each suite is one sweep of one L2-less blocking config: with no
+ * L2, prefetch, bypass or stream buffer, the engine misses exactly
+ * where a bare cache does, so each cell's l1Misses is the table's
+ * miss count. The component shares are per-ASID instruction counts
+ * of the run trace that cell replayed.
+ *
  * Paper values (MPI per 100 instructions): mpeg_play 4.28,
  * jpeg_play 2.39, gs 5.15, verilog 5.28, gcc 4.69, sdet 6.05,
  * nroff 3.99, groff 6.51; averages 4.79 (Mach), 3.52 (Ultrix),
@@ -13,61 +19,17 @@
 
 #include <iostream>
 #include <map>
+#include <vector>
 
-#include "cache/cache.h"
 #include "sim/bench_report.h"
 #include "sim/runner.h"
+#include "sim/sweep.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
-#include "workload/model.h"
 
 namespace {
 
 using namespace ibs;
-
-struct Row
-{
-    uint64_t instructions = 0;
-    uint64_t misses = 0;
-    double mpi = 0;
-    double wallSeconds = 0;
-    std::map<ComponentKind, double> share;
-};
-
-Row
-measure(const WorkloadSpec &spec, uint64_t n)
-{
-    WallTimer timer;
-    WorkloadModel model(spec);
-    Cache cache(CacheConfig{8 * 1024, 1, 32, Replacement::LRU});
-    std::map<Asid, uint64_t> per_asid;
-    std::map<Asid, ComponentKind> kind_of;
-    for (const auto &cp : spec.components)
-        kind_of[cp.asid] = cp.kind;
-
-    TraceRecord rec;
-    uint64_t instrs = 0, misses = 0;
-    while (instrs < n && model.next(rec)) {
-        if (!rec.isInstr())
-            continue;
-        ++instrs;
-        ++per_asid[rec.asid];
-        if (!cache.access(rec.vaddr))
-            ++misses;
-    }
-
-    Row row;
-    row.instructions = instrs;
-    row.misses = misses;
-    row.mpi = 100.0 * static_cast<double>(misses) /
-        static_cast<double>(instrs);
-    for (const auto &[asid, count] : per_asid)
-        row.share[kind_of[asid]] =
-            100.0 * static_cast<double>(count) /
-            static_cast<double>(instrs);
-    row.wallSeconds = timer.seconds();
-    return row;
-}
 
 const char *
 kindName(ComponentKind k)
@@ -81,18 +43,61 @@ kindName(ComponentKind k)
     return "other_pct";
 }
 
-void
-addRowCell(BenchReport &report, const std::string &workload,
-           const Row &row, const std::string &grid)
+struct Row
 {
-    Json stats = Json::object()
-        .set("instructions", Json::number(row.instructions))
-        .set("l1_misses", Json::number(row.misses))
-        .set("mpi100", Json::number(row.mpi));
-    for (const auto &[kind, pct] : row.share)
-        stats.set(kindName(kind), Json::number(pct));
-    report.addCell(workload, Json::object(), std::move(stats),
-                   row.wallSeconds, row.instructions, grid);
+    double mpi = 0;
+    std::map<ComponentKind, double> share; ///< Percent of instructions.
+};
+
+/** Percent of `trace`'s instructions issued by each component kind
+ *  of `spec`, from the runs' ASIDs. */
+std::map<ComponentKind, double>
+componentShares(const WorkloadSpec &spec, const RunTrace &trace)
+{
+    std::map<Asid, ComponentKind> kind_of;
+    for (const auto &cp : spec.components)
+        kind_of[cp.asid] = cp.kind;
+    std::map<Asid, uint64_t> per_asid;
+    for (const FetchRun &run : trace.runs)
+        per_asid[run.asid] += run.count;
+
+    std::map<ComponentKind, double> share;
+    for (const auto &[asid, count] : per_asid)
+        share[kind_of[asid]] = 100.0 * static_cast<double>(count) /
+            static_cast<double>(trace.instructions);
+    return share;
+}
+
+/** One row per workload of `specs`, all from one sweep; each cell
+ *  also goes into the report under `grid`. */
+std::vector<Row>
+measure(BenchReport &report, const std::vector<WorkloadSpec> &specs,
+        uint64_t n, const std::string &grid)
+{
+    const SuiteTraces suite(specs, n);
+    FetchConfig config;
+    config.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    const SweepResult result = runSweep(suite, {config});
+
+    std::vector<Row> rows;
+    for (size_t w = 0; w < suite.count(); ++w) {
+        const FetchStats &s = result.cell(0, w);
+        Row row;
+        row.mpi = s.mpi100();
+        row.share = componentShares(
+            specs[w], suite.runTrace(w, config.l1.lineBytes));
+        Json stats = Json::object()
+            .set("instructions", Json::number(s.instructions))
+            .set("l1_misses", Json::number(s.l1Misses))
+            .set("mpi100", Json::number(row.mpi));
+        for (const auto &[kind, pct] : row.share)
+            stats.set(kindName(kind), Json::number(pct));
+        report.addCell(suite.name(w), toJson(config), std::move(stats),
+                       result.timing(0, w).wallSeconds, s.instructions,
+                       grid);
+        rows.push_back(std::move(row));
+    }
+    return rows;
 }
 
 } // namespace
@@ -104,15 +109,17 @@ main()
 
     BenchReport report("table4_ibs_mpi");
     const uint64_t n = benchInstructions();
+
     TextTable table("Table 4: Detailed I-cache Performance of the "
                     "IBS Workloads (8KB DM, 32B lines)");
     table.setHeader({"OS", "Application", "MPI", "User%", "Kernel%",
                      "BSD%", "X%"});
 
+    const std::vector<Row> mach =
+        measure(report, ibsSuite(OsType::Mach), n, "ibs_mach");
     double mach_sum = 0;
-    for (IbsBenchmark b : allIbsBenchmarks()) {
-        const Row row = measure(makeIbs(b, OsType::Mach), n);
-        addRowCell(report, benchmarkName(b), row, "ibs_mach");
+    for (size_t i = 0; i < mach.size(); ++i) {
+        const Row &row = mach[i];
         mach_sum += row.mpi;
         auto pct = [&](ComponentKind k) {
             auto it = row.share.find(k);
@@ -120,7 +127,7 @@ main()
                 ? std::string("0")
                 : TextTable::num(it->second, 0);
         };
-        table.addRow({"Mach 3.0", benchmarkName(b),
+        table.addRow({"Mach 3.0", benchmarkName(allIbsBenchmarks()[i]),
                       TextTable::num(row.mpi, 2),
                       pct(ComponentKind::User),
                       pct(ComponentKind::Kernel),
@@ -128,25 +135,19 @@ main()
                       pct(ComponentKind::XServer)});
     }
     table.addRule();
-
     const double mach_avg =
         mach_sum / static_cast<double>(allIbsBenchmarks().size());
 
     double ultrix_sum = 0;
-    for (IbsBenchmark b : allIbsBenchmarks()) {
-        const Row row = measure(makeIbs(b, OsType::Ultrix), n);
-        addRowCell(report, benchmarkName(b), row, "ibs_ultrix");
+    for (const Row &row :
+         measure(report, ibsSuite(OsType::Ultrix), n, "ibs_ultrix"))
         ultrix_sum += row.mpi;
-    }
     const double ultrix_avg =
         ultrix_sum / static_cast<double>(allIbsBenchmarks().size());
 
     double spec_sum = 0;
-    for (SpecBenchmark b : allSpecBenchmarks()) {
-        const Row row = measure(makeSpec(b), n);
-        addRowCell(report, benchmarkName(b), row, "spec92");
+    for (const Row &row : measure(report, specSuite(), n, "spec92"))
         spec_sum += row.mpi;
-    }
     const double spec_avg =
         spec_sum / static_cast<double>(allSpecBenchmarks().size());
 

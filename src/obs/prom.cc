@@ -191,20 +191,13 @@ promMetricName(const std::string &name)
 std::string
 renderPrometheus(const Registry &registry)
 {
-    std::map<std::string, uint64_t> counters;
-    std::map<std::string, uint64_t> gauges;
-    registry.snapshotParts(counters, gauges);
+    const auto counters = registry.snapshot();
     const auto histograms = registry.snapshotHistograms();
 
     std::ostringstream out;
     for (const auto &[name, value] : counters) {
         const std::string metric = promMetricName(name);
         out << "# TYPE " << metric << " counter\n";
-        out << metric << ' ' << formatValue(value) << '\n';
-    }
-    for (const auto &[name, value] : gauges) {
-        const std::string metric = promMetricName(name);
-        out << "# TYPE " << metric << " gauge\n";
         out << metric << ' ' << formatValue(value) << '\n';
     }
     for (const auto &[name, hist] : histograms) {

@@ -6,13 +6,11 @@
  * (src/serve/server.cc) so any scrape-shaped consumer — the
  * tools/ibs_stat live view, the loadgen cross-check, an actual
  * Prometheus with a tiny exporter shim — reads one canonical
- * surface. The renderer maps the obs::Registry's three metric
- * classes onto the three exposition families:
+ * surface. The renderer maps the obs::Registry's two metric classes
+ * onto exposition families:
  *
  *   counter   ->  # TYPE ibs_cache_l1_misses counter
  *                 ibs_cache_l1_misses 5521
- *   gauge     ->  # TYPE ibs_sweep_depth gauge
- *                 ibs_sweep_depth 4
  *   histogram ->  # TYPE ibs_serve_request_latency_us histogram
  *                 ibs_serve_request_latency_us_bucket{le="127"} 3
  *                 ibs_serve_request_latency_us_bucket{le="255"} 9
@@ -55,12 +53,11 @@ class Registry;
 std::string promMetricName(const std::string &name);
 
 /**
- * Render the registry's merged snapshot (counters, gauges,
- * histograms) as Prometheus text exposition format, families in
- * lexicographic registry-name order. The gauge set is rendered from
- * the names the counter-wins collision rule would drop nothing from
- * (counters and gauges are disjoint by contract). Ends with a
- * trailing newline.
+ * Render the registry's merged snapshot (counters, histograms) as
+ * Prometheus text exposition format, families in lexicographic
+ * registry-name order. The registry has no gauges; a caller with
+ * one (the sweep server's inflight count) appends its own `# TYPE
+ * ... gauge` family. Ends with a trailing newline.
  */
 std::string renderPrometheus(const Registry &registry);
 

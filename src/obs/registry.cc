@@ -109,16 +109,6 @@ Registry::add(const std::string &name, uint64_t delta)
 }
 
 void
-Registry::gaugeMax(const std::string &name, uint64_t value)
-{
-    Shard &shard = localShard();
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    uint64_t &slot = shard.gauges[name];
-    if (value > slot)
-        slot = value;
-}
-
-void
 Registry::observe(const std::string &name, uint64_t value)
 {
     Shard &shard = localShard();
@@ -133,35 +123,16 @@ Registry::observe(const std::string &name, uint64_t value)
     ++hist.count;
 }
 
-void
-Registry::snapshotParts(std::map<std::string, uint64_t> &counters,
-                        std::map<std::string, uint64_t> &gauges) const
+std::map<std::string, uint64_t>
+Registry::snapshot() const
 {
-    counters.clear();
-    gauges.clear();
+    std::map<std::string, uint64_t> counters;
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto &shard : shards_) {
         std::lock_guard<std::mutex> shard_lock(shard->mutex);
         for (const auto &[name, value] : shard->counters)
             counters[name] += value;
-        for (const auto &[name, value] : shard->gauges) {
-            uint64_t &slot = gauges[name];
-            if (value > slot)
-                slot = value;
-        }
     }
-}
-
-std::map<std::string, uint64_t>
-Registry::snapshot() const
-{
-    std::map<std::string, uint64_t> counters;
-    std::map<std::string, uint64_t> gauges;
-    snapshotParts(counters, gauges);
-    // Fold gauges in; a counter under the same name wins (documented
-    // collision rule).
-    for (const auto &[name, value] : gauges)
-        counters.emplace(name, value);
     return counters;
 }
 
@@ -188,8 +159,8 @@ Json
 Registry::snapshotJson() const
 {
     // Build into a map first so histogram-derived keys land in
-    // lexicographic order next to the counters, with the same
-    // counter-wins emplace rule as snapshot().
+    // lexicographic order next to the counters; emplace keeps a
+    // colliding counter (documented collision rule).
     std::map<std::string, uint64_t> flat = snapshot();
     for (const auto &[name, hist] : snapshotHistograms()) {
         flat.emplace(name + ".count", hist.count);
@@ -234,7 +205,6 @@ Registry::reset()
     for (const auto &shard : shards_) {
         std::lock_guard<std::mutex> shard_lock(shard->mutex);
         shard->counters.clear();
-        shard->gauges.clear();
         shard->histograms.clear();
     }
 }

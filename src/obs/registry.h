@@ -1,6 +1,6 @@
 /**
  * @file
- * Hierarchical counter/gauge/histogram registry.
+ * Hierarchical counter/histogram registry.
  *
  * Simulation components (Cache, VictimCache, SubBlockCache,
  * StreamBuffer, FetchEngine, Tlb) publish their event counts here so
@@ -10,17 +10,16 @@
  * `component.instance.event` (e.g. "cache.l1.misses",
  * "serve.request.latency_us").
  *
- * Three metric classes:
+ * Two metric classes:
  *
  *  - counters: add(name, delta); shards merge by addition;
- *  - gauges: gaugeMax(name, value); shards merge by maximum;
  *  - histograms: observe(name, value); fixed power-of-two buckets
  *    (bucket k = bit_width(v) - 1 holds [2^k, 2^(k+1)), and values
  *    0 and 1 share bucket 0), values past kHistogramBuckets land in
  *    a dedicated overflow bin; shards merge by per-bucket addition.
  *
  * Concurrency model: each thread writes to its own shard; snapshots
- * merge every shard under the registry lock. All three merges are
+ * merge every shard under the registry lock. Both merges are
  * commutative and associative, so for a fixed set of observations
  * the merged snapshot is bit-identical regardless of how many worker
  * threads ran it or how the scheduler assigned the work (the same
@@ -33,10 +32,10 @@
  * contract (the merge is still deterministic given the same
  * observations — the observations themselves are wall-clock).
  *
- * Name collisions across classes: the three metric classes keep
+ * Name collisions across classes: counters and histograms keep
  * separate per-shard maps, so one name can in principle exist as
- * all three. Flattened views resolve collisions deterministically —
- * see snapshot() and snapshotJson().
+ * both. The flattened JSON view resolves collisions
+ * deterministically — see snapshotJson().
  *
  * The registry is off by default. It turns on when IBS_OBS=1 or
  * IBS_OBS_TRACE is set (see obs/trace_sink.h), or programmatically
@@ -128,32 +127,16 @@ class Registry
     /** Add `delta` to counter `name` in this thread's shard. */
     void add(const std::string &name, uint64_t delta);
 
-    /** Raise gauge `name` to at least `value` (merged by max). */
-    void gaugeMax(const std::string &name, uint64_t value);
-
     /** Record one observation into histogram `name` in this
      *  thread's shard (log2 bucket; see kHistogramBuckets). */
     void observe(const std::string &name, uint64_t value);
 
     /**
-     * Deterministic merged view of counters and gauges: counters
-     * summed and gauges maxed across all shards, keys in
-     * lexicographic order. Collision rule: the counter and gauge
-     * namespaces must not overlap — a name used as both keeps the
-     * counter sum and the gauge value is dropped (tested by
-     * obs_test.cc:CounterWinsNameCollisions). Histograms never
-     * appear here; see snapshotHistograms().
+     * Deterministic merged view of the counters, summed across all
+     * shards, keys in lexicographic order. Histograms never appear
+     * here; see snapshotHistograms().
      */
     std::map<std::string, uint64_t> snapshot() const;
-
-    /**
-     * The same merged view with the two classes kept apart (the
-     * Prometheus renderer needs the class to emit # TYPE lines).
-     * Unlike snapshot(), no collision folding happens: a name used
-     * as both classes appears in both maps.
-     */
-    void snapshotParts(std::map<std::string, uint64_t> &counters,
-                       std::map<std::string, uint64_t> &gauges) const;
 
     /** Deterministic merged histograms (per-bucket sums), keys in
      *  lexicographic order. */
@@ -163,10 +146,11 @@ class Registry
     /**
      * snapshot() as a flat all-numeric JSON object (keys already
      * sorted), plus two derived keys per histogram: `<name>.count`
-     * and `<name>.sum`. The counter-wins collision rule extends
-     * here: a counter or gauge already holding one of those derived
-     * names keeps its value and the histogram's summary key is
-     * dropped. Bucket detail is available via histogramsJson().
+     * and `<name>.sum`. Collision rule: a counter already holding
+     * one of those derived names keeps its value and the histogram's
+     * summary key is dropped (tested by
+     * obs_test.cc:CounterWinsNameCollisions). Bucket detail is
+     * available via histogramsJson().
      */
     Json snapshotJson() const;
 
@@ -176,7 +160,7 @@ class Registry
      *  {"<upper edge>": count} object. */
     Json histogramsJson() const;
 
-    /** Zero every shard — counters, gauges and histograms (tests,
+    /** Zero every shard — counters and histograms (tests,
      *  microbench repetitions). Thread shards stay registered, so
      *  concurrent publishers are safe. */
     void reset();
@@ -200,7 +184,6 @@ class Registry
     {
         std::mutex mutex;
         std::map<std::string, uint64_t> counters;
-        std::map<std::string, uint64_t> gauges;
         std::map<std::string, HistShard> histograms;
     };
 

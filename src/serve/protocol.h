@@ -41,8 +41,8 @@
  *
  * The "metrics" response's "text" member is the server's telemetry
  * in Prometheus text exposition format (src/obs/prom.h): registry
- * counters and gauges, request/phase latency histograms with
- * _bucket/_sum/_count series, and the server lifetime counters as
+ * counters, request/phase latency histograms with _bucket/_sum/_count
+ * series, and the server's lifetime counters and gauges as
  * ibs_serve_* families. "content_type" carries the conventional
  * exposition MIME string for any HTTP gateway that fronts this.
  */

@@ -73,31 +73,7 @@ benchInstructions(uint64_t fallback)
 SuiteTraces::SuiteTraces(const std::vector<WorkloadSpec> &suite,
                          uint64_t instructions_per_workload)
     : requested_(instructions_per_workload), specs_(suite)
-{
-    flat_.reserve(suite.size());
-    for (size_t i = 0; i < suite.size(); ++i)
-        flat_.push_back(std::make_unique<Slot<std::vector<uint64_t>>>());
-}
-
-const std::vector<uint64_t> &
-SuiteTraces::addresses(size_t i) const
-{
-    Slot<std::vector<uint64_t>> &slot = *flat_[i];
-    std::call_once(slot.once, [&] {
-        obs::ScopedTimer timer("materialize " + name(i), "workload");
-        WorkloadModel model(specs_[i]);
-        std::vector<uint64_t> &addrs = slot.value;
-        addrs.reserve(requested_);
-        TraceRecord rec;
-        while (addrs.size() < requested_ && model.next(rec)) {
-            if (rec.isInstr())
-                addrs.push_back(rec.vaddr);
-        }
-        warnShortTrace(name(i), addrs.size(), requested_);
-        slot.built.store(true, std::memory_order_release);
-    });
-    return slot.value;
-}
+{}
 
 const RunTrace &
 SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
@@ -114,8 +90,8 @@ SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
     // Generation runs outside the map lock; concurrent callers for
     // the same key rendezvous on the entry's once_flag, callers for
     // other keys proceed independently. Runs stream straight from
-    // the workload model — the flat vector is never built here — and
-    // cut exactly where compressRuns would (run_stream.h).
+    // the workload model and cut exactly where compressRuns would
+    // (run_stream.h).
     std::call_once(entry->once, [&] {
         obs::ScopedTimer timer("stream " + name(i) + " line" +
                                    std::to_string(line_bytes),
@@ -132,10 +108,6 @@ uint64_t
 SuiteTraces::retainedTraceBytes() const
 {
     uint64_t bytes = 0;
-    for (const auto &slot : flat_) {
-        if (slot->built.load(std::memory_order_acquire))
-            bytes += slot->value.size() * sizeof(uint64_t);
-    }
     {
         std::lock_guard<std::mutex> lock(runTraceMutex_);
         for (const auto &kv : runTraces_) {

@@ -80,16 +80,15 @@ uint64_t benchInstructions(uint64_t fallback = 1'500'000);
  * size, so every sweep cell with that line size shares it
  * read-only. runOne and the collapse capture (missStream) drive
  * FetchEngine::fetchRun over that trace; it is the only replay path
- * sweeps and the server use. The flat 8-bytes-per-instruction
- * address vector is built only for the benches that read flat
- * traces (addresses), lazily, once.
+ * sweeps and the server use. Run traces are the only trace form: a
+ * driver that needs one reference per instruction walks a run's
+ * `count` addresses itself.
  *
- * Thread-safety: flat traces, run traces and miss streams are each
- * built exactly once behind a std::once_flag and are immutable
- * afterwards, so any number of threads may call the const members
- * (runOne, runSuite, addresses, runTrace, ...) concurrently on one
- * shared instance. sim/sweep.h relies on this to fan a config grid
- * out across workers.
+ * Thread-safety: run traces and miss streams are each built exactly
+ * once behind a std::once_flag and are immutable afterwards, so any
+ * number of threads may call the const members (runOne, runSuite,
+ * runTrace, ...) concurrently on one shared instance. sim/sweep.h
+ * relies on this to fan a config grid out across workers.
  */
 class SuiteTraces
 {
@@ -105,31 +104,10 @@ class SuiteTraces
     const std::string &name(size_t i) const { return specs_[i].name; }
 
     /**
-     * Instruction addresses of workload `i`, generated on the first
-     * call (callers that only replay through runOne/runTrace never
-     * pay for it). The returned reference stays valid for the
-     * lifetime of this SuiteTraces.
-     */
-    const std::vector<uint64_t> &addresses(size_t i) const;
-
-    /**
-     * Trace length of workload `i`: the requested length, or the
-     * flat trace's actual length once addresses(i) has built it
-     * (shorter only when the workload model drained early, which is
-     * warned once on stderr; the models never do in practice).
-     */
-    uint64_t length(size_t i) const
-    {
-        return flat_[i]->built.load(std::memory_order_acquire)
-            ? flat_[i]->value.size()
-            : requested_;
-    }
-
-    /**
-     * Bytes of trace data currently retained: flat address vectors
-     * actually built plus finished run-trace memo entries plus
-     * captured miss streams (missStream). This is what a
-     * byte-budgeted store (serve/memo.h) charges for the suite.
+     * Bytes of trace data currently retained: finished run-trace
+     * memo entries plus captured miss streams (missStream). This is
+     * what a byte-budgeted store (serve/memo.h) charges for the
+     * suite.
      */
     uint64_t retainedTraceBytes() const;
 
@@ -184,13 +162,11 @@ class SuiteTraces
 
     uint64_t requested_ = 0;
     std::vector<WorkloadSpec> specs_;
-    // One lazily built flat trace per workload; unique_ptr because
-    // once_flag and atomic are immovable.
-    std::vector<std::unique_ptr<Slot<std::vector<uint64_t>>>> flat_;
 
     // (workload, lineBytes) -> lazily built run trace. unique_ptr
-    // keeps entry addresses stable across map rebalancing, so the
-    // mutex only guards the map itself, never a build in progress.
+    // keeps entry addresses stable across map rebalancing (once_flag
+    // and atomic are immovable), so the mutex only guards the map
+    // itself, never a build in progress.
     mutable std::mutex runTraceMutex_;
     mutable std::map<std::pair<size_t, uint32_t>,
                      std::unique_ptr<Slot<RunTrace>>>

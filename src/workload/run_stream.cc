@@ -60,7 +60,6 @@ RunStream::next(FetchRun &run)
             run = FetchRun{pendStart_, pendCount_, pendAsid_};
             pendCount_ = 0;
             emitted_ += run.count;
-            ++runs_;
             return true;
         }
         if (pendCount_ != 0) {
@@ -86,7 +85,6 @@ RunStream::next(FetchRun &run)
             run = FetchRun{pendStart_, pendCount_, pendAsid_};
             pendCount_ = 0;
             emitted_ += run.count;
-            ++runs_;
             return true;
         }
         // Start a new run at the block head, bounded by its line.

@@ -71,12 +71,6 @@ class RunStream
     /** Instructions emitted in runs so far. */
     uint64_t instructions() const { return emitted_; }
 
-    /** Runs emitted so far (the obs counter
-     *  workload.model.runs_emitted). */
-    uint64_t runsEmitted() const { return runs_; }
-
-    uint32_t lineBytes() const { return lineBytes_; }
-
   private:
     /** Pull the next contiguous block from the model; false at
      *  end-of-budget. */
@@ -90,7 +84,6 @@ class RunStream
 
     uint64_t pulled_ = 0;  ///< Instructions drawn from the model.
     uint64_t emitted_ = 0; ///< Instructions handed out in runs.
-    uint64_t runs_ = 0;
 
     // Contiguous block not yet sliced into runs.
     uint64_t blockStart_ = 0;

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "core/fetch_engine.h"
+#include "flat_trace.h"
 #include "workload/ibs.h"
-#include "workload/model.h"
 
 namespace ibs {
 namespace {
@@ -22,16 +22,8 @@ namespace {
 const std::vector<uint64_t> &
 sharedTrace()
 {
-    static const std::vector<uint64_t> trace = [] {
-        std::vector<uint64_t> t;
-        WorkloadModel model(makeIbs(IbsBenchmark::Gs, OsType::Mach));
-        TraceRecord rec;
-        while (t.size() < 150000 && model.next(rec)) {
-            if (rec.isInstr())
-                t.push_back(rec.vaddr);
-        }
-        return t;
-    }();
+    static const std::vector<uint64_t> trace =
+        flatTrace(makeIbs(IbsBenchmark::Gs, OsType::Mach), 150000);
     return trace;
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "core/fetch_engine.h"
+#include "flat_trace.h"
 #include "sim/runner.h"
 #include "stats/rng.h"
 #include "trace/run_trace.h"
@@ -119,21 +120,6 @@ randomTrace(uint64_t seed, size_t n)
     return addrs;
 }
 
-/** Instruction-only materialization of a workload model. */
-std::vector<uint64_t>
-workloadTrace(size_t n)
-{
-    WorkloadModel model(makeIbs(IbsBenchmark::Gs, OsType::Mach));
-    std::vector<uint64_t> addrs;
-    addrs.reserve(n);
-    TraceRecord rec;
-    while (addrs.size() < n && model.next(rec)) {
-        if (rec.isInstr())
-            addrs.push_back(rec.vaddr);
-    }
-    return addrs;
-}
-
 /** Replay `addrs` batched (fetchRun over compressed runs) and
  *  scalar (per-instruction fetch) and compare FetchStats. */
 void
@@ -166,7 +152,8 @@ TEST(FetchBatchDiff, RandomizedTracesAllConfigClasses)
 
 TEST(FetchBatchDiff, WorkloadModelTraceAllConfigClasses)
 {
-    diffTrace(workloadTrace(60000), "workload_gs");
+    diffTrace(flatTrace(makeIbs(IbsBenchmark::Gs, OsType::Mach), 60000),
+              "workload_gs");
 }
 
 /**
@@ -274,14 +261,15 @@ TEST(FetchBatchDiff, StampClockAdvancement)
  */
 TEST(FetchBatchDiff, SuiteTracesRunOneMatchesScalarOracle)
 {
-    SuiteTraces suite({makeIbs(IbsBenchmark::Gs, OsType::Mach),
-                       makeIbs(IbsBenchmark::Nroff, OsType::Mach)},
-                      30000);
+    const std::vector<WorkloadSpec> specs = {
+        makeIbs(IbsBenchmark::Gs, OsType::Mach),
+        makeIbs(IbsBenchmark::Nroff, OsType::Mach)};
+    SuiteTraces suite(specs, 30000);
 
     for (const auto &[name, config] : configClasses()) {
         for (size_t w = 0; w < suite.count(); ++w) {
             FetchEngine scalar(config);
-            for (uint64_t addr : suite.addresses(w))
+            for (uint64_t addr : flatTrace(specs[w], 30000))
                 scalar.fetch(addr);
             expectEqualStats(suite.runOne(w, config), scalar.stats(),
                              name + "/" + suite.name(w));

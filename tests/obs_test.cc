@@ -93,22 +93,6 @@ TEST(ObsRegistry, CountersSumAcrossCallsAndThreads)
     EXPECT_EQ(snap.at("t.a.y"), 400u);
 }
 
-TEST(ObsRegistry, GaugesMergeByMaximum)
-{
-    RegistryGuard guard;
-    obs::Registry &reg = obs::Registry::global();
-    std::vector<std::thread> workers;
-    for (uint64_t t = 1; t <= 4; ++t) {
-        workers.emplace_back([&reg, t] {
-            reg.gaugeMax("t.gauge.depth", 10 * t);
-            reg.gaugeMax("t.gauge.depth", t);
-        });
-    }
-    for (auto &w : workers)
-        w.join();
-    EXPECT_EQ(reg.snapshot().at("t.gauge.depth"), 40u);
-}
-
 TEST(ObsRegistry, ResetClearsButSnapshotOrdersKeys)
 {
     RegistryGuard guard;
@@ -257,16 +241,6 @@ TEST(ObsRegistry, CounterWinsNameCollisions)
     RegistryGuard guard;
     obs::Registry &reg = obs::Registry::global();
 
-    // Counter vs gauge under one name: snapshot() keeps the counter.
-    reg.add("t.col.both", 5);
-    reg.gaugeMax("t.col.both", 99);
-    EXPECT_EQ(reg.snapshot().at("t.col.both"), 5u);
-    // snapshotParts() keeps the classes apart, no folding.
-    std::map<std::string, uint64_t> counters, gauges;
-    reg.snapshotParts(counters, gauges);
-    EXPECT_EQ(counters.at("t.col.both"), 5u);
-    EXPECT_EQ(gauges.at("t.col.both"), 99u);
-
     // A counter squatting on a histogram's derived ".count" key wins
     // in snapshotJson; the non-colliding ".sum" comes through.
     reg.add("t.col.h.count", 7);
@@ -296,14 +270,16 @@ TEST(ObsProm, RenderParseValidateRoundTrip)
     RegistryGuard guard;
     obs::Registry &reg = obs::Registry::global();
     reg.add("t.prom.hits", 12);
-    reg.gaugeMax("t.prom.depth", 4);
     for (uint64_t v : {3u, 100u, 5000u})
         reg.observe("t.prom.lat_us", v);
 
     EXPECT_EQ(obs::promMetricName("serve.request.latency_us"),
               "ibs_serve_request_latency_us");
 
-    const std::string text = obs::renderPrometheus(reg);
+    // The registry has no gauges; a caller appends its own family,
+    // as Server::metricsMessage does for ibs_serve_inflight.
+    const std::string text = obs::renderPrometheus(reg) +
+        "# TYPE ibs_t_prom_depth gauge\nibs_t_prom_depth 4\n";
     std::string error;
     EXPECT_TRUE(obs::validatePromText(text, error)) << error;
 

@@ -73,7 +73,7 @@ TEST(RunnerParity, RunAndRunOneAgreeOnInstructionOnlyTraces)
         << "parity premise: specs are instruction-only by default";
 
     SuiteTraces suite({spec}, kInstructions);
-    ASSERT_EQ(suite.length(0), kInstructions);
+    ASSERT_EQ(suite.runTrace(0, 32).instructions, kInstructions);
 
     for (const auto &[name, config] : parityConfigs()) {
         WorkloadModel model(spec);

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "cache/cache.h"
+#include "flat_trace.h"
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
 #include "vm/page.h"
@@ -37,7 +42,7 @@ TEST(Runner, SuiteTracesShapes)
     SuiteTraces traces(specSuite(), 10000);
     EXPECT_EQ(traces.count(), allSpecBenchmarks().size());
     for (size_t i = 0; i < traces.count(); ++i) {
-        EXPECT_EQ(traces.addresses(i).size(), 10000u);
+        EXPECT_EQ(traces.runTrace(i, 32).instructions, 10000u);
         EXPECT_FALSE(traces.name(i).empty());
     }
 }
@@ -51,16 +56,54 @@ TEST(Runner, SuiteRunMergesAllWorkloads)
 
 TEST(Runner, RunOneMatchesManualEngine)
 {
-    SuiteTraces traces({makeSpec(SpecBenchmark::Eqntott)}, 20000);
+    const WorkloadSpec spec = makeSpec(SpecBenchmark::Eqntott);
+    SuiteTraces traces({spec}, 20000);
     const FetchConfig config = highPerfBaseline();
     const FetchStats a = traces.runOne(0, config);
 
     FetchEngine engine(config);
-    for (uint64_t addr : traces.addresses(0))
+    for (uint64_t addr : flatTrace(spec, 20000))
         engine.fetch(addr);
     const FetchStats b = engine.stats();
     EXPECT_EQ(a.l1Misses, b.l1Misses);
     EXPECT_EQ(a.cycles, b.cycles);
+}
+
+/**
+ * The premise of the benches that read MPI off sweep cells (table4,
+ * ablation_bloat, ablation_placement, ablation_victim): with no L2,
+ * prefetch, bypass or stream buffer, a blocking engine misses exactly
+ * where a bare Cache::access loop over the flat trace does.
+ */
+TEST(Runner, L2LessBlockingMissesEqualBareCacheLoop)
+{
+    constexpr uint64_t kInstr = 40000;
+    const std::vector<WorkloadSpec> specs = {
+        makeIbs(IbsBenchmark::Gs, OsType::Mach),
+        makeIbs(IbsBenchmark::Sdet, OsType::Ultrix),
+        makeSpec(SpecBenchmark::Gcc)};
+    const SuiteTraces suite(specs, kInstr);
+    for (size_t w = 0; w < specs.size(); ++w) {
+        const std::vector<uint64_t> addrs = flatTrace(specs[w], kInstr);
+        for (uint32_t assoc : {1u, 2u, 8u}) {
+            FetchConfig config;
+            config.l1 = CacheConfig{8 * 1024, assoc, 32,
+                                    Replacement::LRU};
+            ASSERT_FALSE(config.hasL2 || config.prefetchLines ||
+                         config.bypass || config.pipelined);
+            Cache bare(config.l1);
+            uint64_t misses = 0;
+            for (uint64_t addr : addrs)
+                misses += !bare.access(addr);
+
+            const FetchStats s = suite.runOne(w, config);
+            const std::string label =
+                specs[w].name + "/" + std::to_string(assoc) + "way";
+            EXPECT_EQ(s.instructions, addrs.size()) << label;
+            EXPECT_EQ(s.l1Misses, misses) << label;
+            EXPECT_GT(misses, 0u) << label;
+        }
+    }
 }
 
 TEST(Runner, BenchInstructionsEnvOverride)

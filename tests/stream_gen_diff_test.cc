@@ -4,12 +4,12 @@
  * path (workload/run_stream.h, SuiteTraces) and the vectorized tag
  * probe (Cache::probeWays):
  *
- *  - RunStream must emit the *exact* run sequence that
- *    materialize-then-compressRuns produces — same cuts, same
+ *  - RunStream must emit the *exact* run sequence that compressRuns
+ *    makes of the flat trace (tests/flat_trace.h) — same cuts, same
  *    counts — for instruction-only and data-enabled workloads, at
  *    every line size, including budgets that cut a run mid-flight;
  *  - SuiteTraces::runOne must replay to FetchStats bit-identical to
- *    the oracle — compressRuns over the materialized trace, replayed
+ *    the oracle — compressRuns over the flat trace, replayed
  *    through fetchRun — across every fetch-path config class
  *    tests/fetch_batch_diff_test.cc covers;
  *  - the SIMD probe must preserve first-match semantics and the LRU
@@ -25,6 +25,7 @@
 
 #include "cache/cache.h"
 #include "core/fetch_engine.h"
+#include "flat_trace.h"
 #include "sim/runner.h"
 #include "stats/rng.h"
 #include "trace/run_trace.h"
@@ -92,29 +93,13 @@ configClasses()
     return classes;
 }
 
-/** Instruction-only materialization of `spec`, the old pipeline's
- *  first stage. */
-std::vector<uint64_t>
-materialize(const WorkloadSpec &spec, uint64_t n)
-{
-    WorkloadModel model(spec);
-    std::vector<uint64_t> addrs;
-    addrs.reserve(n);
-    TraceRecord rec;
-    while (addrs.size() < n && model.next(rec)) {
-        if (rec.isInstr())
-            addrs.push_back(rec.vaddr);
-    }
-    return addrs;
-}
-
 /** Streamed and compressed run traces of one spec must be equal
  *  run-for-run, not merely replay-equivalent. */
 void
 expectSameRuns(const WorkloadSpec &spec, uint64_t n,
                uint32_t line_bytes)
 {
-    const std::vector<uint64_t> addrs = materialize(spec, n);
+    const std::vector<uint64_t> addrs = flatTrace(spec, n);
     const RunTrace compressed = compressRuns(addrs, line_bytes);
 
     WorkloadModel model(spec);
@@ -187,9 +172,7 @@ TEST(StreamGenDiff, StreamingSuiteMatchesMaterializedAllClasses)
     const SuiteTraces suite(specs, kInstr);
 
     for (size_t w = 0; w < specs.size(); ++w) {
-        const std::vector<uint64_t> addrs = materialize(specs[w], kInstr);
-        // The lazily built flat trace is the same materialization.
-        EXPECT_EQ(suite.addresses(w), addrs) << specs[w].name;
+        const std::vector<uint64_t> addrs = flatTrace(specs[w], kInstr);
         for (const auto &[name, config] : configClasses()) {
             const RunTrace runs =
                 compressRuns(addrs, config.l1.lineBytes);
@@ -209,25 +192,19 @@ TEST(StreamGenDiff, StreamingSuiteRetainsOnlyRunTraces)
     constexpr uint64_t kInstr = 20000;
     const SuiteTraces suite(specs, kInstr);
 
-    // Nothing generated yet: nothing retained, requested length
-    // reported.
+    // Nothing generated yet: nothing retained.
     EXPECT_EQ(suite.retainedTraceBytes(), 0u);
-    EXPECT_EQ(suite.length(0), kInstr);
 
     suite.runOne(0, economyBaseline());
     const RunTrace &rt = suite.runTrace(
         0, economyBaseline().l1.lineBytes);
+    EXPECT_EQ(rt.instructions, kInstr);
     EXPECT_EQ(suite.retainedTraceBytes(), rt.bytes());
     EXPECT_GE(rt.bytes(), rt.runs.size() * sizeof(FetchRun));
-    // Run-level retention beats the flat vector by the compression
+    // Run-level retention beats a flat vector by the compression
     // ratio x 2 (16B per ~4.2-instruction run vs 8B per
     // instruction); >= 1.5x is conservative even at 16B lines.
     EXPECT_LE(rt.bytes() * 3 / 2, kInstr * sizeof(uint64_t));
-
-    // Forcing the flat trace adds its bytes on top.
-    const uint64_t flat_bytes =
-        suite.addresses(0).size() * sizeof(uint64_t);
-    EXPECT_EQ(suite.retainedTraceBytes(), rt.bytes() + flat_bytes);
 }
 
 TEST(StreamGenDiff, ObsCountersFlowFromStreamingReplay)

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "cache/three_c.h"
+#include "flat_trace.h"
 #include "sim/runner.h"
 #include "stats/rng.h"
 #include "workload/ibs.h"
@@ -105,10 +107,12 @@ TEST(ThreeC, AccessRunOverRunsEqualsPerAddressAccess)
     // fig1's replay: 32-byte runs fed whole, one piece per run,
     // against the flat per-address loop it replaced. Each run lies
     // in one line of either classifier line size.
-    const SuiteTraces traces({makeIbs(IbsBenchmark::Gs, OsType::Mach),
-                              makeSpec(SpecBenchmark::Espresso)},
-                             30000);
+    const std::vector<WorkloadSpec> specs = {
+        makeIbs(IbsBenchmark::Gs, OsType::Mach),
+        makeSpec(SpecBenchmark::Espresso)};
+    const SuiteTraces traces(specs, 30000);
     for (size_t w = 0; w < traces.count(); ++w) {
+        const std::vector<uint64_t> addrs = flatTrace(specs[w], 30000);
         for (uint32_t line : {32u, 64u}) {
             for (uint64_t kb : {1u, 8u, 64u}) {
                 const std::string label = traces.name(w) + "/" +
@@ -118,7 +122,7 @@ TEST(ThreeC, AccessRunOverRunsEqualsPerAddressAccess)
                 for (const FetchRun &run : traces.runTrace(w, 32).runs)
                     runs.accessRun(run.startVaddr, run.count);
                 ThreeCClassifier flat(kb * 1024, line, 1, 8);
-                for (uint64_t addr : traces.addresses(w))
+                for (uint64_t addr : addrs)
                     flat.access(addr);
 
                 const ThreeCBreakdown a = runs.breakdown();
