@@ -117,7 +117,7 @@ class Registry
         return enabled_.load(std::memory_order_relaxed);
     }
 
-    /** Flip the gate (environment init, microbench, tests). */
+    /** Flip the gate (environment init, tests). */
     void
     setEnabled(bool on)
     {
@@ -160,9 +160,8 @@ class Registry
      *  {"<upper edge>": count} object. */
     Json histogramsJson() const;
 
-    /** Zero every shard — counters and histograms (tests,
-     *  microbench repetitions). Thread shards stay registered, so
-     *  concurrent publishers are safe. */
+    /** Zero every shard — counters and histograms (tests). Thread
+     *  shards stay registered, so concurrent publishers are safe. */
     void reset();
 
     Registry(const Registry &) = delete;

@@ -174,8 +174,8 @@ class TraceEventSink
      */
     static TraceEventSink *global();
 
-    /** Replace the global sink (microbench, tests); returns the
-     *  previous one so callers can restore it. */
+    /** Replace the global sink (tests); returns the previous one so
+     *  callers can restore it. */
     static std::unique_ptr<TraceEventSink>
     exchangeGlobal(std::unique_ptr<TraceEventSink> sink);
 

@@ -3,14 +3,14 @@
  * Client side of the sweep-server protocol.
  *
  * A thin blocking wrapper over one loopback TCP connection speaking
- * serve/protocol.h frames. The load generator, the server benchmark
- * and the tests all drive the server through this class so there is
+ * serve/protocol.h frames. The load generator, perfbench's client and
+ * the tests all drive the server through this class so there is
  * exactly one client-side implementation of the wire format.
  *
  * Transport failures (connect refused, peer vanished mid-frame)
  * throw std::runtime_error; structured server errors (400/429/500
  * frames) are returned as data so callers can assert on them.
- * runLoad is the load loop ibs_loadgen and bench/server_bench share.
+ * runLoad is ibs_loadgen's load loop.
  */
 
 #ifndef IBS_SERVE_CLIENT_H

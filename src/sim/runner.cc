@@ -90,8 +90,7 @@ SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
     // Generation runs outside the map lock; concurrent callers for
     // the same key rendezvous on the entry's once_flag, callers for
     // other keys proceed independently. Runs stream straight from
-    // the workload model and cut exactly where compressRuns would
-    // (run_stream.h).
+    // the workload model (run_stream.h).
     std::call_once(entry->once, [&] {
         obs::ScopedTimer timer("stream " + name(i) + " line" +
                                    std::to_string(line_bytes),

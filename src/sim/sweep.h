@@ -56,15 +56,6 @@ struct CellTiming
      *  per-cell fallbacks report false. Surfaced as "collapsed" in
      *  the schema-v2 bench reports. */
     bool collapsed = false;
-
-    /** Sweep throughput (0 when the cell ran too fast to time). */
-    double
-    instructionsPerSecond() const
-    {
-        return wallSeconds > 0.0
-            ? static_cast<double>(instructions) / wallSeconds
-            : 0.0;
-    }
 };
 
 /** Per-cell results of a (config × workload) sweep. */
@@ -104,17 +95,6 @@ class SweepResult
     {
         cells_[config * workloads_ + workload] = stats;
         timings_[config * workloads_ + workload] = timing;
-    }
-
-    /** Sum of per-cell wall-clock (CPU-seconds of simulation, not
-     *  elapsed time when the sweep ran on several workers). */
-    double
-    totalCellSeconds() const
-    {
-        double total = 0.0;
-        for (const CellTiming &t : timings_)
-            total += t.wallSeconds;
-        return total;
     }
 
     /**

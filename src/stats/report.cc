@@ -365,9 +365,17 @@ class Parser
         skipSpace();
         switch (peek()) {
           case '{':
-            return parseObject();
-          case '[':
-            return parseArray();
+          case '[': {
+            // One recursion per level: bounding it turns a hostile
+            // input's stack overflow into an ordinary parse error.
+            if (depth_ == Json::kMaxParseDepth)
+                fail("nesting deeper than " +
+                     std::to_string(Json::kMaxParseDepth) + " levels");
+            ++depth_;
+            Json nested = peek() == '{' ? parseObject() : parseArray();
+            --depth_;
+            return nested;
+          }
           case '"':
             return Json::string(parseString());
           case 't':
@@ -558,6 +566,7 @@ class Parser
 
     const std::string &text_;
     size_t pos_ = 0;
+    int depth_ = 0; ///< Arrays and objects open at pos_.
 };
 
 } // namespace

@@ -17,9 +17,9 @@
  *  - strings are escaped per RFC 8259 (control characters, quote,
  *    backslash).
  *
- * A minimal parser is included so tests and the
- * scripts/check_bench_json.sh validator can check schema conformance
- * without adding a Python or library dependency.
+ * A minimal parser is included so tests, tools/validate_bench_json and
+ * the sweep server's protocol can read documents without adding a
+ * Python or library dependency.
  */
 
 #ifndef IBS_STATS_REPORT_H
@@ -97,9 +97,15 @@ class Json
      */
     std::string dump(int indent = 2) const;
 
+    /** Deepest array/object nesting parse() accepts. Real documents
+     *  nest at most 5 levels (bench reports); the cap bounds the
+     *  parser's recursion on untrusted input (server frames). */
+    static constexpr int kMaxParseDepth = 256;
+
     /**
      * Parse a JSON document. Throws std::runtime_error with a byte
-     * offset on malformed input or trailing garbage.
+     * offset on malformed input, trailing garbage or nesting deeper
+     * than kMaxParseDepth.
      */
     static Json parse(const std::string &text);
 

@@ -5,19 +5,19 @@
  * The workload model emits geometric *sequential runs* of 4-byte
  * instructions (DESIGN §2), so with 16-64B cache lines most
  * consecutive fetches land in the line the previous fetch just
- * touched. compressRuns() folds a flat instruction-address vector
- * into FetchRun records — one record per maximal stretch of
- * consecutive +4 fetches that stays inside a single cache line — so
- * replay loops can retire a whole line-resident run with one tag
- * probe (FetchEngine::fetchRun) instead of one probe per
+ * touched. A RunTrace holds FetchRun records — one record per maximal
+ * stretch of consecutive +4 fetches that stays inside a single cache
+ * line — so replay loops can retire a whole line-resident run with
+ * one tag probe (FetchEngine::fetchRun) instead of one probe per
  * instruction.
  *
  * The encoding depends only on the line size, not on any other cache
  * parameter, which is what lets SuiteTraces share one RunTrace per
  * (workload, lineBytes) across every cell of a sweep grid. SuiteTraces
- * builds those straight from the workload model (workload/run_stream.h
- * cuts runs exactly where compressRuns does); compressRuns remains the
- * reference encoder for tests and the microbench.
+ * builds those straight from the workload model
+ * (workload/run_stream.h); the tests' reference encoder over a flat
+ * address vector, compressRuns in tests/flat_trace.h, cuts the same
+ * runs.
  *
  * Cut at a 4-KB "line" (PAGE_SIZE), the same encoding is the page
  * trace: maximal sequential runs that never cross a page or an
@@ -50,8 +50,8 @@ struct FetchRun
     uint64_t startVaddr = 0;
     uint32_t count = 0;
     /** Issuing address space. The stream generator (RunStream)
-     *  never lets a run span an ASID change; compressRuns has no
-     *  ASIDs and leaves it KERNEL_ASID. */
+     *  never lets a run span an ASID change; the tests' compressRuns
+     *  has no ASIDs and leaves it KERNEL_ASID. */
     Asid asid = KERNEL_ASID;
 };
 
@@ -85,23 +85,6 @@ struct RunTrace
         return static_cast<uint64_t>(runs.size()) * sizeof(FetchRun);
     }
 };
-
-/**
- * Compress a flat instruction-address vector into line-bounded
- * sequential runs.
- *
- * A run is extended while the next address is exactly the previous
- * plus kInstrBytes *and* still in the same `line_bytes`-sized line as
- * the run's start; any taken branch, discontinuity or line-boundary
- * crossing starts a new run. Concatenating the runs therefore
- * reproduces the input exactly — the encoding is lossless.
- *
- * @param addrs instruction fetch addresses, in trace order
- * @param line_bytes cache line size; must be a power of two >= 4
- * @throws std::invalid_argument on an invalid line size
- */
-RunTrace compressRuns(const std::vector<uint64_t> &addrs,
-                      uint32_t line_bytes);
 
 } // namespace ibs
 

@@ -63,10 +63,10 @@ RunStream::next(FetchRun &run)
             return true;
         }
         if (pendCount_ != 0) {
-            // Same cut rule as compressRuns: extend only while the
-            // next address is contiguous *and* still in the line the
-            // run started in. An address-space switch also cuts, so
-            // every run has one ASID.
+            // The cut rule: extend only while the next address is
+            // contiguous *and* still in the line the run started in.
+            // An address-space switch also cuts, so every run has one
+            // ASID.
             const uint64_t pend_end =
                 pendStart_ + uint64_t{pendCount_} * kInstrBytes;
             const uint64_t run_line = pendStart_ & lineMask_;
@@ -107,8 +107,8 @@ generateRunTrace(WorkloadModel &model, uint32_t line_bytes,
     RunStream stream(model, line_bytes, max_instructions);
     RunTrace trace;
     trace.lineBytes = line_bytes;
-    // Same conservative guess as compressRuns: traces typically
-    // compress well past 4 instructions per run.
+    // A conservative guess: traces typically compress well past 4
+    // instructions per run.
     trace.runs.reserve(max_instructions / 4 + 1);
     FetchRun run;
     while (stream.next(run))

@@ -4,19 +4,16 @@
  *
  * Replaying a workload through the batched fetch path
  * (FetchEngine::fetchRun) needs FetchRun records, not individual
- * addresses — yet the materialize-then-compress pipeline first writes
- * every instruction address into a flat std::vector<uint64_t> (8
- * bytes per instruction) and then re-reads it all through
- * compressRuns(). RunStream fuses the two: it pulls whole sequential
- * blocks straight out of the WorkloadModel (which knows its next
- * `runLeft` fetches are +4-contiguous, so a block costs O(1), not
- * O(instructions)) and slices them into line-bounded runs on the
- * fly. The flat address vector is never materialized, and the run
- * sequence is bit-identical to
- * compressRuns(materialized_addresses, line_bytes) — the cut rule
- * (break on any discontinuity or line-boundary crossing) is the
- * same, applied incrementally (differential-tested run-for-run in
- * tests/stream_gen_diff_test.cc).
+ * addresses. RunStream pulls whole sequential blocks straight out of
+ * the WorkloadModel (which knows its next `runLeft` fetches are
+ * +4-contiguous, so a block costs O(1), not O(instructions)) and
+ * slices them into line-bounded runs on the fly. No flat address
+ * vector (8 bytes per instruction) is ever materialized, yet the run
+ * sequence is bit-identical to compressing one: the tests' oracle,
+ * compressRuns in tests/flat_trace.h, applies the same cut rule
+ * (break on any discontinuity or line-boundary crossing) to the flat
+ * trace, and tests/stream_gen_diff_test.cc compares the two
+ * run-for-run.
  *
  * Each run also carries the ASID of the component that issued it
  * (WorkloadModel::currentAsid, or the record's ASID in data mode),
@@ -53,7 +50,7 @@ class RunStream
      * @param model generator to drain (not owned; reads records or
      *        blocks from its current position)
      * @param line_bytes cache line size the runs are cut for; must be
-     *        a power of two >= 4 (same contract as compressRuns)
+     *        a power of two >= 4
      * @param max_instructions stop after this many instructions
      * @throws std::invalid_argument on an invalid line size
      */
@@ -97,9 +94,8 @@ class RunStream
 };
 
 /**
- * Drain a RunStream over `model` into a RunTrace — the streaming
- * replacement for materialize-then-compressRuns. Bit-identical runs,
- * but peak memory is the compressed trace alone.
+ * Drain a RunStream over `model` into a RunTrace; peak memory is the
+ * compressed trace alone.
  */
 RunTrace generateRunTrace(WorkloadModel &model, uint32_t line_bytes,
                           uint64_t max_instructions);

@@ -11,11 +11,64 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "core/fetch_config.h"
+#include "sim/bench_report.h"
+#include "sim/runner.h"
+#include "sim/sweep.h"
 #include "stats/report.h"
+#include "stats/rng.h"
+#include "workload/ibs.h"
 
 namespace ibs {
 namespace {
+
+/** `depth` nested arrays around an empty innermost one. */
+std::string
+nestedArrays(int depth)
+{
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+/** A table5-style report: both baselines over the IBS Mach suite. */
+std::string
+benchReportText()
+{
+    SuiteTraces suite(ibsSuite(OsType::Mach), 2000);
+    const std::vector<FetchConfig> grid = {economyBaseline(),
+                                           highPerfBaseline()};
+    BenchReport report("table5_baselines");
+    report.addSweep("ibs_mach", suite, grid, runSweep(suite, grid, 1),
+                    {"economy", "high_performance"});
+    return report.build().dump();
+}
+
+/** One byte flip, truncation or splice of `text`. */
+void
+mutate(std::string &text, Rng &rng)
+{
+    static const std::string kStructural = "{}[]\",:\\-0e.tn ";
+    const size_t size = text.size();
+    switch (rng.nextBounded(3)) {
+      case 0:
+        if (size == 0)
+            return;
+        text[rng.nextBounded(size)] = rng.nextBool(0.5)
+            ? kStructural[rng.nextBounded(kStructural.size())]
+            : static_cast<char>(rng.nextBounded(256));
+        return;
+      case 1:
+        text.resize(rng.nextBounded(size + 1));
+        return;
+      default: {
+        const size_t from = rng.nextBounded(size + 1);
+        const size_t len = rng.nextBounded(size - from + 1);
+        text.insert(rng.nextBounded(size + 1), text.substr(from, len));
+        return;
+      }
+    }
+}
 
 TEST(Json, KindsAndAccessors)
 {
@@ -215,6 +268,61 @@ TEST(Json, NonUtf8BytesNeverCrashTheParser)
     // A frame payload that is all NUL bytes.
     EXPECT_THROW(Json::parse(std::string(32, '\0')),
                  std::runtime_error);
+}
+
+TEST(Json, NestingAtTheCapParsesAndOneLevelDeeperThrows)
+{
+    const int cap = Json::kMaxParseDepth;
+    const Json arrays = Json::parse(nestedArrays(cap));
+    const Json *inner = &arrays;
+    for (int level = 1; level < cap; ++level)
+        inner = &inner->at(0);
+    EXPECT_TRUE(inner->isArray());
+    EXPECT_EQ(inner->size(), 0u);
+    EXPECT_THROW(Json::parse(nestedArrays(cap + 1)), std::runtime_error);
+
+    // Objects count toward the same cap.
+    std::string objects;
+    for (int level = 0; level < cap; ++level)
+        objects += "{\"k\":";
+    objects += "0" + std::string(cap, '}');
+    EXPECT_NO_THROW(Json::parse(objects));
+    EXPECT_THROW(Json::parse("[" + objects + "]"), std::runtime_error);
+
+    // 100 KB of openers: a stack overflow without the cap.
+    EXPECT_THROW(Json::parse(std::string(100000, '[')),
+                 std::runtime_error);
+}
+
+TEST(Json, MutatedDocumentsParseOrThrowRuntimeError)
+{
+    // Seeded byte flips, truncations and splices (one to four per
+    // input) of a real bench report and a sweep request. Each input
+    // must parse or throw std::runtime_error: no crash, no other
+    // exception type.
+    const std::string seeds[] = {
+        benchReportText(),
+        "{\"type\":\"sweep\",\"suite\":\"ibs_mach\",\"configs\":"
+        "[\"economy\",\"high_performance\"],\"workloads\":"
+        "[\"gs.mach\",\"nroff.mach\"],\"instructions\":20000,"
+        "\"req_id\":\"r-1\"}",
+    };
+    Rng rng(1);
+    for (const std::string &seed : seeds) {
+        ASSERT_NO_THROW(Json::parse(seed));
+        for (int i = 0; i < 2000; ++i) {
+            std::string text = seed;
+            for (uint64_t edits = 1 + rng.nextBounded(4); edits > 0;
+                 --edits)
+                mutate(text, rng);
+            try {
+                Json::parse(text);
+            } catch (const std::runtime_error &) {
+            } catch (const std::exception &e) {
+                ADD_FAILURE() << "mutation " << i << ": " << e.what();
+            }
+        }
+    }
 }
 
 TEST(WallTimer, MonotoneAndRestartable)

@@ -142,7 +142,6 @@ TEST(Sweep, RecordsPerCellTiming)
     const std::vector<FetchConfig> grid = smallGrid();
     const SweepResult result = runSweep(suite, grid, 2);
 
-    double total = 0.0;
     for (size_t c = 0; c < grid.size(); ++c) {
         for (size_t w = 0; w < suite.count(); ++w) {
             const CellTiming &t = result.timing(c, w);
@@ -152,20 +151,8 @@ TEST(Sweep, RecordsPerCellTiming)
             EXPECT_EQ(t.instructions,
                       result.cell(c, w).instructions)
                 << "cell " << c << "," << w;
-            if (t.wallSeconds > 0.0) {
-                EXPECT_DOUBLE_EQ(
-                    t.instructionsPerSecond(),
-                    static_cast<double>(t.instructions) /
-                        t.wallSeconds);
-            }
-            total += t.wallSeconds;
         }
     }
-    EXPECT_DOUBLE_EQ(result.totalCellSeconds(), total);
-
-    CellTiming untimed;
-    untimed.instructions = 1000;
-    EXPECT_EQ(untimed.instructionsPerSecond(), 0.0);
 }
 
 TEST(Sweep, EmptyGrid)

@@ -5,8 +5,7 @@
  * Opens N concurrent connections to a running server and drives each
  * with a stream of sweep requests, then prints aggregate throughput
  * and latency percentiles. This is the command-line face of
- * serve::runLoad (serve/client.h); bench/server_bench wraps the same
- * loop to produce BENCH_server.json.
+ * serve::runLoad (serve/client.h).
  *
  * Usage:
  *   ibs_loadgen --port P [--connections N] [--requests-per-conn R]

@@ -42,26 +42,9 @@
  *     line grammar, TYPE-before-samples, histogram bucket
  *     monotonicity and the mandatory le="+Inf" == _count.
  *
- *   --compare-rate <report> <prefix_a> <prefix_b> <min_ratio>
- *     Assert the rate counter of the first cell whose workload name
- *     starts with <prefix_a> is at least <min_ratio> times that of
- *     the <prefix_b> cell. The rate is stats.fetches_per_second,
- *     falling back to probes_per_second then items_per_second, so
- *     cells measuring something other than engine fetches (the SIMD
- *     tag-probe microbench) compare too. Prefix matching because
- *     google-benchmark appends "/min_time:..." to benchmark names.
- *     Used by scripts/check_bench_json.sh to bound the observability
- *     layer's disabled-mode overhead.
- *
- *   --compare-rate-warn <report> <prefix_a> <prefix_b> <min_ratio>
- *     As --compare-rate, but a ratio below the floor only prints a
- *     WARN line and exits 0; malformed reports or missing cells
- *     still exit 1. For throughput expectations that are meaningful
- *     on a quiet Release build but too noisy to gate CI on (the
- *     batched-vs-scalar fetch-path speedup).
- *
- * Used by scripts/check_bench_json.sh and scripts/check_obs_trace.sh
- * (wired in as ctests) and handy interactively:
+ * Used by scripts/check_golden.sh, scripts/check_obs_trace.sh and
+ * scripts/check_server.sh (wired in as ctests) and by perfbench, and
+ * handy interactively:
  *
  *   ./build/tools/validate_bench_json BENCH_*.json
  *   ./build/tools/validate_bench_json --trace obs_trace.json
@@ -361,83 +344,6 @@ validatePromFile(const std::string &path)
     return true;
 }
 
-/** Rate counter (fetches_per_second, else probes_per_second, else
- *  items_per_second) of the first cell whose workload starts with
- *  `prefix`; negative when absent. */
-double
-findRate(const Json &doc, const std::string &prefix,
-         const std::string &path)
-{
-    const Json *cells = doc.find("cells");
-    if (!cells || !cells->isArray()) {
-        fail(path, "missing array \"cells\"");
-        return -1.0;
-    }
-    for (size_t i = 0; i < cells->size(); ++i) {
-        const Json &cell = cells->at(i);
-        const Json *workload = cell.find("workload");
-        if (!workload || !workload->isString() ||
-            workload->asString().rfind(prefix, 0) != 0)
-            continue;
-        const Json *stats = cell.find("stats");
-        const Json *rate = nullptr;
-        if (stats && stats->isObject()) {
-            for (const char *name :
-                 {"fetches_per_second", "probes_per_second",
-                  "items_per_second"}) {
-                rate = stats->find(name);
-                if (rate && rate->isNumber())
-                    break;
-            }
-        }
-        if (!rate || !rate->isNumber()) {
-            fail(path, "cell \"" + workload->asString() +
-                           "\" has no numeric rate counter "
-                           "(fetches/probes/items_per_second)");
-            return -1.0;
-        }
-        return rate->asNumber();
-    }
-    fail(path, "no cell with workload prefix \"" + prefix + "\"");
-    return -1.0;
-}
-
-int
-compareRate(const std::string &path, const std::string &prefix_a,
-            const std::string &prefix_b, double min_ratio,
-            bool warn_only)
-{
-    Json doc;
-    if (!loadJson(path, doc) || !doc.isObject())
-        return 1;
-    const double rate_a = findRate(doc, prefix_a, path);
-    const double rate_b = findRate(doc, prefix_b, path);
-    if (rate_a < 0.0 || rate_b < 0.0)
-        return 1;
-    if (rate_b <= 0.0) {
-        fail(path, "\"" + prefix_b + "\" rate is zero");
-        return 1;
-    }
-    const double ratio = rate_a / rate_b;
-    std::printf("%s: %s = %.3g/s, %s = %.3g/s, ratio %.3f "
-                "(floor %.3f)\n",
-                path.c_str(), prefix_a.c_str(), rate_a,
-                prefix_b.c_str(), rate_b, ratio, min_ratio);
-    if (ratio < min_ratio) {
-        if (warn_only) {
-            std::fprintf(stderr,
-                         "%s: WARN: rate ratio %.3f below floor %.3f "
-                         "(not failing: --compare-rate-warn)\n",
-                         path.c_str(), ratio, min_ratio);
-            return 0;
-        }
-        fail(path, "rate ratio " + std::to_string(ratio) +
-                       " below floor " + std::to_string(min_ratio));
-        return 1;
-    }
-    return 0;
-}
-
 int
 usage(const char *argv0)
 {
@@ -447,12 +353,8 @@ usage(const char *argv0)
                  "       %s --trace <trace.json> [more.json...]\n"
                  "       %s --trace-flow <min_tids> <trace.json> "
                  "[more.json...]\n"
-                 "       %s --prom <metrics.txt> [more.txt...]\n"
-                 "       %s --compare-rate <report.json> <prefix_a> "
-                 "<prefix_b> <min_ratio>\n"
-                 "       %s --compare-rate-warn <report.json> "
-                 "<prefix_a> <prefix_b> <min_ratio>\n",
-                 argv0, argv0, argv0, argv0, argv0, argv0);
+                 "       %s --prom <metrics.txt> [more.txt...]\n",
+                 argv0, argv0, argv0, argv0);
     return 2;
 }
 
@@ -493,19 +395,6 @@ main(int argc, char **argv)
         for (int i = 2; i < argc; ++i)
             ok = validatePromFile(argv[i]) && ok;
         return ok ? 0 : 1;
-    }
-
-    const bool warn_only =
-        std::strcmp(argv[1], "--compare-rate-warn") == 0;
-    if (std::strcmp(argv[1], "--compare-rate") == 0 || warn_only) {
-        if (argc != 6)
-            return usage(argv[0]);
-        char *end = nullptr;
-        const double min_ratio = std::strtod(argv[5], &end);
-        if (end == argv[5] || *end != '\0')
-            return usage(argv[0]);
-        return compareRate(argv[2], argv[3], argv[4], min_ratio,
-                           warn_only);
     }
 
     int first = 1;
