@@ -95,8 +95,7 @@ FetchEngine::fetch(uint64_t vaddr)
         return;
     ++stats_.l1Misses;
     if (missCapture_)
-        missCapture_->append(config_.l1.lineAddr(vaddr),
-                             stats_.instructions - 1);
+        missCapture_->append(config_.l1.lineAddr(vaddr));
 
     if (config_.pipelined)
         missPipelined(vaddr);

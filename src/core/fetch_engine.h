@@ -76,15 +76,14 @@ class FetchEngine
 
     /**
      * Install a miss-stream capture sink (nullptr detaches). While
-     * attached, every L1 miss appends its line address and
-     * instruction index to `sink`, in miss order — the L2 reference
-     * stream of this run (trace/miss_trace.h). The check sits on the
-     * miss path only: the scalar hit path and the batched fetchRun
-     * fast path (which retires hits exclusively) are untouched when
-     * capture is off, so the hook costs nothing in ordinary sweeps.
-     * Used by sim/collapse.h to run a group's shared L1 front end
-     * once. The sink must outlive the capture run; reset() does not
-     * detach it.
+     * attached, every L1 miss appends its line address to `sink`, in
+     * miss order — the L2 reference stream of this run
+     * (trace/miss_trace.h). The check sits on the miss path only:
+     * the scalar hit path and the batched fetchRun fast path (which
+     * retires hits exclusively) are untouched when capture is off, so
+     * the hook costs nothing in ordinary sweeps. Used by
+     * SuiteTraces::missStream to run a shared L1 front end once. The
+     * sink must outlive the capture run; reset() does not detach it.
      */
     void setMissCapture(MissTrace *sink) { missCapture_ = sink; }
 

@@ -19,6 +19,8 @@
 
 namespace ibs {
 
+struct FetchConfig;
+
 /** Counters and derived CPI metrics from one FetchEngine run. */
 struct FetchStats
 {
@@ -80,6 +82,24 @@ struct FetchStats
               static_cast<double>(l2Accesses)
             : 0.0;
     }
+
+    /**
+     * Check the accounting identities that every cell simulated
+     * under `config` satisfies, whichever path produced it:
+     *
+     *  - cycles == instructions + stallCyclesL1 + stallCyclesL2;
+     *  - l2Misses <= l2Accesses, l2DataMisses <= l2DataAccesses and
+     *    prefetchesUsed <= prefetchesIssued;
+     *  - bypassHits == 0 unless bypass, streamBufferHits == 0 unless
+     *    pipelined;
+     *  - no L2 accesses without a real L2 (!hasL2 or perfectL2);
+     *  - l2Accesses == l1Misses * (1 + prefetchLines) for every
+     *    non-pipelined config with a real L2, bypass included.
+     *
+     * @throws std::logic_error naming the first broken identity and
+     *         config.toString()
+     */
+    void check(const FetchConfig &config) const;
 
     /** Accumulate another run (suite averaging). */
     void

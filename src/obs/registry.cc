@@ -172,32 +172,6 @@ Registry::snapshotJson() const
     return obj;
 }
 
-Json
-Registry::histogramsJson() const
-{
-    Json obj = Json::object();
-    for (const auto &[name, hist] : snapshotHistograms()) {
-        Json buckets = Json::object();
-        for (size_t k = 0; k < hist.counts.size(); ++k) {
-            if (hist.counts[k] == 0)
-                continue;
-            buckets.set(std::to_string(bucketUpperEdge(k)),
-                        Json::number(hist.counts[k]));
-        }
-        Json entry = Json::object()
-                         .set("count", Json::number(hist.count))
-                         .set("sum", Json::number(hist.sum))
-                         .set("p50", Json::number(hist.quantile(0.50)))
-                         .set("p90", Json::number(hist.quantile(0.90)))
-                         .set("p99", Json::number(hist.quantile(0.99)))
-                         .set("buckets", std::move(buckets));
-        if (hist.overflow)
-            entry.set("overflow", Json::number(hist.overflow));
-        obj.set(name, std::move(entry));
-    }
-    return obj;
-}
-
 void
 Registry::reset()
 {

@@ -150,15 +150,9 @@ class Registry
      * one of those derived names keeps its value and the histogram's
      * summary key is dropped (tested by
      * obs_test.cc:CounterWinsNameCollisions). Bucket detail is
-     * available via histogramsJson().
+     * available via snapshotHistograms().
      */
     Json snapshotJson() const;
-
-    /** Histograms as a JSON object: one member per histogram with
-     *  count, sum, p50/p90/p99 (bucket upper edges; see
-     *  HistogramSnapshot::quantile) and the non-zero buckets as a
-     *  {"<upper edge>": count} object. */
-    Json histogramsJson() const;
 
     /** Zero every shard — counters and histograms (tests). Thread
      *  shards stay registered, so concurrent publishers are safe. */

@@ -73,18 +73,18 @@ class TraceMemo
     /**
      * Re-measure `key`'s entry against the suite's current retained
      * bytes and evict if the growth pushed the store over budget.
-     * A suite's run-trace memos — and the L1 miss streams the sweep
-     * collapser retains (sim/collapse.h) — accrue *after* its build
-     * finishes, lazily, as sweep cells request new line sizes or
-     * collapse groups capture their shared front end; in streaming
-     * mode they are the entire footprint, so the server calls this
-     * after each sweep to keep the budget honest. No-op for unknown
-     * (evicted) keys or entries still building.
+     * A suite's run-trace memos — and the L1 miss streams that
+     * derived L2 cells retain (sim/collapse.h) — accrue *after* its
+     * build finishes, lazily, as sweep cells request new line sizes
+     * or capture a new L1 front end; in streaming mode they are the
+     * entire footprint, so the server calls this after each sweep to
+     * keep the budget honest. No-op for unknown (evicted) keys or
+     * entries still building.
      */
     void refresh(const std::string &key, const SuiteTraces &suite);
 
     /** Approximate retained bytes of one suite: flat traces built
-     *  plus finished run-trace memos and collapse miss streams
+     *  plus finished run-trace memos and captured miss streams
      *  (SuiteTraces::retainedTraceBytes) and fixed per-workload
      *  overhead. */
     static uint64_t suiteBytes(const SuiteTraces &suite);

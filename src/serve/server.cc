@@ -518,7 +518,7 @@ Server::handleSweep(const Json &request, RequestTelemetry &telemetry)
         return;
 
     // runSweep (sim/sweep.h) schedules the grid exactly as the
-    // benches do, collapse plan included; its sink streams each cell
+    // benches do, one runOne task per cell; its sink streams each cell
     // from the pool thread that finished it. A failed socket write
     // aborts the sweep through the pool's exception drain.
     try {

@@ -9,9 +9,10 @@
  * accept loop hands each connection to a handler thread; a request
  * names a (config-class grid × workload subset × instruction budget)
  * cell space, which the handler runs with one runSweep call
- * (sim/sweep.h) — the benches' scheduler and collapse plan, on the
- * process-wide sim/parallel ThreadPool every connection shares —
- * whose per-cell sink streams each cell's schema-v2 stats frame back
+ * (sim/sweep.h) — the benches' scheduler, one SuiteTraces::runOne
+ * task per cell, on the process-wide sim/parallel ThreadPool every
+ * connection shares — whose per-cell sink streams each cell's
+ * schema-v2 stats frame back
  * the moment the cell finishes. Materialized traces live in a
  * byte-budgeted LRU (serve/memo.h), so a repeated request pays only
  * replay.
@@ -26,8 +27,8 @@
  * when IBS_OBS_TRACE is set — one async span per request with flow
  * events stepping from the handler through materialization into
  * each cell on the pool threads. Like any runSweep call, a sweep
- * also emits "cell"/"group" trace spans and sim.sweep.* counters and
- * reports progress under IBS_PROGRESS (obs/progress.h). The
+ * also emits one "cell" trace span per cell and reports progress
+ * under IBS_PROGRESS (obs/progress.h). The
  * "metrics" request exposes the whole registry in Prometheus text
  * exposition format.
  *

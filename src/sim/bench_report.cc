@@ -11,6 +11,7 @@
 #include "obs/log.h"
 #include "obs/registry.h"
 #include "obs/trace_sink.h"
+#include "sim/collapse.h"
 
 // CMake injects the configured build type (see src/sim/CMakeLists);
 // default for non-CMake compiles of this translation unit.
@@ -123,17 +124,6 @@ timingJson(double wall_seconds, uint64_t instructions)
         .set("instructions_per_second", Json::number(ips));
 }
 
-Json
-timingJson(const CellTiming &timing)
-{
-    // Sweep-executor cells additionally say whether they were derived
-    // from a collapsed group's shared miss stream (sim/collapse.h).
-    // The two-argument overload — used by the server's cell frames
-    // and by bench-specific custom cells — stays without the flag.
-    return timingJson(timing.wallSeconds, timing.instructions)
-        .set("collapsed", Json::boolean(timing.collapsed));
-}
-
 BenchReport::BenchReport(std::string bench_name)
     : name_(std::move(bench_name))
 {
@@ -189,10 +179,16 @@ BenchReport::addSweep(const std::string &grid,
             cell.set("config_index", Json::number(uint64_t{c}));
             if (c < labels.size())
                 cell.set("config_label", Json::string(labels[c]));
+            // Only sweep cells carry the flag; custom cells and the
+            // server's cell frames do not.
+            const CellTiming &timing = result.timing(c, w);
             cell.set("config", toJson(configs[c]))
                 .set("workload", Json::string(suite.name(w)))
                 .set("stats", toJson(result.cell(c, w)))
-                .set("timing", timingJson(result.timing(c, w)));
+                .set("timing",
+                     timingJson(timing.wallSeconds, timing.instructions)
+                         .set("collapsed",
+                              Json::boolean(collapseEligible(configs[c]))));
             cells_.push_back(std::move(cell));
         }
     }

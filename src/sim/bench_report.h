@@ -89,7 +89,6 @@ Json toJson(const DecstationStats &stats);
 /** timing object: {wall_seconds, instructions,
  *  instructions_per_second}. */
 Json timingJson(double wall_seconds, uint64_t instructions);
-Json timingJson(const CellTiming &timing);
 
 /** Accumulates cells and writes BENCH_<name>.json. */
 class BenchReport
@@ -111,8 +110,11 @@ class BenchReport
 
     /**
      * Append every (config × workload) cell of a sweep, with the
-     * executor's per-cell timing. `labels`, when given, must name
-     * each grid point (size must match configs).
+     * executor's per-cell timing. Each timing also carries
+     * "collapsed": whether the cell was derived from its front end's
+     * shared miss stream, i.e. collapseEligible(config)
+     * (sim/collapse.h). `labels`, when given, must name each grid
+     * point (size must match configs).
      */
     void addSweep(const std::string &grid, const SuiteTraces &suite,
                   const std::vector<FetchConfig> &configs,

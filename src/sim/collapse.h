@@ -1,7 +1,6 @@
 /**
  * @file
- * Sweep collapsing: share one L1 front end across a grid's L2
- * variants.
+ * Sweep collapsing: derive L2 variants from one shared L1 front end.
  *
  * Every figure/table of the paper sweeps cache geometry, and most
  * grid cells differ only in the L2 — fig3 (line size x size), fig4
@@ -10,18 +9,18 @@
  * L1 front end is completely independent of L2 state: every L1 miss
  * consults the L2 exactly once (FetchEngine::missBlocking), the L2's
  * answer only adds stall cycles, and neither the L1 contents nor the
- * miss order can change with L2 geometry. The whole group therefore
- * needs the expensive instruction-stream replay once:
+ * miss order can change with L2 geometry. SuiteTraces::runOne
+ * therefore gives every such cell (collapseEligible) the same
+ * three steps:
  *
- *  1. partition the grid into groups of configs identical except for
- *     L2 geometry and L2 fill timing (collapseKey / planCollapse);
- *  2. run the shared front end once per (group, workload) with a
- *     perfect L2, capturing the L1-refill reference stream as a
- *     run-encoded miss trace (SuiteTraces::missStream) — 5-50x
- *     shorter than the instruction stream;
- *  3. replay the short stream through one Cache per distinct L2
- *     config and derive each variant's full FetchStats
- *     arithmetically (runCollapsedGroup), exactly:
+ *  1. key the config by everything except its L2 geometry and L2
+ *     fill timing (collapseKey);
+ *  2. run that front end once per (workload, key) with a perfect L2,
+ *     capturing the L1-refill reference stream as a run-encoded miss
+ *     trace (SuiteTraces::missStream, memoized) — 5-50x shorter than
+ *     the instruction stream;
+ *  3. replay the short stream through one Cache(config.l2) and derive
+ *     the cell's full FetchStats arithmetically (deriveCell), exactly:
  *
  *       l2Accesses   = misses in the stream
  *       l2Misses     = replayed L2 misses
@@ -32,9 +31,8 @@
  *     prefetch/bypass/stream-buffer counters are structurally zero
  *     for eligible configs).
  *
- * Members with identical L2 configs share one replay. Replay is the
- * only L2 path: no bench or catalog grid has more than 5 distinct
- * geometries per line size, and one Mattson stack walk
+ * Replay is the only L2 path: no bench or catalog grid has more than
+ * 5 distinct geometries per line size, and one Mattson stack walk
  * (sim/stack_sim.h) costs more than replaying that many. Cache is
  * also the tag store that Tlb, VictimCache and SubBlockCache are
  * built on, which deliberately changes two configurations nothing
@@ -43,26 +41,21 @@
  * instead of always running LRU.
  *
  * Configs that fail the eligibility test (no real L2, prefetch,
- * bypass, pipelined/stream-buffer, unified L2) and singleton groups
- * run per cell through SuiteTraces::runOne.
- *
- * Every sweep plans this way; there is no other sweep path. Derived
- * cells are bit-identical to runOne on the same config — enforced
- * against a plain runOne loop by tests/sweep_collapse_test.cc, and
- * end to end by the golden_<bench> stdout ctests.
+ * bypass, pipelined/stream-buffer, unified L2) replay their run
+ * trace through a FetchEngine. Derived cells are bit-identical to
+ * that full replay on the same config — enforced by
+ * tests/sweep_collapse_test.cc against a FetchEngine oracle, and end
+ * to end by the golden_<bench> stdout ctests.
  */
 
 #ifndef IBS_SIM_COLLAPSE_H
 #define IBS_SIM_COLLAPSE_H
 
-#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "core/fetch_config.h"
 #include "core/fetch_stats.h"
 #include "sim/runner.h"
-#include "sim/sweep.h"
 
 namespace ibs {
 
@@ -78,59 +71,22 @@ bool collapseEligible(const FetchConfig &config);
 /**
  * Canonical shared-front-end key of an eligible config: every field
  * except the L2 geometry and L2 fill timing (neither feeds back into
- * the L1). Two eligible configs with equal keys may share one
- * capture run; SuiteTraces::missStream memoizes captures by it.
+ * the L1). Eligible configs with equal keys share one capture run;
+ * SuiteTraces::missStream memoizes captures by it.
  */
 std::string collapseKey(const FetchConfig &config);
 
-/** One collapsed group: grid indices sharing a front end. The first
- *  member (lowest grid index) is the leader whose config drives the
- *  capture run. */
-struct CollapseGroup
-{
-    std::vector<size_t> members;
-};
-
-/** Partition of a config grid into collapsed groups and per-cell
- *  fallback configs. */
-struct CollapsePlan
-{
-    std::vector<CollapseGroup> groups; ///< Each has >= 2 members.
-    std::vector<size_t> singles; ///< Ineligible + singleton groups.
-
-    /** Cells served via the collapsed path (leaders included). */
-    size_t
-    collapsedCells(size_t workloads) const
-    {
-        size_t cells = 0;
-        for (const CollapseGroup &g : groups)
-            cells += g.members.size();
-        return cells * workloads;
-    }
-};
-
 /**
- * Group `configs` by collapse key. Deterministic: group members are
- * in ascending grid order, groups are ordered by leader index, and
- * `singles` is ascending.
+ * The cell of eligible `config` on the workload `ms` was captured
+ * from: replay the miss stream through one Cache(config.l2) and
+ * derive the full FetchStats — bit-identical to a FetchEngine replay
+ * of the workload's run trace. When the obs registry is enabled,
+ * publishes what that replay would have: the capture run's L1 and
+ * engine counters, the Cache's own "cache.l2.*" counters, zeros for
+ * the stream buffer and the sim.cell.instructions sample, so obs
+ * snapshots do not depend on which path produced a cell.
  */
-CollapsePlan planCollapse(const std::vector<FetchConfig> &configs);
-
-/**
- * Resolve every member of `group` for one workload: capture (or
- * reuse) the leader's miss stream, replay it through one Cache per
- * distinct L2 config, and derive full FetchStats per member —
- * bit-identical to suite.runOne on each member config. Publishes,
- * per member, the same registry counters and the
- * sim.cell.instructions histogram sample runOne would have
- * (synthesized from the capture run), so obs snapshots are
- * collapse-invariant. Hands each member's cell to `sink` in member
- * order; the leader's timing carries the capture run's cost, every
- * other member's is marked collapsed.
- */
-void runCollapsedGroup(const SuiteTraces &suite, size_t workload,
-                       const std::vector<FetchConfig> &configs,
-                       const CollapseGroup &group, const CellSink &sink);
+FetchStats deriveCell(const MissStream &ms, const FetchConfig &config);
 
 } // namespace ibs
 

@@ -180,25 +180,37 @@ SuiteTraces::runTracesBuilt() const
 FetchStats
 SuiteTraces::runOne(size_t i, const FetchConfig &config) const
 {
-    FetchEngine engine(config);
-    const RunTrace &runs = runTrace(i, config.l1.lineBytes);
-    for (const FetchRun &run : runs.runs)
-        engine.fetchRun(run);
-    obs::Registry &registry = obs::Registry::global();
-    if (registry.enabled()) {
-        // Published per replay, not per run-trace build: the memo
-        // makes builds happen once per (workload, lineBytes), which
-        // would leave warm sweeps without the counter and break
-        // thread-count invariance of the snapshot.
-        registry.add("workload.model.runs_emitted", runs.runs.size());
-        engine.publishCounters(registry);
-        // Scheduling-independent histogram sample: one observation
-        // per replayed cell, so the merged histogram is bit-identical
-        // across IBS_THREADS like the counters above.
-        registry.observe("sim.cell.instructions",
-                         engine.stats().instructions);
+    FetchStats stats;
+    if (collapseEligible(config)) {
+        // The memoized capture may have been built for another config
+        // with this key, so validate this one here; FetchEngine
+        // validates on the replay path below.
+        config.validate();
+        stats = deriveCell(missStream(i, config), config);
+    } else {
+        FetchEngine engine(config);
+        const RunTrace &runs = runTrace(i, config.l1.lineBytes);
+        for (const FetchRun &run : runs.runs)
+            engine.fetchRun(run);
+        stats = engine.stats();
+        obs::Registry &registry = obs::Registry::global();
+        if (registry.enabled()) {
+            // Published per replay, not per run-trace build: the memo
+            // makes builds happen once per (workload, lineBytes),
+            // which would leave warm sweeps without the counter and
+            // break thread-count invariance of the snapshot.
+            registry.add("workload.model.runs_emitted",
+                         runs.runs.size());
+            engine.publishCounters(registry);
+            // Scheduling-independent histogram sample: one
+            // observation per cell, so the merged histogram is
+            // bit-identical across IBS_THREADS like the counters.
+            registry.observe("sim.cell.instructions",
+                             stats.instructions);
+        }
     }
-    return engine.stats();
+    stats.check(config);
+    return stats;
 }
 
 FetchStats

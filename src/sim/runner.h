@@ -35,8 +35,8 @@ namespace ibs {
  * plus everything needed to derive a full per-cell result for any
  * L2 variant sharing that front end (sim/collapse.h). The stored
  * counters mirror exactly what FetchEngine::publishCounters would
- * have published for the L1 side, so derived cells can synthesize a
- * registry publication bit-identical to runOne's.
+ * have published for the L1 side, so a derived cell publishes what
+ * a full FetchEngine replay of it would have.
  */
 struct MissStream
 {
@@ -78,7 +78,7 @@ uint64_t benchInstructions(uint64_t fallback = 1'500'000);
  * run-length trace (workload/run_stream.h), memoized per
  * (workload, lineBytes): the encoding depends only on the L1 line
  * size, so every sweep cell with that line size shares it
- * read-only. runOne and the collapse capture (missStream) drive
+ * read-only. runOne and the miss-stream capture (missStream) drive
  * FetchEngine::fetchRun over that trace; it is the only replay path
  * sweeps and the server use. Run traces are the only trace form: a
  * driver that needs one reference per instruction walks a run's
@@ -87,8 +87,10 @@ uint64_t benchInstructions(uint64_t fallback = 1'500'000);
  * Thread-safety: run traces and miss streams are each built exactly
  * once behind a std::once_flag and are immutable afterwards, so any
  * number of threads may call the const members (runOne, runSuite,
- * runTrace, ...) concurrently on one shared instance. sim/sweep.h
- * relies on this to fan a config grid out across workers.
+ * runTrace, ...) concurrently on one shared instance; a caller that
+ * needs an entry another thread is still building waits on that
+ * entry's once_flag. sim/sweep.h relies on this to fan a config grid
+ * out across workers.
  */
 class SuiteTraces
 {
@@ -132,9 +134,9 @@ class SuiteTraces
      * L1 geometry + L1 fill timing) with the same build-exactly-once
      * discipline as runTrace — warm server sweeps skip the L1 run
      * entirely — and charged by retainedTraceBytes() so serve/memo.h
-     * budgets it.
-     * Only sim/collapse.h should need this. The returned reference
-     * stays valid for the lifetime of this SuiteTraces.
+     * budgets it. runOne derives every collapseEligible cell from
+     * it. The returned reference stays valid for the lifetime of
+     * this SuiteTraces.
      */
     const MissStream &missStream(size_t i,
                                  const FetchConfig &config) const;
@@ -142,7 +144,16 @@ class SuiteTraces
     /** Number of distinct miss streams captured so far. */
     size_t missStreamsBuilt() const;
 
-    /** Run one workload's trace through a configuration. */
+    /**
+     * The (config, workload `i`) cell: the one function every sweep
+     * cell, bench and server request goes through. A
+     * collapseEligible config is derived from the memoized miss
+     * stream of its L1 front end plus one Cache replay of its L2
+     * (sim/collapse.h); every other config replays the workload's
+     * run trace through a fresh FetchEngine. Both paths publish the
+     * same registry counters, and both results pass
+     * FetchStats::check (which throws std::logic_error otherwise).
+     */
     FetchStats runOne(size_t i, const FetchConfig &config) const;
 
     /** Run the whole suite and merge (equal-weight average). */

@@ -5,9 +5,11 @@
  *
  * Every table/figure bench replays the same immutable SuiteTraces
  * through a grid of FetchConfigs. Each (config, workload) cell is an
- * independent simulation — a FetchEngine built fresh from the config
- * and driven by one memoized run trace — so the grid
- * parallelizes perfectly. runSweep schedules cells onto a pool of
+ * independent SuiteTraces::runOne call — a FetchEngine built fresh
+ * from the config and driven by one memoized run trace, or, for an
+ * L2 variant, one Cache replay of a memoized miss stream
+ * (sim/collapse.h) — so the grid parallelizes perfectly. runSweep
+ * schedules one task per cell onto a pool of
  * std::thread workers and hands each finished cell to a sink — the
  * SweepResult overload stores it into a pre-sized vector addressed
  * by (config, workload) index, the server streams it as a frame.
@@ -51,11 +53,6 @@ struct CellTiming
 {
     double wallSeconds = 0.0;  ///< Simulation time of this cell.
     uint64_t instructions = 0; ///< Instructions the cell simulated.
-    /** Cell derived from a group leader's shared miss stream
-     *  (sim/collapse.h) rather than simulated in full. Leaders and
-     *  per-cell fallbacks report false. Surfaced as "collapsed" in
-     *  the schema-v2 bench reports. */
-    bool collapsed = false;
 };
 
 /** Per-cell results of a (config × workload) sweep. */
@@ -134,16 +131,11 @@ using CellSink = std::function<void(size_t config, size_t workload,
  * more than one worker is available, handing each finished cell to
  * `sink`.
  *
- * Cells whose configs differ only in L2 geometry are collapsed onto
- * a shared L1 capture run plus per-variant replay of its miss stream
- * (sim/collapse.h) — one pool task per (group, workload), with the
- * leader's capture and the dependent derivations sequenced inside
- * the task, so the producer/consumer dependency never crosses
- * workers. Per-cell stats stay bit-identical to runOne.
- * Publishes sim.sweep.{groups,collapsed_cells,fallback_cells} when
- * the obs registry is enabled, reports progress on stderr
- * (obs/progress.h) and emits one "cell" or "group" trace span per
- * task when IBS_OBS_TRACE is set.
+ * One pool task per cell, config-major; each calls
+ * SuiteTraces::runOne, so a cell's stats do not depend on what else
+ * is in the grid. Reports progress on stderr (obs/progress.h) and
+ * emits one "cell" trace span per task when IBS_OBS_TRACE is set;
+ * the cell's timing is that span.
  *
  * @param suite immutable traces, shared const across workers
  * @param configs grid points (validated before any thread starts)

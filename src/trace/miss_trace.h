@@ -7,21 +7,15 @@
  * reference stream is exactly the ordered sequence of L1-miss line
  * addresses, and timing feedback cannot change which lines miss.
  * Capturing that sequence once therefore lets every L2 geometry
- * variant of a sweep group be replayed over a stream that is one
- * entry per L1 miss — typically 5-50x shorter than the instruction
- * stream (sim/collapse.h).
+ * variant sharing that front end be replayed over a stream that is
+ * one entry per L1 miss — typically 5-50x shorter than the
+ * instruction stream (sim/collapse.h).
  *
  * Encoding mirrors trace/run_trace.h: consecutive misses at
  * +lineBytes-sequential line addresses collapse into one MissRun.
  * Straight-line code past the end of a line misses sequentially, so
  * the same locality that makes run-length instruction traces small
- * compresses the miss stream too. Each run also records the
- * instruction index of its first miss — the per-miss cycle positions
- * follow arithmetically in the blocking model (each miss stalls a
- * fixed fillCycles, so position k of a run missed at instruction
- * firstInstr + k * (lineBytes / kInstrBytes) at the earliest), which
- * is what lets derived timing stay exact without storing a cycle per
- * miss.
+ * compresses the miss stream too.
  */
 
 #ifndef IBS_TRACE_MISS_TRACE_H
@@ -35,11 +29,14 @@ namespace ibs {
 /** One maximal sequence of line-sequential L1 misses. */
 struct MissRun
 {
-    uint64_t startLine = 0;  ///< Line address of the first miss.
-    uint64_t firstInstr = 0; ///< Instruction index of the first miss.
-    uint32_t count = 0;      ///< Misses in the run (lines are
-                             ///< startLine + k * lineBytes).
+    uint64_t startLine = 0; ///< Line address of the first miss.
+    uint32_t count = 0;     ///< Misses in the run (lines are
+                            ///< startLine + k * lineBytes).
 };
+
+// Every retained miss stream is a vector of these (serve/memo.h
+// charges its bytes), so keep the padding to the one count word.
+static_assert(sizeof(MissRun) == 16);
 
 /** Ordered, run-compressed stream of L1-miss line addresses. */
 struct MissTrace
@@ -51,11 +48,10 @@ struct MissTrace
     /**
      * Record the next miss, in stream order. Extends the last run
      * when `line_addr` continues it at +lineBytes; otherwise starts
-     * a new run. `instr_index` is the 0-based index of the missing
-     * instruction (stored only for a run's first miss).
+     * a new run.
      */
     void
-    append(uint64_t line_addr, uint64_t instr_index)
+    append(uint64_t line_addr)
     {
         ++misses;
         if (!runs.empty()) {
@@ -67,7 +63,7 @@ struct MissTrace
                 return;
             }
         }
-        runs.push_back(MissRun{line_addr, instr_index, 1});
+        runs.push_back(MissRun{line_addr, 1});
     }
 
     /** Invoke `fn(line_addr)` for every miss, in stream order. */

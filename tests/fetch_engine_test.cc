@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/fetch_engine.h"
@@ -374,6 +376,101 @@ TEST(FetchStats, MergeAddsCounters)
     EXPECT_EQ(a.instructions, 200u);
     EXPECT_DOUBLE_EQ(a.l1Cpi(), 1.0);
     EXPECT_DOUBLE_EQ(a.mpi100(), 20.0);
+}
+
+/** check() must throw std::logic_error naming `identity` and the
+ *  config. */
+void
+expectBroken(const FetchStats &stats, const FetchConfig &config,
+             const std::string &identity)
+{
+    try {
+        stats.check(config);
+        ADD_FAILURE() << "check() passed; expected: " << identity;
+    } catch (const std::logic_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(identity), std::string::npos) << what;
+        EXPECT_NE(what.find(config.toString()), std::string::npos)
+            << what;
+    }
+}
+
+TEST(FetchStats, CheckNamesEachBrokenIdentity)
+{
+    // A consistent blocking cell with a real L2 and 2-line prefetch:
+    // 10 L1 misses, each consulting the L2 three times.
+    FetchConfig config =
+        withOnChipL2(economyBaseline(), 64 * 1024, 64, 2);
+    config.prefetchLines = 2;
+    FetchStats good;
+    good.instructions = 1000;
+    good.stallCyclesL1 = 300;
+    good.stallCyclesL2 = 120;
+    good.cycles = 1420;
+    good.l1Misses = 10;
+    good.l2Accesses = 30;
+    good.l2Misses = 4;
+    good.prefetchesIssued = 20;
+    good.prefetchesUsed = 5;
+    EXPECT_NO_THROW(good.check(config));
+
+    FetchStats s = good;
+    s.cycles += 1;
+    expectBroken(s, config,
+                 "cycles == instructions + stallCyclesL1 + "
+                 "stallCyclesL2");
+    s = good;
+    s.l2Misses = 31;
+    expectBroken(s, config, "l2Misses <= l2Accesses");
+    s = good;
+    s.l2DataAccesses = 1;
+    s.l2DataMisses = 2;
+    expectBroken(s, config, "l2DataMisses <= l2DataAccesses");
+    s = good;
+    s.prefetchesUsed = 21;
+    expectBroken(s, config, "prefetchesUsed <= prefetchesIssued");
+    s = good;
+    s.bypassHits = 1;
+    expectBroken(s, config, "bypassHits == 0 without bypass");
+    s = good;
+    s.streamBufferHits = 1;
+    expectBroken(s, config, "streamBufferHits == 0 unless pipelined");
+    s = good;
+    s.l2Accesses = 29;
+    expectBroken(s, config,
+                 "l2Accesses == l1Misses * (1 + prefetchLines)");
+
+    // Bypass keeps the L2 identity and admits bypass hits.
+    FetchConfig bypass = config;
+    bypass.bypass = true;
+    s = good;
+    s.bypassHits = 7;
+    EXPECT_NO_THROW(s.check(bypass));
+    s.l2Accesses = 10;
+    expectBroken(s, bypass,
+                 "l2Accesses == l1Misses * (1 + prefetchLines)");
+
+    // The pipelined interface prefetches on its own schedule, so its
+    // L2 accesses follow no per-miss formula.
+    FetchConfig pipe = withOnChipL2(economyBaseline(), 64 * 1024, 64, 2);
+    pipe.pipelined = true;
+    pipe.streamBufferLines = 4;
+    s = good;
+    s.l2Accesses = 17;
+    s.streamBufferHits = 3;
+    EXPECT_NO_THROW(s.check(pipe));
+
+    // Without a real L2 nothing may reach one.
+    FetchConfig perfect = config;
+    perfect.perfectL2 = true;
+    expectBroken(good, perfect, "no L2 accesses without a real L2");
+    s = good;
+    s.l2Accesses = 0;
+    s.l2Misses = 0;
+    EXPECT_NO_THROW(s.check(perfect));
+    s.l2DataAccesses = 1;
+    expectBroken(s, economyBaseline(),
+                 "no L2 accesses without a real L2");
 }
 
 } // namespace

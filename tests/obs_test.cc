@@ -259,7 +259,6 @@ TEST(ObsRegistry, ResetClearsHistogramShards)
     ASSERT_EQ(reg.snapshotHistograms().size(), 1u);
     reg.reset();
     EXPECT_TRUE(reg.snapshotHistograms().empty());
-    EXPECT_EQ(reg.histogramsJson().size(), 0u);
     // And the shard is still writable after the reset.
     reg.observe("t.hist.reset", 1);
     EXPECT_EQ(reg.snapshotHistograms().at("t.hist.reset").count, 1u);

@@ -19,31 +19,13 @@
 #include <vector>
 
 #include "core/fetch_engine.h"
+#include "replay_oracle.h"
 #include "sim/runner.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
 
 namespace ibs {
 namespace {
-
-void
-expectEqualStats(const FetchStats &a, const FetchStats &b,
-                 const std::string &label)
-{
-    EXPECT_EQ(a.instructions, b.instructions) << label;
-    EXPECT_EQ(a.cycles, b.cycles) << label;
-    EXPECT_EQ(a.stallCyclesL1, b.stallCyclesL1) << label;
-    EXPECT_EQ(a.stallCyclesL2, b.stallCyclesL2) << label;
-    EXPECT_EQ(a.l1Misses, b.l1Misses) << label;
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses) << label;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << label;
-    EXPECT_EQ(a.l2DataAccesses, b.l2DataAccesses) << label;
-    EXPECT_EQ(a.l2DataMisses, b.l2DataMisses) << label;
-    EXPECT_EQ(a.prefetchesIssued, b.prefetchesIssued) << label;
-    EXPECT_EQ(a.prefetchesUsed, b.prefetchesUsed) << label;
-    EXPECT_EQ(a.streamBufferHits, b.streamBufferHits) << label;
-    EXPECT_EQ(a.bypassHits, b.bypassHits) << label;
-}
 
 /** Configs spanning the interface policies, incl. a unified L2. */
 std::vector<std::pair<std::string, FetchConfig>>

@@ -93,9 +93,9 @@ TEST(Serve, PingAndStatsRoundTrip)
 
 TEST(Serve, SweepMatchesDirectRunExactly)
 {
-    // The repeated L2 class shares its L1 front end with itself, so
-    // its two copies form a collapsed group (sim/collapse.h) next to
-    // a per-cell config: both sweep paths reach the wire.
+    // The L2 class is derived from a shared miss stream
+    // (sim/collapse.h), twice, next to a config replayed in full:
+    // both of runOne's paths reach the wire.
     const std::vector<std::string> config_names = {
         "economy", "high_performance_l2", "high_performance_l2"};
 

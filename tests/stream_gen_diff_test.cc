@@ -26,6 +26,7 @@
 #include "cache/cache.h"
 #include "core/fetch_engine.h"
 #include "flat_trace.h"
+#include "replay_oracle.h"
 #include "sim/runner.h"
 #include "stats/rng.h"
 #include "trace/run_trace.h"
@@ -35,25 +36,6 @@
 
 namespace ibs {
 namespace {
-
-void
-expectEqualStats(const FetchStats &a, const FetchStats &b,
-                 const std::string &label)
-{
-    EXPECT_EQ(a.instructions, b.instructions) << label;
-    EXPECT_EQ(a.cycles, b.cycles) << label;
-    EXPECT_EQ(a.stallCyclesL1, b.stallCyclesL1) << label;
-    EXPECT_EQ(a.stallCyclesL2, b.stallCyclesL2) << label;
-    EXPECT_EQ(a.l1Misses, b.l1Misses) << label;
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses) << label;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << label;
-    EXPECT_EQ(a.l2DataAccesses, b.l2DataAccesses) << label;
-    EXPECT_EQ(a.l2DataMisses, b.l2DataMisses) << label;
-    EXPECT_EQ(a.prefetchesIssued, b.prefetchesIssued) << label;
-    EXPECT_EQ(a.prefetchesUsed, b.prefetchesUsed) << label;
-    EXPECT_EQ(a.streamBufferHits, b.streamBufferHits) << label;
-    EXPECT_EQ(a.bypassHits, b.bypassHits) << label;
-}
 
 /** Same six classes as tests/fetch_batch_diff_test.cc: one per L1-L2
  *  interface policy the benches evaluate. */

@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for sweep collapsing (sim/collapse.h): runSweep must be
- * bit-for-bit identical to the oracle, a plain SuiteTraces::runOne
- * loop over every cell — stats and registry counters alike. The LRU
+ * Tests for sweep collapsing (sim/collapse.h): every cell runSweep
+ * derives from a shared miss stream must be bit-for-bit identical to
+ * the oracle, a full FetchEngine replay of the same cell
+ * (replay_oracle.h) — stats and registry counters alike. The LRU
  * stack simulator (sim/stack_sim.h, timed by perfbench) must agree
  * exactly with the real Cache.
  */
@@ -15,6 +16,8 @@
 
 #include "cache/cache.h"
 #include "obs/registry.h"
+#include "replay_oracle.h"
+#include "sim/bench_report.h"
 #include "sim/collapse.h"
 #include "sim/stack_sim.h"
 #include "sim/sweep.h"
@@ -23,74 +26,56 @@
 namespace ibs {
 namespace {
 
-void
-expectEqualStats(const FetchStats &a, const FetchStats &b,
-                 const std::string &label)
-{
-    EXPECT_EQ(a.instructions, b.instructions) << label;
-    EXPECT_EQ(a.cycles, b.cycles) << label;
-    EXPECT_EQ(a.stallCyclesL1, b.stallCyclesL1) << label;
-    EXPECT_EQ(a.stallCyclesL2, b.stallCyclesL2) << label;
-    EXPECT_EQ(a.l1Misses, b.l1Misses) << label;
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses) << label;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << label;
-    EXPECT_EQ(a.l2DataAccesses, b.l2DataAccesses) << label;
-    EXPECT_EQ(a.l2DataMisses, b.l2DataMisses) << label;
-    EXPECT_EQ(a.prefetchesIssued, b.prefetchesIssued) << label;
-    EXPECT_EQ(a.prefetchesUsed, b.prefetchesUsed) << label;
-    EXPECT_EQ(a.streamBufferHits, b.streamBufferHits) << label;
-    EXPECT_EQ(a.bypassHits, b.bypassHits) << label;
-}
-
 /** Sweep the grid and require all-field equality of every cell with
- *  runOne on the same config. */
+ *  a full replay of the same config. */
 void
 expectCollapseParity(const SuiteTraces &suite,
                      const std::vector<FetchConfig> &grid,
                      const std::string &label)
 {
-    const SweepResult collapsed = runSweep(suite, grid, 4);
+    const SweepResult swept = runSweep(suite, grid, 4);
     for (size_t c = 0; c < grid.size(); ++c) {
         for (size_t w = 0; w < suite.count(); ++w) {
-            expectEqualStats(collapsed.cell(c, w),
-                             suite.runOne(w, grid[c]),
+            expectEqualStats(swept.cell(c, w),
+                             replayCell(suite, w, grid[c]),
                              label + " config " + std::to_string(c) +
                                  " workload " + suite.name(w));
         }
     }
 }
 
-TEST(CollapsePlan, GroupsL2GeometryAndFillVariants)
+TEST(CollapseKey, GroupsL2GeometryAndFillVariants)
 {
     // The fig4 grid: economy and high-performance arms share the
     // post-withOnChipL2 L1 side (8KB/1-way/32B, fill {6,16}) and
     // differ only in L2 assoc and *L2 fill* — neither feeds back, so
-    // all eight collapse into one group. The 7-cycle-L2 footnote
-    // config (different L1 fill) and a wide-bus variant (different L1
-    // bandwidth) stay per-cell.
-    std::vector<FetchConfig> grid;
+    // all eight share one key, hence one capture per workload. The
+    // 7-cycle-L2 footnote config (different L1 fill) and a wide-bus
+    // variant (different L1 bandwidth) each get their own.
+    std::vector<FetchConfig> arms;
     for (uint32_t assoc : {1u, 2u, 4u, 8u}) {
-        grid.push_back(
+        arms.push_back(
             withOnChipL2(economyBaseline(), 64 * 1024, 64, assoc));
-        grid.push_back(
+        arms.push_back(
             withOnChipL2(highPerfBaseline(), 64 * 1024, 64, assoc));
     }
+    const std::string key = collapseKey(arms.front());
+    for (const FetchConfig &config : arms) {
+        EXPECT_TRUE(collapseEligible(config)) << config.toString();
+        EXPECT_EQ(collapseKey(config), key) << config.toString();
+    }
+
     FetchConfig slower =
         withOnChipL2(economyBaseline(), 64 * 1024, 64, 8);
     slower.l1Fill.latencyCycles = 7;
-    grid.push_back(slower);
-    grid.push_back(withL1Bandwidth(
-        withOnChipL2(highPerfBaseline(), 64 * 1024, 64, 8), 32));
-
-    const CollapsePlan plan = planCollapse(grid);
-    ASSERT_EQ(plan.groups.size(), 1u);
-    EXPECT_EQ(plan.groups[0].members,
-              (std::vector<size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-    EXPECT_EQ(plan.singles, (std::vector<size_t>{8, 9}));
-    EXPECT_EQ(plan.collapsedCells(6), 48u);
+    const FetchConfig wide = withL1Bandwidth(
+        withOnChipL2(highPerfBaseline(), 64 * 1024, 64, 8), 32);
+    EXPECT_NE(collapseKey(slower), key);
+    EXPECT_NE(collapseKey(wide), key);
+    EXPECT_NE(collapseKey(slower), collapseKey(wide));
 }
 
-TEST(CollapsePlan, FallbackTriggers)
+TEST(CollapseEligible, FallbackTriggers)
 {
     const FetchConfig base =
         withOnChipL2(economyBaseline(), 64 * 1024, 64, 2);
@@ -123,13 +108,6 @@ TEST(CollapsePlan, FallbackTriggers)
     only_used.prefetchLines = 2;
     only_used.cachePrefetchOnlyIfUsed = true;
     EXPECT_FALSE(collapseEligible(only_used));
-
-    // Identical ineligible configs never group; a lone eligible
-    // config is a singleton and stays per-cell too.
-    const CollapsePlan plan =
-        planCollapse({prefetch, prefetch, base});
-    EXPECT_TRUE(plan.groups.empty());
-    EXPECT_EQ(plan.singles, (std::vector<size_t>{0, 1, 2}));
 }
 
 TEST(StackSim, MatchesCacheOnRandomizedGeometries)
@@ -175,8 +153,8 @@ TEST(StackSim, MatchesCacheOnRandomizedGeometries)
 
 TEST(Collapse, GeometryGridMatchesPerCellExactly)
 {
-    // One collapse group spanning L2 sizes, line sizes and
-    // associativities, each member resolved by Cache replay of the
+    // One shared front end under L2 sizes, line sizes and
+    // associativities, each cell resolved by Cache replay of the
     // shared miss stream.
     SuiteTraces suite(specSuite(), 20000);
     std::vector<FetchConfig> grid;
@@ -188,18 +166,15 @@ TEST(Collapse, GeometryGridMatchesPerCellExactly)
             }
         }
     }
-    const CollapsePlan plan = planCollapse(grid);
-    ASSERT_EQ(plan.groups.size(), 1u);
-    EXPECT_TRUE(plan.singles.empty());
     expectCollapseParity(suite, grid, "geometry");
+    EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
 }
 
 TEST(Collapse, DeepLadderMatchesPerCellExactly)
 {
     // 10 sizes x 5 associativities = 50 distinct (sets, assoc)
-    // points at one line size in one group: 50 deduplicated Cache
-    // replays of one shared miss stream, end to end through
-    // runSweep.
+    // points at one line size: 50 Cache replays of one shared miss
+    // stream per workload, end to end through runSweep.
     SuiteTraces suite(specSuite(), 12000);
     std::vector<FetchConfig> grid;
     for (uint64_t size = 4 * 1024; size <= 2 * 1024 * 1024;
@@ -209,15 +184,14 @@ TEST(Collapse, DeepLadderMatchesPerCellExactly)
                 withOnChipL2(economyBaseline(), size, 64, assoc));
         }
     }
-    const CollapsePlan plan = planCollapse(grid);
-    ASSERT_EQ(plan.groups.size(), 1u);
-    ASSERT_EQ(plan.groups.front().members.size(), 50u);
+    ASSERT_EQ(grid.size(), 50u);
     expectCollapseParity(suite, grid, "deep_ladder");
+    EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
 }
 
 TEST(Collapse, ReplacementVariantsMatchPerCellExactly)
 {
-    // FIFO and Random L2s share the group with the LRU members;
+    // FIFO and Random L2s share the front end with the LRU cells;
     // Random's LFSR sequence is deterministic per Cache instance, so
     // replaying the shared miss stream is exact there too.
     SuiteTraces suite(ibsSuite(OsType::Mach), 10000);
@@ -231,16 +205,16 @@ TEST(Collapse, ReplacementVariantsMatchPerCellExactly)
             grid.push_back(cfg);
         }
     }
-    const CollapsePlan plan = planCollapse(grid);
-    ASSERT_EQ(plan.groups.size(), 1u);
     expectCollapseParity(suite, grid, "replacement");
+    EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
 }
 
 TEST(Collapse, CatalogClassesMatchPerCellExactly)
 {
     // The sweep server's config-class catalog (serve/catalog.cc):
-    // the two `_l2` classes collapse together; the baselines (no L2)
-    // and the interface-optimization classes all fall back.
+    // the two `_l2` classes share one front end, `wide_bus` has its
+    // own, and the baselines (no L2) and the interface-optimization
+    // classes replay in full.
     SuiteTraces suite(ibsSuite(OsType::Mach), 10000);
     const FetchConfig economy = economyBaseline();
     const FetchConfig high = highPerfBaseline();
@@ -259,12 +233,8 @@ TEST(Collapse, CatalogClassesMatchPerCellExactly)
         economy, high, econ_l2, high_l2,
         wide,    prefetch, bypass, stream};
 
-    const CollapsePlan plan = planCollapse(grid);
-    ASSERT_EQ(plan.groups.size(), 1u);
-    EXPECT_EQ(plan.groups[0].members, (std::vector<size_t>{2, 3}));
-    EXPECT_EQ(plan.singles,
-              (std::vector<size_t>{0, 1, 4, 5, 6, 7}));
     expectCollapseParity(suite, grid, "catalog");
+    EXPECT_EQ(suite.missStreamsBuilt(), 2 * suite.count());
 }
 
 TEST(Collapse, TimingFlagsAndMissStreamMemo)
@@ -274,39 +244,49 @@ TEST(Collapse, TimingFlagsAndMissStreamMemo)
     for (uint32_t assoc : {1u, 2u, 8u})
         grid.push_back(
             withOnChipL2(economyBaseline(), 64 * 1024, 64, assoc));
-    grid.push_back(economyBaseline()); // Per-cell single.
+    grid.push_back(economyBaseline()); // No L2: replayed in full.
+    // The only config with its front end: derived all the same.
+    grid.push_back(withL1Bandwidth(
+        withOnChipL2(highPerfBaseline(), 64 * 1024, 64, 8), 32));
 
     EXPECT_EQ(suite.missStreamsBuilt(), 0u);
     const uint64_t bytes_before = suite.retainedTraceBytes();
 
-    const SweepResult collapsed = runSweep(suite, grid, 2);
-    // Leader (lowest grid index) carries the capture; dependents are
-    // flagged as derived. Singles never are.
-    for (size_t w = 0; w < suite.count(); ++w) {
-        EXPECT_FALSE(collapsed.timing(0, w).collapsed);
-        EXPECT_TRUE(collapsed.timing(1, w).collapsed);
-        EXPECT_TRUE(collapsed.timing(2, w).collapsed);
-        EXPECT_FALSE(collapsed.timing(3, w).collapsed);
+    const SweepResult result = runSweep(suite, grid, 2);
+    // The report flags exactly the derived cells, which are exactly
+    // the eligible configs', whatever else is in the grid.
+    BenchReport report("collapse_flags_unit_test");
+    report.addSweep("grid", suite, grid, result);
+    const Json doc = report.build();
+    const Json &cells = doc.at("cells");
+    ASSERT_EQ(cells.size(), grid.size() * suite.count());
+    for (size_t c = 0; c < grid.size(); ++c) {
+        for (size_t w = 0; w < suite.count(); ++w) {
+            const Json &timing =
+                cells.at(c * suite.count() + w).at("timing");
+            EXPECT_EQ(timing.at("collapsed").asBool(),
+                      collapseEligible(grid[c]))
+                << "config " << c << " workload " << suite.name(w);
+        }
     }
 
-    // One memoized miss stream per workload; the retained-bytes
-    // accounting (which serve::TraceMemo::refresh charges against
-    // its budget) must see them.
-    EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
+    // One memoized miss stream per (workload, front end); the
+    // retained-bytes accounting (which serve::TraceMemo::refresh
+    // charges against its budget) must see them.
+    EXPECT_EQ(suite.missStreamsBuilt(), 2 * suite.count());
     EXPECT_GT(suite.retainedTraceBytes(), bytes_before);
 
     // A second sweep reuses the streams.
     runSweep(suite, grid, 2);
-    EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
+    EXPECT_EQ(suite.missStreamsBuilt(), 2 * suite.count());
 }
 
 TEST(Collapse, ObsSnapshotIsCollapseInvariant)
 {
-    // The derived cells synthesize exactly the counters and the
-    // sim.cell.instructions histogram sample runOne would have
-    // published, so the full-registry snapshot of a sweep equals that
-    // of a runOne loop over the same cells — modulo the sim.sweep.*
-    // plan counters, which only the scheduler itself emits.
+    // Derived cells publish exactly the counters and the
+    // sim.cell.instructions histogram sample a full replay would
+    // have, so the full-registry snapshot of a sweep equals that of
+    // replaying every cell through a FetchEngine.
     obs::Registry &registry = obs::Registry::global();
     const bool was = registry.enabled();
     registry.reset();
@@ -319,74 +299,23 @@ TEST(Collapse, ObsSnapshotIsCollapseInvariant)
             withOnChipL2(economyBaseline(), 64 * 1024, 64, assoc));
     grid.push_back(economyBaseline());
 
-    const auto strip_plan_keys =
-        [](std::map<std::string, uint64_t> snap) {
-            for (auto it = snap.begin(); it != snap.end();) {
-                if (it->first.rfind("sim.sweep.", 0) == 0)
-                    it = snap.erase(it);
-                else
-                    ++it;
-            }
-            return snap;
-        };
-
     runSweep(suite, grid, 2);
-    const auto collapsed_counters =
-        strip_plan_keys(registry.snapshot());
-    const auto collapsed_hists = registry.snapshotHistograms();
+    const auto swept_counters = registry.snapshot();
+    const auto swept_hists = registry.snapshotHistograms();
 
     registry.reset();
     for (const FetchConfig &config : grid)
         for (size_t w = 0; w < suite.count(); ++w)
-            suite.runOne(w, config);
-    const auto per_cell_counters =
-        strip_plan_keys(registry.snapshot());
-    const auto per_cell_hists = registry.snapshotHistograms();
+            replayCell(suite, w, config);
+    const auto replayed_counters = registry.snapshot();
+    const auto replayed_hists = registry.snapshotHistograms();
 
-    EXPECT_EQ(collapsed_counters, per_cell_counters);
-    EXPECT_EQ(collapsed_hists.size(), per_cell_hists.size());
-    for (const auto &[name, hist] : collapsed_hists) {
-        const auto it = per_cell_hists.find(name);
-        ASSERT_NE(it, per_cell_hists.end()) << name;
+    EXPECT_EQ(swept_counters, replayed_counters);
+    EXPECT_EQ(swept_hists.size(), replayed_hists.size());
+    for (const auto &[name, hist] : swept_hists) {
+        const auto it = replayed_hists.find(name);
+        ASSERT_NE(it, replayed_hists.end()) << name;
         EXPECT_TRUE(hist == it->second) << name;
-    }
-
-    registry.reset();
-    registry.setEnabled(was);
-}
-
-TEST(Collapse, PlanCountersAreThreadInvariant)
-{
-    obs::Registry &registry = obs::Registry::global();
-    const bool was = registry.enabled();
-
-    SuiteTraces suite(specSuite(), 5000);
-    std::vector<FetchConfig> grid;
-    for (uint32_t assoc : {1u, 2u, 4u})
-        grid.push_back(
-            withOnChipL2(economyBaseline(), 64 * 1024, 64, assoc));
-    grid.push_back(economyBaseline());
-
-    std::map<std::string, uint64_t> seen;
-    for (const unsigned threads : {1u, 8u}) {
-        registry.reset();
-        registry.setEnabled(true);
-        runSweep(suite, grid, threads);
-        const auto snap = registry.snapshot();
-        std::map<std::string, uint64_t> plan_keys;
-        for (const auto &[name, value] : snap) {
-            if (name.rfind("sim.sweep.", 0) == 0)
-                plan_keys[name] = value;
-        }
-        EXPECT_EQ(plan_keys.at("sim.sweep.groups"), 1u);
-        EXPECT_EQ(plan_keys.at("sim.sweep.collapsed_cells"),
-                  3u * suite.count());
-        EXPECT_EQ(plan_keys.at("sim.sweep.fallback_cells"),
-                  1u * suite.count());
-        if (seen.empty())
-            seen = plan_keys;
-        else
-            EXPECT_EQ(seen, plan_keys);
     }
 
     registry.reset();

@@ -14,30 +14,12 @@
 #include <utility>
 #include <vector>
 
+#include "replay_oracle.h"
 #include "sim/sweep.h"
 #include "workload/ibs.h"
 
 namespace ibs {
 namespace {
-
-void
-expectEqualStats(const FetchStats &a, const FetchStats &b,
-                 const std::string &label)
-{
-    EXPECT_EQ(a.instructions, b.instructions) << label;
-    EXPECT_EQ(a.cycles, b.cycles) << label;
-    EXPECT_EQ(a.stallCyclesL1, b.stallCyclesL1) << label;
-    EXPECT_EQ(a.stallCyclesL2, b.stallCyclesL2) << label;
-    EXPECT_EQ(a.l1Misses, b.l1Misses) << label;
-    EXPECT_EQ(a.l2Accesses, b.l2Accesses) << label;
-    EXPECT_EQ(a.l2Misses, b.l2Misses) << label;
-    EXPECT_EQ(a.l2DataAccesses, b.l2DataAccesses) << label;
-    EXPECT_EQ(a.l2DataMisses, b.l2DataMisses) << label;
-    EXPECT_EQ(a.prefetchesIssued, b.prefetchesIssued) << label;
-    EXPECT_EQ(a.prefetchesUsed, b.prefetchesUsed) << label;
-    EXPECT_EQ(a.streamBufferHits, b.streamBufferHits) << label;
-    EXPECT_EQ(a.bypassHits, b.bypassHits) << label;
-}
 
 /** A small but policy-diverse config grid. */
 std::vector<FetchConfig>
@@ -95,8 +77,8 @@ TEST(Sweep, SuiteMergeMatchesRunSuite)
 TEST(Sweep, SinkReceivesEachCellOnce)
 {
     // The small grid plus an L2 variant of its third config: those
-    // two form a collapsed group (sim/collapse.h), the rest run per
-    // cell, and both kinds of task must hand every cell to the sink
+    // two are derived from one shared miss stream (sim/collapse.h),
+    // the rest replay in full, and every cell must reach the sink
     // exactly once with its own stats and timing.
     SuiteTraces suite(specSuite(), 15000);
     std::vector<FetchConfig> grid = smallGrid();
@@ -113,9 +95,6 @@ TEST(Sweep, SinkReceivesEachCellOnce)
                  ++calls[{c, w}];
                  expectEqualStats(stats, suite.runOne(w, grid[c]), label);
                  EXPECT_EQ(timing.instructions, stats.instructions)
-                     << label;
-                 // Only the group's non-leader member is derived.
-                 EXPECT_EQ(timing.collapsed, c == grid.size() - 1)
                      << label;
              });
     EXPECT_EQ(calls.size(), grid.size() * suite.count());
