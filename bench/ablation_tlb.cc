@@ -10,7 +10,9 @@
  *
  * Each workload's I+D stream is generated once and every record goes
  * to all ten TLBs side by side; a (TLB, workload) cell is timed as a
- * tenth of that shared pass.
+ * tenth of that shared pass. After each pass the fully-associative
+ * LRU TLBs must obey Mattson inclusion (a larger one never misses
+ * more on the same stream); a violation aborts the run.
  *
  * Expected shape: IBS needs several times the TLB reach of SPEC for
  * equal miss rates, and low-associativity TLBs suffer under the
@@ -18,6 +20,8 @@
  */
 
 #include <iostream>
+#include <stdexcept>
+#include <string>
 
 #include "obs/registry.h"
 #include "sim/bench_report.h"
@@ -48,6 +52,40 @@ struct WorkloadPass
     double cellSeconds = 0;       ///< The pass's time per config.
 };
 
+/**
+ * Mattson inclusion on one pass: on the same stream a larger
+ * fully-associative LRU TLB holds a superset of a smaller one's
+ * entries, so it never misses more.
+ *
+ * @throws std::logic_error naming the workload, both sizes and both
+ *         miss counts
+ */
+void
+checkInclusion(const WorkloadPass &pass,
+               const std::vector<TlbConfig> &configs)
+{
+    auto lruFullyAssociative = [&](size_t k) {
+        return configs[k].assoc == configs[k].entries &&
+            configs[k].replacement == Replacement::LRU;
+    };
+    for (size_t a = 0; a < configs.size(); ++a) {
+        for (size_t b = 0; b < configs.size(); ++b) {
+            const bool b_is_larger = lruFullyAssociative(a) &&
+                lruFullyAssociative(b) &&
+                configs[a].entries < configs[b].entries;
+            if (!b_is_larger || pass.misses[b] <= pass.misses[a])
+                continue;
+            throw std::logic_error(
+                "TLB inclusion broken on " + pass.name + ": " +
+                std::to_string(configs[b].entries) +
+                "-entry fully-associative LRU TLB missed " +
+                std::to_string(pass.misses[b]) + " times, the " +
+                std::to_string(configs[a].entries) + "-entry one " +
+                std::to_string(pass.misses[a]));
+        }
+    }
+}
+
 /** Run `n` instructions of each workload of `suite`, with data
  *  references, through one TLB per config. */
 std::vector<WorkloadPass>
@@ -77,6 +115,7 @@ passSuite(std::vector<WorkloadSpec> suite,
             if (obs::Registry::global().enabled())
                 tlb.publishCounters(obs::Registry::global(), grid);
         }
+        checkInclusion(pass, configs);
         passes.push_back(std::move(pass));
     }
     return passes;

@@ -11,20 +11,22 @@
  * Usage:
  *   cache_explorer                       # gs under Mach, defaults
  *   cache_explorer verilog.mach         # by catalog name
- *   cache_explorer gcc 2000000          # SPEC gcc, 2M instructions
+ *   cache_explorer gcc.spec 2000000     # SPEC gcc, 2M instructions
  *
  * Catalog names: <ibs>.mach, <ibs>.ultrix (mpeg_play, jpeg_play, gs,
  * verilog, gcc, sdet, nroff, groff) and the SPEC names (eqntott,
- * espresso, gcc.spec, li, compress, sc, doduc, tomcatv).
+ * espresso, gcc.spec, li, compress, sc, doduc, tomcatv). The
+ * instruction count must be a positive integer; anything else prints
+ * the usage line and exits 2.
  */
 
-#include <cstdlib>
 #include <iostream>
 #include <optional>
 #include <string>
 
 #include "core/fetch_config.h"
 #include "core/fetch_engine.h"
+#include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
@@ -68,8 +70,15 @@ main(int argc, char **argv)
     uint64_t n = 1'000'000;
     if (argc > 1)
         name = argv[1];
-    if (argc > 2)
-        n = std::strtoull(argv[2], nullptr, 10);
+    if (argc > 2) {
+        const std::optional<uint64_t> count = parseCount(argv[2]);
+        if (!count) {
+            std::cerr << "usage: " << argv[0]
+                      << " [workload] [instructions]\n";
+            return 2;
+        }
+        n = *count;
+    }
 
     const auto spec = lookup(name);
     if (!spec) {

@@ -8,14 +8,18 @@
  * correspond directly to Table 4 and Figure 1 of the paper.
  *
  * Usage: workload_inspector [instructions-per-workload]
+ *
+ * The count must be a positive integer; anything else prints the
+ * usage line and exits 2.
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <vector>
 
 #include "cache/cache.h"
+#include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
 #include "workload/model.h"
@@ -114,8 +118,15 @@ int
 main(int argc, char **argv)
 {
     uint64_t instructions = 1'000'000;
-    if (argc > 1)
-        instructions = std::strtoull(argv[1], nullptr, 10);
+    if (argc > 1) {
+        const std::optional<uint64_t> count = ibs::parseCount(argv[1]);
+        if (!count) {
+            std::cerr << "usage: " << argv[0]
+                      << " [instructions-per-workload]\n";
+            return 2;
+        }
+        instructions = *count;
+    }
 
     inspectSuite("IBS suite under Mach 3.0",
                  ibs::ibsSuite(ibs::OsType::Mach), instructions);

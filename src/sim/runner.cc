@@ -5,6 +5,7 @@
 
 #include "sim/runner.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -35,6 +36,23 @@ warnShortTrace(const std::string &name, uint64_t got, uint64_t wanted)
 
 } // namespace
 
+std::optional<uint64_t>
+parseCount(const char *text, uint64_t min, uint64_t max)
+{
+    // strtoull silently skips leading blanks, accepts a sign (and
+    // wraps negative input), ignores trailing garbage, and saturates
+    // on overflow with no error by default — reject all of them
+    // explicitly so a typo cannot silently run the wrong experiment.
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v < min || v > max)
+        return std::nullopt;
+    return v;
+}
+
 uint64_t
 parseEnvCount(const char *name, uint64_t fallback, uint64_t min,
               uint64_t max)
@@ -42,26 +60,16 @@ parseEnvCount(const char *name, uint64_t fallback, uint64_t min,
     const char *env = std::getenv(name);
     if (!env || *env == '\0')
         return fallback;
-    // strtoull silently accepts trailing garbage, wraps negative
-    // input, and saturates on overflow with no error by default —
-    // reject all three explicitly so a typo'd environment variable
-    // cannot silently run the wrong experiment.
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0' || env[0] == '-' ||
-        errno == ERANGE || v < min || v > max) {
-        const std::string want = min == 1 && max == UINT64_MAX
-            ? "a positive integer"
-            : "an integer in [" + std::to_string(min) + ", " +
-                std::to_string(max) + "]";
-        obs::log(obs::LogLevel::Warn,
-                 "ignoring invalid %s=\"%s\" (want %s); using %llu",
-                 name, env, want.c_str(),
-                 static_cast<unsigned long long>(fallback));
-        return fallback;
-    }
-    return v;
+    if (const std::optional<uint64_t> v = parseCount(env, min, max))
+        return *v;
+    const std::string want = min == 1 && max == UINT64_MAX
+        ? "a positive integer"
+        : "an integer in [" + std::to_string(min) + ", " +
+            std::to_string(max) + "]";
+    obs::log(obs::LogLevel::Warn,
+             "ignoring invalid %s=\"%s\" (want %s); using %llu", name,
+             env, want.c_str(), static_cast<unsigned long long>(fallback));
+    return fallback;
 }
 
 uint64_t
@@ -211,15 +219,6 @@ SuiteTraces::runOne(size_t i, const FetchConfig &config) const
     }
     stats.check(config);
     return stats;
-}
-
-FetchStats
-SuiteTraces::runSuite(const FetchConfig &config) const
-{
-    FetchStats total;
-    for (size_t i = 0; i < count(); ++i)
-        total.merge(runOne(i, config));
-    return total;
 }
 
 } // namespace ibs

@@ -17,6 +17,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,10 +59,19 @@ struct MissStream
 };
 
 /**
- * Parse an integer in [min, max] — by default any positive integer —
- * from environment variable `name`; unset or empty gives `fallback`.
- * Malformed values (trailing garbage, sign, overflow, out of range)
- * are rejected with a warning on stderr and `fallback` is returned.
+ * Parse `text` as a decimal integer in [min, max] — by default any
+ * positive integer. Anything but digits (empty text, a leading blank
+ * or sign, trailing garbage), overflow and out-of-range values give
+ * nullopt: strtoull alone would accept "45x" as 45 and wrap "-1" to
+ * 2^64 - 1.
+ */
+std::optional<uint64_t> parseCount(const char *text, uint64_t min = 1,
+                                   uint64_t max = UINT64_MAX);
+
+/**
+ * parseCount of environment variable `name` — by default any positive
+ * integer; unset or empty gives `fallback`. A rejected value is
+ * reported with a warning on stderr and `fallback` is returned.
  */
 uint64_t parseEnvCount(const char *name, uint64_t fallback,
                        uint64_t min = 1, uint64_t max = UINT64_MAX);
@@ -86,8 +96,8 @@ uint64_t benchInstructions(uint64_t fallback = 1'500'000);
  *
  * Thread-safety: run traces and miss streams are each built exactly
  * once behind a std::once_flag and are immutable afterwards, so any
- * number of threads may call the const members (runOne, runSuite,
- * runTrace, ...) concurrently on one shared instance; a caller that
+ * number of threads may call the const members (runOne, runTrace,
+ * missStream, ...) concurrently on one shared instance; a caller that
  * needs an entry another thread is still building waits on that
  * entry's once_flag. sim/sweep.h relies on this to fan a config grid
  * out across workers.
@@ -96,7 +106,10 @@ class SuiteTraces
 {
   public:
     /**
-     * @param suite workload specs (instruction streams only)
+     * @param suite workload specs, instruction streams only: a spec
+     *        with data references enabled has no run trace, so
+     *        runTrace and runOne throw std::invalid_argument for it
+     *        (workload/run_stream.h)
      * @param instructions_per_workload trace length for each
      */
     SuiteTraces(const std::vector<WorkloadSpec> &suite,
@@ -155,9 +168,6 @@ class SuiteTraces
      * FetchStats::check (which throws std::logic_error otherwise).
      */
     FetchStats runOne(size_t i, const FetchConfig &config) const;
-
-    /** Run the whole suite and merge (equal-weight average). */
-    FetchStats runSuite(const FetchConfig &config) const;
 
   private:
     /** Memo slot: call_once gives build-exactly-once semantics

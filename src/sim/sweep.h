@@ -96,7 +96,7 @@ class SweepResult
 
     /**
      * Suite-level stats for one config: cells merged in workload
-     * index order, exactly matching SuiteTraces::runSuite.
+     * index order, exactly as a serial loop of runOne calls would.
      * FetchStats::merge is pure counter addition, so the merge is
      * order-independent; fixing the order anyway makes the
      * determinism contract trivially auditable.

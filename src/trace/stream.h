@@ -1,19 +1,20 @@
 /**
  * @file
- * Trace-stream abstractions.
+ * Trace-stream abstraction.
  *
- * A TraceStream produces TraceRecords one at a time. Synthetic workload
- * models, file readers and the Monster capture model all implement this
- * interface, so simulators are agnostic to where references come from —
- * exactly the property that let the original study mix trace-driven and
- * trap-driven methodologies.
+ * A TraceStream produces TraceRecords one at a time. Traces are
+ * synthesized on demand and never stored. WorkloadModel, the merged
+ * user+OS reference stream, is the one producer the products run; the
+ * drivers that read data references (FetchEngine::run,
+ * DecstationModel::run) replay it record by record. VectorTraceStream
+ * feeds hand-built records to the same drivers.
  */
 
 #ifndef IBS_TRACE_STREAM_H
 #define IBS_TRACE_STREAM_H
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "trace/record.h"
@@ -34,9 +35,6 @@ class TraceStream
      * @retval false the stream is exhausted
      */
     virtual bool next(TraceRecord &rec) = 0;
-
-    /** Restart from the beginning if the source supports it. */
-    virtual void reset() = 0;
 };
 
 /** Stream over an in-memory vector of records. */
@@ -56,75 +54,10 @@ class VectorTraceStream : public TraceStream
         return true;
     }
 
-    void reset() override { pos_ = 0; }
-
-    const std::vector<TraceRecord> &records() const { return records_; }
-
   private:
     std::vector<TraceRecord> records_;
     size_t pos_ = 0;
 };
-
-/** Pass through at most `limit` records of an underlying stream. */
-class TakeStream : public TraceStream
-{
-  public:
-    TakeStream(TraceStream &inner, uint64_t limit)
-        : inner_(inner), limit_(limit)
-    {}
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        if (taken_ >= limit_)
-            return false;
-        if (!inner_.next(rec))
-            return false;
-        ++taken_;
-        return true;
-    }
-
-    void
-    reset() override
-    {
-        inner_.reset();
-        taken_ = 0;
-    }
-
-  private:
-    TraceStream &inner_;
-    uint64_t limit_;
-    uint64_t taken_ = 0;
-};
-
-/** Pass through only records matching a kind predicate. */
-class FilterKindStream : public TraceStream
-{
-  public:
-    FilterKindStream(TraceStream &inner, RefKind kind)
-        : inner_(inner), kind_(kind)
-    {}
-
-    bool
-    next(TraceRecord &rec) override
-    {
-        while (inner_.next(rec)) {
-            if (rec.kind == kind_)
-                return true;
-        }
-        return false;
-    }
-
-    void reset() override { inner_.reset(); }
-
-  private:
-    TraceStream &inner_;
-    RefKind kind_;
-};
-
-/** Drain an entire stream into a vector (test/diagnostic helper). */
-std::vector<TraceRecord> drain(TraceStream &stream,
-                               uint64_t max_records = UINT64_MAX);
 
 } // namespace ibs
 

@@ -8,18 +8,24 @@
 #include <algorithm>
 #include <bit>
 #include <stdexcept>
+#include <string>
 
 namespace ibs {
 
 RunStream::RunStream(WorkloadModel &model, uint32_t line_bytes,
                      uint64_t max_instructions)
     : model_(model), lineBytes_(line_bytes),
-      lineMask_(~uint64_t{line_bytes - 1}), cap_(max_instructions),
-      perRecord_(model.spec().data.enabled)
+      lineMask_(~uint64_t{line_bytes - 1}), cap_(max_instructions)
 {
     if (line_bytes < kInstrBytes || !std::has_single_bit(line_bytes)) {
         throw std::invalid_argument(
             "RunStream: line_bytes must be a power of two >= 4");
+    }
+    if (model.spec().data.enabled) {
+        throw std::invalid_argument(
+            "RunStream: workload " + model.spec().name +
+            " has data references enabled; run traces are "
+            "instruction-only");
     }
 }
 
@@ -28,26 +34,10 @@ RunStream::refill()
 {
     if (pulled_ >= cap_)
         return false;
-    if (!perRecord_) {
-        blockLen_ = model_.nextInstrBlock(cap_ - pulled_, blockStart_);
-        blockAsid_ = model_.currentAsid();
-        pulled_ += blockLen_;
-        return true;
-    }
-    // Data-reference mode: the scheduler RNG is drawn per
-    // instruction, so replicate the materialization loop exactly —
-    // pull records, keep only instruction fetches.
-    TraceRecord rec;
-    while (pulled_ < cap_ && model_.next(rec)) {
-        if (!rec.isInstr())
-            continue;
-        blockStart_ = rec.vaddr;
-        blockAsid_ = rec.asid;
-        blockLen_ = 1;
-        ++pulled_;
-        return true;
-    }
-    return false;
+    blockLen_ = model_.nextInstrBlock(cap_ - pulled_, blockStart_);
+    blockAsid_ = model_.currentAsid();
+    pulled_ += blockLen_;
+    return true;
 }
 
 bool

@@ -16,20 +16,20 @@
  * run-for-run.
  *
  * Each run also carries the ASID of the component that issued it
- * (WorkloadModel::currentAsid, or the record's ASID in data mode),
- * and a run is never extended across an ASID change. That extra cut
- * only fires when a component switch happens to continue at the
- * next sequential address, which the shipped workloads never do (the
- * components' text segments are disjoint), so their runs still equal
- * compressRuns' run-for-run. With line_bytes == PAGE_SIZE the output
- * is the page-bounded, ASID-tagged trace of the address-translating
- * drivers (sim/tapeworm.h).
+ * (WorkloadModel::currentAsid), and a run is never extended across
+ * an ASID change. That extra cut only fires when a component switch
+ * happens to continue at the next sequential address, which the
+ * shipped workloads never do (the components' text segments are
+ * disjoint), so their runs still equal compressRuns' run-for-run.
+ * With line_bytes == PAGE_SIZE the output is the page-bounded,
+ * ASID-tagged trace of the address-translating drivers
+ * (sim/tapeworm.h).
  *
- * Workloads with data references enabled fall back to pulling one
- * record at a time (every instruction then draws from the scheduler
- * RNG, so blocks cannot skip records), which still avoids the flat
- * vector; instruction-only workloads — every suite the benches sweep
- * — take the O(runs) block path.
+ * Only instruction-only workloads have run traces. With data
+ * references enabled every instruction draws from the scheduler RNG,
+ * so blocks cannot skip records; RunStream refuses such a workload,
+ * and the drivers that read data references (the DECstation, TLB and
+ * unified-L2 binaries) replay WorkloadModel::next record by record.
  */
 
 #ifndef IBS_WORKLOAD_RUN_STREAM_H
@@ -52,7 +52,8 @@ class RunStream
      * @param line_bytes cache line size the runs are cut for; must be
      *        a power of two >= 4
      * @param max_instructions stop after this many instructions
-     * @throws std::invalid_argument on an invalid line size
+     * @throws std::invalid_argument on an invalid line size, or when
+     *         the model's workload has data references enabled
      */
     RunStream(WorkloadModel &model, uint32_t line_bytes,
               uint64_t max_instructions);
@@ -77,7 +78,6 @@ class RunStream
     uint32_t lineBytes_;
     uint64_t lineMask_; ///< ~(lineBytes - 1).
     uint64_t cap_;
-    bool perRecord_; ///< Data refs enabled: pull records, not blocks.
 
     uint64_t pulled_ = 0;  ///< Instructions drawn from the model.
     uint64_t emitted_ = 0; ///< Instructions handed out in runs.
@@ -96,6 +96,8 @@ class RunStream
 /**
  * Drain a RunStream over `model` into a RunTrace; peak memory is the
  * compressed trace alone.
+ *
+ * @throws std::invalid_argument as RunStream's constructor
  */
 RunTrace generateRunTrace(WorkloadModel &model, uint32_t line_bytes,
                           uint64_t max_instructions);

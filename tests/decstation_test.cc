@@ -126,12 +126,14 @@ TEST(Decstation, TotalIsSumOfComponents)
 
 TEST(Decstation, ResetClears)
 {
-    VectorTraceStream stream({{0x00400000, 1, RefKind::InstrFetch}});
+    const std::vector<TraceRecord> recs = {
+        {0x00400000, 1, RefKind::InstrFetch}};
     DecstationModel model;
-    model.run(stream, UINT64_MAX);
+    VectorTraceStream first(recs);
+    model.run(first, UINT64_MAX);
     model.reset();
-    stream.reset();
-    const DecstationStats s = model.run(stream, UINT64_MAX);
+    VectorTraceStream second(recs);
+    const DecstationStats s = model.run(second, UINT64_MAX);
     EXPECT_EQ(s.instructions, 1u);
     EXPECT_EQ(s.icacheMisses, 1u); // Cold again after reset.
 }

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fetch_config.h"
+#include "replay_oracle.h"
 #include "sim/runner.h"
 #include "workload/ibs.h"
 
@@ -45,20 +46,20 @@ SuiteTraces *Integration::spec_ = nullptr;
 TEST_F(Integration, Table5Baselines)
 {
     // Paper: economy IBS 1.77, high-perf IBS 0.72.
-    const double econ = ibs_->runSuite(economyBaseline()).cpiInstr();
-    const double perf = ibs_->runSuite(highPerfBaseline()).cpiInstr();
+    const double econ = runSuite(*ibs_, economyBaseline()).cpiInstr();
+    const double perf = runSuite(*ibs_, highPerfBaseline()).cpiInstr();
     EXPECT_NEAR(econ, 1.77, 0.35);
     EXPECT_NEAR(perf, 0.72, 0.15);
     // SPEC is several times lower on both.
-    EXPECT_LT(spec_->runSuite(economyBaseline()).cpiInstr(),
+    EXPECT_LT(runSuite(*spec_, economyBaseline()).cpiInstr(),
               econ / 2.5);
 }
 
 TEST_F(Integration, OnChipL2ReducesCpiDramatically)
 {
-    const double base = ibs_->runSuite(economyBaseline()).cpiInstr();
-    const FetchStats with_l2 = ibs_->runSuite(
-        withOnChipL2(economyBaseline(), 64 * 1024, 64, 8));
+    const double base = runSuite(*ibs_, economyBaseline()).cpiInstr();
+    const FetchStats with_l2 = runSuite(
+        *ibs_, withOnChipL2(economyBaseline(), 64 * 1024, 64, 8));
     // Paper Figure 7: 1.77 -> ~0.5.
     EXPECT_LT(with_l2.cpiInstr(), base / 2.5);
     // The L1 contribution settles near the paper's 0.34.
@@ -78,8 +79,8 @@ TEST_F(Integration, Table6PrefetchInversion)
     coarse.l1.lineBytes = 64;
     coarse.prefetchLines = 0;
 
-    EXPECT_LT(ibs_->runSuite(fine).cpiInstr(),
-              ibs_->runSuite(coarse).cpiInstr());
+    EXPECT_LT(runSuite(*ibs_, fine).cpiInstr(),
+              runSuite(*ibs_, coarse).cpiInstr());
 }
 
 TEST_F(Integration, Table8StreamBufferSaturation)
@@ -90,7 +91,7 @@ TEST_F(Integration, Table8StreamBufferSaturation)
         c.l1Fill = MemoryTiming{6, 16};
         c.pipelined = true;
         c.streamBufferLines = lines;
-        return ibs_->runSuite(c).cpiInstr();
+        return runSuite(*ibs_, c).cpiInstr();
     };
     const double none = cpi(0);
     const double six = cpi(6);
@@ -110,8 +111,8 @@ TEST_F(Integration, OptimizedPathLowerBound)
     opt.l1Fill = MemoryTiming{6, 32};
     opt.pipelined = true;
     opt.streamBufferLines = 6;
-    const double ibs_cpi = ibs_->runSuite(opt).cpiInstr();
-    const double spec_cpi = spec_->runSuite(opt).cpiInstr();
+    const double ibs_cpi = runSuite(*ibs_, opt).cpiInstr();
+    const double spec_cpi = runSuite(*spec_, opt).cpiInstr();
     EXPECT_GT(ibs_cpi, 0.10);
     EXPECT_LT(ibs_cpi, 0.30);
     EXPECT_LT(spec_cpi, ibs_cpi / 2.5);
@@ -126,7 +127,7 @@ TEST_F(Integration, BandwidthOptimalLineGrows)
             FetchConfig c;
             c.l1 = CacheConfig{8 * 1024, 1, line, Replacement::LRU};
             c.l1Fill = MemoryTiming{6, bw};
-            const double v = ibs_->runSuite(c).cpiInstr();
+            const double v = runSuite(*ibs_, c).cpiInstr();
             if (v < best) {
                 best = v;
                 arg = line;

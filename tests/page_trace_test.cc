@@ -102,9 +102,8 @@ expectRunsExpandToRecords(const WorkloadSpec &spec, uint64_t n)
         instructionRecords(spec, n);
     ASSERT_EQ(records.size(), n) << spec.name;
     for (uint32_t line : {4u, 32u, static_cast<uint32_t>(PAGE_SIZE)}) {
-        const std::string label = spec.name +
-            (spec.data.enabled ? "/I+D" : "/I") + "/line" +
-            std::to_string(line);
+        const std::string label =
+            spec.name + "/line" + std::to_string(line);
         const RunTrace trace = runTrace(spec, line, n);
         EXPECT_EQ(trace.lineBytes, line) << label;
         EXPECT_EQ(trace.instructions, n) << label;
@@ -137,45 +136,36 @@ TEST(PageTrace, RunsExpandToModelRecordsWithAsids)
     specs.push_back(makeSpec(SpecBenchmark::Gcc));
     specs.push_back(makeSpec(SpecBenchmark::Espresso));
     specs.push_back(sharedPageSpec());
-    for (WorkloadSpec spec : specs) {
-        for (bool data : {false, true}) {
-            spec.data.enabled = data;
-            expectRunsExpandToRecords(spec, 50000);
-        }
-    }
+    for (const WorkloadSpec &spec : specs)
+        expectRunsExpandToRecords(spec, 50000);
 }
 
 TEST(PageTrace, AsidSwitchCutsAnOtherwiseSequentialRun)
 {
     // The shipped workloads' tasks never share text, so only this
     // construction reaches the cut: confirm it does, many times.
-    for (bool data : {false, true}) {
-        WorkloadSpec spec = sharedPageSpec();
-        spec.data.enabled = data;
-        const std::vector<TraceRecord> records =
-            instructionRecords(spec, 20000);
-        uint64_t cuts = 0;
-        for (size_t k = 1; k < records.size(); ++k) {
-            if (records[k].vaddr == records[k - 1].vaddr + kInstrBytes &&
-                records[k].asid != records[k - 1].asid)
-                ++cuts;
-        }
-        EXPECT_GT(cuts, 100u) << (data ? "I+D" : "I");
-
-        // Every cut starts a run: a page trace holds one more run
-        // than there are breaks of any kind.
-        uint64_t breaks = 0;
-        for (size_t k = 1; k < records.size(); ++k) {
-            if (records[k].vaddr != records[k - 1].vaddr + kInstrBytes ||
-                records[k].asid != records[k - 1].asid ||
-                pageNumber(records[k].vaddr) !=
-                    pageNumber(records[k - 1].vaddr))
-                ++breaks;
-        }
-        EXPECT_EQ(runTrace(spec, PAGE_SIZE, 20000).runs.size(),
-                  breaks + 1)
-            << (data ? "I+D" : "I");
+    const WorkloadSpec spec = sharedPageSpec();
+    const std::vector<TraceRecord> records =
+        instructionRecords(spec, 20000);
+    uint64_t cuts = 0;
+    for (size_t k = 1; k < records.size(); ++k) {
+        if (records[k].vaddr == records[k - 1].vaddr + kInstrBytes &&
+            records[k].asid != records[k - 1].asid)
+            ++cuts;
     }
+    EXPECT_GT(cuts, 100u);
+
+    // Every cut starts a run: a page trace holds one more run than
+    // there are breaks of any kind.
+    uint64_t breaks = 0;
+    for (size_t k = 1; k < records.size(); ++k) {
+        if (records[k].vaddr != records[k - 1].vaddr + kInstrBytes ||
+            records[k].asid != records[k - 1].asid ||
+            pageNumber(records[k].vaddr) !=
+                pageNumber(records[k - 1].vaddr))
+            ++breaks;
+    }
+    EXPECT_EQ(runTrace(spec, PAGE_SIZE, 20000).runs.size(), breaks + 1);
 }
 
 /**

@@ -1,12 +1,17 @@
 /**
  * @file
- * Full-replay oracle and all-field FetchStats comparator for tests.
+ * Full-replay oracle, serial suite helper and all-field FetchStats
+ * comparator for tests.
  *
  * SuiteTraces::runOne derives every L2 variant from a memoized miss
  * stream (sim/collapse.h). replayCell is the other side of that
  * comparison: the cell simulated in full by a FetchEngine fed the
  * workload's run trace, publishing to the obs registry exactly what
  * runOne's replay path publishes. It must not call runOne.
+ *
+ * runSuite is the serial reference for the sweep executor: runOne
+ * over every workload, merged in index order. The products take
+ * their suite totals from runSweep and SweepResult::suite.
  */
 
 #ifndef IBS_TESTS_REPLAY_ORACLE_H
@@ -59,6 +64,17 @@ replayCell(const SuiteTraces &suite, size_t w, const FetchConfig &config)
                          engine.stats().instructions);
     }
     return engine.stats();
+}
+
+/** The whole suite under `config`, one runOne call per workload in
+ *  index order, merged (equal-weight average). */
+inline FetchStats
+runSuite(const SuiteTraces &suite, const FetchConfig &config)
+{
+    FetchStats total;
+    for (size_t w = 0; w < suite.count(); ++w)
+        total.merge(suite.runOne(w, config));
+    return total;
 }
 
 } // namespace ibs

@@ -9,13 +9,14 @@
  * The deliberate asymmetry is also pinned down: data records reach
  * FetchEngine::dataTouch only through run(). SuiteTraces stores
  * instruction runs only, so a unified-L2 experiment that needs the
- * data stream (bench/ablation_unified_l2) must drive run() — if
- * someone rewires it onto SuiteTraces, the second test here is the
- * tripwire that the data stream went missing.
+ * data stream (bench/ablation_unified_l2) must drive run(); a
+ * data-enabled workload handed to SuiteTraces is refused with an
+ * error instead of losing its data stream.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "core/fetch_engine.h"
@@ -87,18 +88,12 @@ TEST(RunnerParity, DataRecordsReachDataTouchOnlyViaRun)
     EXPECT_EQ(streamed.instructions, kInstructions);
     EXPECT_GT(streamed.l2DataAccesses, 0u);
 
-    // SuiteTraces stores instruction runs only — the data stream is
-    // dropped at generation, so runOne cannot model a unified L2's
-    // data competition. This is intentional and
-    // documented; the EXPECT below is the tripwire for anyone
-    // rewiring the unified-L2 bench onto SuiteTraces.
+    // SuiteTraces stores instruction runs only, so runOne cannot
+    // model a unified L2's data competition. It refuses the workload
+    // rather than silently dropping its data stream: anyone rewiring
+    // the unified-L2 bench onto SuiteTraces gets this error.
     SuiteTraces suite({spec}, kInstructions);
-    const FetchStats flat = suite.runOne(0, unified);
-    EXPECT_EQ(flat.l2DataAccesses, 0u);
-    EXPECT_EQ(flat.instructions, kInstructions);
-    // And the dropped data stream is visible in the stats: the
-    // instruction-side L2 behaviour differs once data competes.
-    EXPECT_NE(streamed.l2Misses, flat.l2Misses);
+    EXPECT_THROW(suite.runOne(0, unified), std::invalid_argument);
 }
 
 } // namespace

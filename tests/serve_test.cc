@@ -7,9 +7,11 @@
  */
 
 #include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -22,12 +24,14 @@
 #include "obs/log.h"
 #include "obs/prom.h"
 #include "obs/registry.h"
+#include "replay_oracle.h"
 #include "serve/catalog.h"
 #include "serve/client.h"
 #include "serve/memo.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "sim/runner.h"
+#include "stats/rng.h"
 #include "workload/ibs.h"
 
 namespace {
@@ -74,6 +78,18 @@ statU64(const Json &cell, const char *key)
 {
     return static_cast<uint64_t>(
         cell.at("stats").at(key).asNumber());
+}
+
+/** One frame as it travels: big-endian u32 length, then payload. */
+std::string
+wireFrame(const std::string &payload)
+{
+    const uint32_t len = static_cast<uint32_t>(payload.size());
+    std::string frame = {static_cast<char>(len >> 24),
+                         static_cast<char>(len >> 16),
+                         static_cast<char>(len >> 8),
+                         static_cast<char>(len)};
+    return frame + payload;
 }
 
 TEST(Serve, PingAndStatsRoundTrip)
@@ -215,15 +231,8 @@ TEST(Serve, BadJsonGetsAnErrorAndKeepsTheConnection)
     // which would overflow an unbounded recursive parser's stack.
     for (const std::string &payload :
          {std::string("this is not json"), std::string(100000, '[')}) {
-        const uint32_t len = static_cast<uint32_t>(payload.size());
-        const unsigned char header[4] = {
-            static_cast<unsigned char>(len >> 24),
-            static_cast<unsigned char>(len >> 16),
-            static_cast<unsigned char>(len >> 8),
-            static_cast<unsigned char>(len)};
-        ASSERT_TRUE(writeAll(client.fd(), header, sizeof(header)));
-        ASSERT_TRUE(writeAll(client.fd(), payload.data(),
-                             payload.size()));
+        const std::string frame = wireFrame(payload);
+        ASSERT_TRUE(writeAll(client.fd(), frame.data(), frame.size()));
 
         Json response;
         ASSERT_TRUE(client.receive(response));
@@ -273,6 +282,176 @@ TEST(Serve, TruncatedFrameClosesTheConnection)
     EXPECT_EQ(response.at("type").asString(), "error");
     EXPECT_FALSE(client.receive(response)); // Clean EOF.
     EXPECT_GE(server.counters().protocolErrors, 1u);
+}
+
+/** Payloads the frame tests send: one of each request and response
+ *  shape, dumped compactly (so decoding re-dumps them unchanged). */
+std::vector<std::string>
+samplePayloads()
+{
+    return {
+        Json::object().set("type", Json::string("ping")).dump(0),
+        "{\"type\":\"sweep\",\"suite\":\"ibs_mach\",\"configs\":"
+        "[\"economy\",\"high_performance\"],\"workloads\":"
+        "[\"gs.mach\",\"nroff.mach\"],\"instructions\":20000,"
+        "\"req_id\":\"r-1\"}",
+        errorMessage(400, "unknown config \"bogus\"").dump(0),
+        Json::object()
+            .set("type", Json::string("cell"))
+            .set("config", Json::number(3))
+            .set("stats", Json::object()
+                              .set("instructions", Json::number(20000))
+                              .set("l1_misses", Json::number(1234)))
+            .dump(0),
+    };
+}
+
+/** What readFrame made of one byte stream. */
+struct Decoded
+{
+    /** Each Ok frame's payload re-dumped; empty for a BadJson one. */
+    std::vector<std::string> frames;
+    FrameStatus end = FrameStatus::Ok; ///< The status that ended it.
+};
+
+/**
+ * Write `bytes` into one end of a socketpair from a thread, in seeded
+ * chunks of 1-7 bytes, then half-close; read frames from the other
+ * end until readFrame returns a status after which the stream is out
+ * of sync or over. The half-close bounds every case, whatever a
+ * corrupted header announces.
+ */
+Decoded
+decodeStream(const std::string &bytes, Rng &rng)
+{
+    std::vector<size_t> chunks;
+    for (size_t at = 0; at < bytes.size(); at += chunks.back())
+        chunks.push_back(std::min<size_t>(1 + rng.nextBounded(7),
+                                          bytes.size() - at));
+    int fds[2];
+    if (::socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) {
+        ADD_FAILURE() << "socketpair: " << std::strerror(errno);
+        return {};
+    }
+    std::thread writer([&] {
+        size_t at = 0;
+        // A reader that stopped early closed its end: the write
+        // fails (no SIGPIPE) and the writer stops.
+        for (size_t n : chunks) {
+            if (!writeAll(fds[1], bytes.data() + at, n))
+                break;
+            at += n;
+        }
+        ::shutdown(fds[1], SHUT_WR);
+    });
+    Decoded out;
+    try {
+        for (;;) {
+            Json frame;
+            std::string error;
+            const FrameStatus status = readFrame(fds[0], frame, error);
+            if (!recoverable(status)) {
+                out.end = status;
+                break;
+            }
+            out.frames.push_back(status == FrameStatus::Ok
+                                     ? frame.dump(0)
+                                     : std::string());
+        }
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "readFrame threw: " << e.what();
+    }
+    ::close(fds[0]);
+    writer.join();
+    ::close(fds[1]);
+    return out;
+}
+
+TEST(ReadFrame, ChunkedStreamsDecodeExactly)
+{
+    // Short reads split headers and payloads at every offset: 1-4
+    // valid frames must come back exactly as sent, then Eof.
+    const std::vector<std::string> payloads = samplePayloads();
+    Rng rng(21);
+    for (int i = 0; i < 300; ++i) {
+        std::vector<std::string> sent;
+        std::string bytes;
+        for (uint64_t n = 1 + rng.nextBounded(4); n > 0; --n) {
+            sent.push_back(payloads[rng.nextBounded(payloads.size())]);
+            bytes += wireFrame(sent.back());
+        }
+        const Decoded got = decodeStream(bytes, rng);
+        EXPECT_EQ(got.end, FrameStatus::Eof) << "case " << i;
+        EXPECT_EQ(got.frames, sent) << "case " << i;
+    }
+}
+
+TEST(ReadFrame, MutatedStreamsEndInAStructuredStatus)
+{
+    // Seeded byte flips (in a header or in a payload) and
+    // truncations of 1-4 frame streams. Every frame before the
+    // damaged one decodes as sent; after it readFrame may only return
+    // Ok or BadJson frames, then Eof, Truncated or Oversized. Nothing
+    // throws and nothing hangs.
+    const std::vector<std::string> payloads = samplePayloads();
+    Rng rng(7);
+    int header_flips = 0, payload_flips = 0, truncations = 0;
+    for (int i = 0; i < 2000; ++i) {
+        std::vector<std::string> sent;
+        std::vector<size_t> starts; ///< Offset of each frame.
+        std::string bytes;
+        for (uint64_t n = 1 + rng.nextBounded(4); n > 0; --n) {
+            sent.push_back(payloads[rng.nextBounded(payloads.size())]);
+            starts.push_back(bytes.size());
+            bytes += wireFrame(sent.back());
+        }
+        // The damaged frame f and the byte: a flipped header byte, a
+        // flipped payload byte, or the cut point of a truncation
+        // anywhere in the frame.
+        const size_t f = rng.nextBounded(sent.size());
+        const uint64_t kind = rng.nextBounded(3);
+        const size_t at = starts[f] +
+            (kind == 0   ? rng.nextBounded(4)
+             : kind == 1 ? 4 + rng.nextBounded(sent[f].size())
+                         : rng.nextBounded(4 + sent[f].size()));
+        if (kind == 2) {
+            bytes.resize(at);
+            ++truncations;
+        } else {
+            // XOR with a nonzero mask: the byte always changes.
+            bytes[at] = static_cast<char>(
+                bytes[at] ^ static_cast<char>(1 + rng.nextBounded(255)));
+            ++(kind == 0 ? header_flips : payload_flips);
+        }
+
+        const Decoded got = decodeStream(bytes, rng);
+        const std::string label = "case " + std::to_string(i);
+        EXPECT_TRUE(got.end == FrameStatus::Eof ||
+                    got.end == FrameStatus::Truncated ||
+                    got.end == FrameStatus::Oversized)
+            << label << " ended with status "
+            << static_cast<int>(got.end);
+        ASSERT_GE(got.frames.size(), f) << label;
+        for (size_t k = 0; k < f; ++k)
+            EXPECT_EQ(got.frames[k], sent[k]) << label << " frame " << k;
+        if (kind == 2) {
+            // A cut loses frame f and everything after; only a cut at
+            // its first byte leaves a clean frame boundary.
+            EXPECT_EQ(got.frames.size(), f) << label;
+            EXPECT_EQ(got.end, at == starts[f] ? FrameStatus::Eof
+                                               : FrameStatus::Truncated)
+                << label;
+        }
+        if (kind == 1) {
+            // The framing survives a payload flip: every frame
+            // arrives, the damaged one Ok or BadJson, then Eof.
+            EXPECT_EQ(got.frames.size(), sent.size()) << label;
+            EXPECT_EQ(got.end, FrameStatus::Eof) << label;
+        }
+    }
+    EXPECT_GE(header_flips, 500);
+    EXPECT_GE(payload_flips, 500);
+    EXPECT_GE(truncations, 500);
 }
 
 TEST(Serve, OverBudgetRequestIsA429)
@@ -607,12 +786,12 @@ TEST(TraceMemo, EvictsColdEntriesWhenOverBudget)
     TraceMemo memo(48 * 1024);
     auto a = memo.get("a", build(5000));
     const uint64_t built_bytes = memo.stats().bytes;
-    a->runSuite(economyBaseline());
+    runSuite(*a, economyBaseline());
     memo.refresh("a", *a);
     EXPECT_GT(memo.stats().bytes, built_bytes)
         << "replay grew the suite but refresh charged nothing";
     auto b = memo.get("b", build(5000));
-    b->runSuite(economyBaseline());
+    runSuite(*b, economyBaseline());
     memo.refresh("b", *b);
     const TraceMemo::Stats stats = memo.stats();
     EXPECT_EQ(stats.entries, 1u);

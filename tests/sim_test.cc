@@ -5,11 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "cache/cache.h"
 #include "flat_trace.h"
+#include "replay_oracle.h"
 #include "sim/runner.h"
 #include "sim/tapeworm.h"
 #include "vm/page.h"
@@ -50,7 +52,7 @@ TEST(Runner, SuiteTracesShapes)
 TEST(Runner, SuiteRunMergesAllWorkloads)
 {
     SuiteTraces traces(specSuite(), 5000);
-    const FetchStats s = traces.runSuite(economyBaseline());
+    const FetchStats s = runSuite(traces, economyBaseline());
     EXPECT_EQ(s.instructions, 5000u * traces.count());
 }
 
@@ -137,6 +139,29 @@ TEST(Runner, ParseEnvCountRejectsMalformedValues)
     EXPECT_EQ(parseEnvCount("IBS_BENCH_INSTR", 7), 890u);
     unsetenv("IBS_BENCH_INSTR");
     EXPECT_EQ(parseEnvCount("IBS_BENCH_INSTR", 7), 7u);
+}
+
+TEST(Runner, ParseCountAcceptsOnlyDigitsInRange)
+{
+    // The command-line half of parseEnvCount: the same rules, with
+    // nullopt instead of a warning and a fallback.
+    EXPECT_EQ(parseCount("890"), 890u);
+    EXPECT_EQ(parseCount("18446744073709551615"), UINT64_MAX);
+    for (const char *bad : {"", "0", "45x", "x", "12 34", " 5", "+5",
+                            "-1", " -1", "-0",
+                            "18446744073709551616",
+                            "99999999999999999999999"})
+        EXPECT_EQ(parseCount(bad), std::nullopt) << '"' << bad << '"';
+
+    // Bounds as the tools use them: ports, connection counts, and a
+    // count where 0 is meaningful.
+    EXPECT_EQ(parseCount("65535", 1, 65535), 65535u);
+    EXPECT_EQ(parseCount("70000", 1, 65535), std::nullopt);
+    EXPECT_EQ(parseCount("0", 1, 65535), std::nullopt);
+    EXPECT_EQ(parseCount("1024", 1, 1024), 1024u);
+    EXPECT_EQ(parseCount("1025", 1, 1024), std::nullopt);
+    EXPECT_EQ(parseCount("4294967295", 1, 1024), std::nullopt);
+    EXPECT_EQ(parseCount("0", 0, UINT64_MAX), 0u);
 }
 
 TEST(Tapeworm, ProducesRequestedTrials)

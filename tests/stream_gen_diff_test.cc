@@ -6,8 +6,8 @@
  *
  *  - RunStream must emit the *exact* run sequence that compressRuns
  *    makes of the flat trace (tests/flat_trace.h) — same cuts, same
- *    counts — for instruction-only and data-enabled workloads, at
- *    every line size, including budgets that cut a run mid-flight;
+ *    counts — at every line size, including budgets that cut a run
+ *    mid-flight, and must refuse a workload with data references;
  *  - SuiteTraces::runOne must replay to FetchStats bit-identical to
  *    the oracle — compressRuns over the flat trace, replayed
  *    through fetchRun — across every fetch-path config class
@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -116,15 +117,23 @@ TEST(StreamGenDiff, RunStreamMatchesCompressRuns)
                    50000, 32);
 }
 
-TEST(StreamGenDiff, RunStreamMatchesWithDataReferencesEnabled)
+TEST(StreamGenDiff, RunStreamRejectsDataReferences)
 {
-    // Data-enabled specs draw the scheduler RNG per record, forcing
-    // RunStream onto its per-record path; the emitted *instruction*
-    // runs must still match the flat pipeline exactly.
+    // Data-enabled specs draw the scheduler RNG per record, so blocks
+    // cannot skip records: such a workload has no run trace, and the
+    // error names it.
     WorkloadSpec spec = makeIbs(IbsBenchmark::Sdet, OsType::Mach);
     spec.data.enabled = true;
-    for (uint32_t line : {16u, 64u})
-        expectSameRuns(spec, 30000, line);
+    WorkloadModel model(spec);
+    EXPECT_THROW(RunStream(model, 32, 100), std::invalid_argument);
+    try {
+        generateRunTrace(model, 32, 100);
+        ADD_FAILURE() << "data-enabled workload was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(spec.name),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(StreamGenDiff, BudgetCutsMidRunExactlyLikeTruncation)

@@ -70,7 +70,7 @@ TEST(Sweep, SuiteMergeMatchesRunSuite)
     const SweepResult swept = runSweep(suite, grid, 4);
     ASSERT_EQ(swept.configCount(), grid.size());
     for (size_t c = 0; c < grid.size(); ++c)
-        expectEqualStats(swept.suite(c), suite.runSuite(grid[c]),
+        expectEqualStats(swept.suite(c), runSuite(suite, grid[c]),
                          "config " + std::to_string(c));
 }
 

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "stats/rng.h"
 #include "tlb/tlb.h"
+#include "vm/page.h"
 
 namespace ibs {
 namespace {
@@ -122,6 +126,34 @@ TEST(Tlb, R2000ReachIs256KB)
         EXPECT_TRUE(tlb.contains(1, p * PAGE_SIZE));
     tlb.access(1, 64 * PAGE_SIZE);
     EXPECT_FALSE(tlb.contains(1, 0));
+}
+
+TEST(Tlb, LargerFullyAssociativeLruNeverMissesMore)
+{
+    // Mattson inclusion: on one stream a larger fully-associative LRU
+    // TLB holds a superset of a smaller one's entries, so its misses
+    // never increase with size (ablation_tlb checks the same on every
+    // pass). A seeded stream with a hot set of pages, two ASIDs and
+    // some kseg0 references.
+    std::vector<Tlb> tlbs;
+    for (uint32_t entries : {16u, 32u, 64u, 128u, 256u})
+        tlbs.emplace_back(cfg(entries, entries));
+    Rng rng(11);
+    for (int i = 0; i < 100000; ++i) {
+        const uint64_t page = rng.nextBool(0.7) ? rng.nextBounded(48)
+                                                : rng.nextBounded(1024);
+        const Asid asid = static_cast<Asid>(rng.nextBounded(3));
+        const uint64_t vaddr = asid == KERNEL_ASID
+            ? 0x80000000 + page * PAGE_SIZE
+            : page * PAGE_SIZE + rng.nextBounded(PAGE_SIZE);
+        for (Tlb &tlb : tlbs)
+            tlb.access(asid, vaddr);
+    }
+    for (size_t k = 1; k < tlbs.size(); ++k)
+        EXPECT_LE(tlbs[k].misses(), tlbs[k - 1].misses())
+            << tlbs[k].config().toString();
+    // Not vacuous: the sizes straddle the working set.
+    EXPECT_GT(tlbs.front().misses(), 2 * tlbs.back().misses());
 }
 
 } // namespace

@@ -18,6 +18,10 @@
  * latency with one cold outlier per distinct key). --shutdown sends a
  * shutdown request after the load completes.
  *
+ * The port must lie in 1-65535 and N in 1-1024 (each connection is a
+ * thread and a socket); R and K are positive. Any other value prints
+ * the usage line and exits 2.
+ *
  * After the run the server's own sweep-latency histogram
  * (ibs_serve_sweep_latency_us from the `metrics` request) is printed
  * next to the client-side percentiles. Both sides are compared at
@@ -39,16 +43,23 @@
 #include <cstdlib>
 #include <cstring>
 #include <csignal>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "obs/prom.h"
 #include "obs/registry.h"
 #include "serve/client.h"
+#include "sim/runner.h"
 
 namespace {
 
 using namespace ibs;
+
+/** Most connections one run may open: each costs a client thread
+ *  and a socket (serve::runLoad). */
+constexpr uint64_t kMaxConnections = 1024;
 
 struct Options
 {
@@ -106,15 +117,21 @@ parseArgs(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        auto count = [&](uint64_t min, uint64_t max) {
+            const std::optional<uint64_t> v =
+                parseCount(value().c_str(), min, max);
+            if (!v)
+                usage(argv[0]);
+            return *v;
+        };
         if (arg == "--port")
-            opt.port = static_cast<uint16_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.port = static_cast<uint16_t>(count(1, 65535));
         else if (arg == "--connections")
-            opt.connections = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            opt.connections =
+                static_cast<unsigned>(count(1, kMaxConnections));
         else if (arg == "--requests-per-conn")
             opt.requestsPerConn = static_cast<unsigned>(
-                std::strtoul(value().c_str(), nullptr, 10));
+                count(1, std::numeric_limits<unsigned>::max()));
         else if (arg == "--suite")
             opt.suite = value();
         else if (arg == "--configs")
@@ -122,8 +139,7 @@ parseArgs(int argc, char **argv)
         else if (arg == "--workloads")
             opt.workloads = splitCommas(value());
         else if (arg == "--instructions")
-            opt.instructions = std::strtoull(value().c_str(),
-                                             nullptr, 10);
+            opt.instructions = count(1, UINT64_MAX);
         else if (arg == "--shutdown")
             opt.shutdown = true;
         else if (arg == "--check")
@@ -131,8 +147,7 @@ parseArgs(int argc, char **argv)
         else
             usage(argv[0]);
     }
-    if (opt.port == 0 || opt.connections == 0 ||
-        opt.requestsPerConn == 0)
+    if (opt.port == 0)
         usage(argv[0]);
     return opt;
 }

@@ -17,6 +17,10 @@
  * (for piping into `validate_bench_json --prom` or a file; the CI
  * server check does exactly that) and exits.
  *
+ * The port must lie in 1-65535 and --count be a non-negative integer
+ * (0, the default, polls until the connection drops); any other value
+ * prints the usage line and exits 2.
+ *
  * On a terminal the line redraws in place (carriage return); when
  * stdout is a pipe each sample is its own line, so scripts can
  * capture samples (scripts/check_server.sh does). Exit status is 0
@@ -31,11 +35,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "obs/prom.h"
 #include "serve/client.h"
+#include "sim/runner.h"
 
 namespace {
 
@@ -68,12 +74,11 @@ parseArgs(int argc, char **argv, Options &options)
         };
         if (arg == "--port") {
             const char *v = next();
-            if (!v)
+            const std::optional<uint64_t> port =
+                v ? ibs::parseCount(v, 1, 65535) : std::nullopt;
+            if (!port)
                 return false;
-            const long port = std::strtol(v, nullptr, 10);
-            if (port <= 0 || port > 65535)
-                return false;
-            options.port = static_cast<uint16_t>(port);
+            options.port = static_cast<uint16_t>(*port);
         } else if (arg == "--interval") {
             const char *v = next();
             if (!v)
@@ -83,9 +88,11 @@ parseArgs(int argc, char **argv, Options &options)
                 return false;
         } else if (arg == "--count") {
             const char *v = next();
-            if (!v)
+            const std::optional<uint64_t> count =
+                v ? ibs::parseCount(v, 0, UINT64_MAX) : std::nullopt;
+            if (!count)
                 return false;
-            options.count = std::strtoull(v, nullptr, 10);
+            options.count = *count;
         } else if (arg == "--once") {
             options.once = true;
         } else if (arg == "--raw") {
