@@ -1,10 +1,10 @@
 #!/bin/sh
 # End-to-end check of the sweep server: start tools/ibs_serve with obs
 # tracing on, drive it with tools/ibs_loadgen (--check: server-side
-# histogram percentiles must agree with the client's clocks), scrape
-# the metrics endpoint with tools/ibs_stat and validate the Prometheus
-# exposition text, then SIGINT the server mid-service and require a
-# clean drain — exit status 0 and a trace file that validates as
+# histogram percentiles must agree with the client's clocks), read
+# the stats frame with tools/ibs_stat (numeric sweep p50/p99 from the
+# frame's histograms), then SIGINT the server mid-service and require
+# a clean drain — exit status 0 and a trace file that validates as
 # Perfetto traceEvents JSON, including one async request span whose
 # flow steps cross pool threads (the server runs with IBS_THREADS=4 so
 # cells fan out even on a single-core machine).
@@ -103,14 +103,21 @@ if ! grep -q 'failed=0' "$workdir/loadgen_load.out"; then
     exit 1
 fi
 
-# The metrics endpoint serves well-formed Prometheus exposition text
-# and ibs_stat renders its one-liner from it.
-"$stat" --port "$port" --raw > "$workdir/metrics.txt"
-"$validator" --prom "$workdir/metrics.txt"
+# ibs_stat renders its one-liner from the stats frame: after the
+# sweeps above, the sweep-latency histogram it decodes yields a
+# numeric p50 and p99 ("-" means no histogram, "inf" an overflow).
 "$stat" --port "$port" --once > "$workdir/stat.out"
-if ! grep -q 'req/s' "$workdir/stat.out"; then
-    echo "FAIL: ibs_stat printed no req/s line" >&2
+if ! grep -Eq 'sweep p50 +[0-9.]+(us|ms|s) \| p99 +[0-9.]+(us|ms|s)$' \
+    "$workdir/stat.out"; then
+    echo "FAIL: ibs_stat printed no numeric sweep p50/p99" >&2
     cat "$workdir/stat.out" >&2
+    exit 1
+fi
+# --raw prints the frame itself, histograms included.
+"$stat" --port "$port" --raw > "$workdir/stats.json"
+if ! grep -q '"serve.sweep.latency_us"' "$workdir/stats.json"; then
+    echo "FAIL: ibs_stat --raw printed no sweep-latency histogram" >&2
+    cat "$workdir/stats.json" >&2
     exit 1
 fi
 

@@ -8,6 +8,8 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <stdexcept>
 
 namespace ibs::obs {
 
@@ -51,6 +53,70 @@ uint64_t
 log2BucketUpperEdge(uint64_t value)
 {
     return bucketUpperEdge(bucketOf(value));
+}
+
+Json
+histogramsToJson(
+    const std::map<std::string, HistogramSnapshot> &histograms)
+{
+    Json out = Json::object();
+    for (const auto &[name, hist] : histograms) {
+        Json counts = Json::array();
+        for (uint64_t c : hist.counts)
+            counts.push(Json::number(c));
+        out.set(name, Json::object()
+                          .set("counts", std::move(counts))
+                          .set("overflow", Json::number(hist.overflow))
+                          .set("sum", Json::number(hist.sum))
+                          .set("count", Json::number(hist.count)));
+    }
+    return out;
+}
+
+std::map<std::string, HistogramSnapshot>
+histogramsFromJson(const Json &json)
+{
+    if (!json.isObject())
+        throw std::invalid_argument("histograms: not an object");
+    std::map<std::string, HistogramSnapshot> out;
+    for (const auto &[name, member] : json.members()) {
+        const auto bad = [&name](const std::string &why) {
+            return std::invalid_argument("histogram \"" + name +
+                                         "\": " + why);
+        };
+        const auto number = [&](const Json *value, const char *what) {
+            const std::optional<uint64_t> v =
+                value ? value->asUint() : std::nullopt;
+            if (!v)
+                throw bad(std::string(what) +
+                          " is not a non-negative integer");
+            return *v;
+        };
+        if (!member.isObject())
+            throw bad("not an object");
+        const Json *counts = member.find("counts");
+        if (!counts || !counts->isArray() ||
+            counts->size() != kHistogramBuckets)
+            throw bad("\"counts\" is not an array of " +
+                      std::to_string(kHistogramBuckets) + " buckets");
+        HistogramSnapshot hist;
+        hist.overflow = number(member.find("overflow"), "overflow");
+        hist.sum = number(member.find("sum"), "sum");
+        hist.count = number(member.find("count"), "count");
+        uint64_t total = hist.overflow;
+        for (size_t k = 0; k < kHistogramBuckets; ++k) {
+            hist.counts[k] = number(&counts->at(k), "a bucket count");
+            if (hist.counts[k] > UINT64_MAX - total)
+                throw bad("bucket counts overflow");
+            total += hist.counts[k];
+        }
+        if (total != hist.count)
+            throw bad("buckets plus overflow hold " +
+                      std::to_string(total) + " observations, count " +
+                      "says " + std::to_string(hist.count));
+        out[name] = hist;
+    }
+    return out;
 }
 
 uint64_t

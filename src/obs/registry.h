@@ -103,6 +103,25 @@ struct HistogramSnapshot
  *  at bucket resolution on both sides. */
 uint64_t log2BucketUpperEdge(uint64_t value);
 
+/**
+ * Histograms as the sweep server's "stats" frame carries them: one
+ * member per name, each {"counts":[...],"overflow":n,"sum":n,
+ * "count":n} with exactly kHistogramBuckets dense counts.
+ */
+Json histogramsToJson(
+    const std::map<std::string, HistogramSnapshot> &histograms);
+
+/**
+ * Inverse of histogramsToJson, exact for every uint64 value. The
+ * tools decode frames read off the network, so this validates:
+ * throws std::invalid_argument, naming the histogram, unless each
+ * member is an object with exactly kHistogramBuckets counts, every
+ * number is a non-negative integer, and the counts plus overflow add
+ * up to count.
+ */
+std::map<std::string, HistogramSnapshot>
+histogramsFromJson(const Json &json);
+
 /** Process-wide metric registry with per-thread shards. */
 class Registry
 {

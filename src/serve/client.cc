@@ -137,25 +137,6 @@ Client::stats()
     return response;
 }
 
-std::string
-Client::metricsText()
-{
-    send(Json::object().set("type", Json::string("metrics")));
-    Json response;
-    if (!receive(response))
-        throw std::runtime_error(
-            "client: server closed before answering metrics");
-    const Json *type = response.find("type");
-    if (!type || !type->isString() || type->asString() != "metrics")
-        throw std::runtime_error(
-            "client: unexpected response to metrics request");
-    const Json *text = response.find("text");
-    if (!text || !text->isString())
-        throw std::runtime_error(
-            "client: metrics response lacks a string \"text\"");
-    return text->asString();
-}
-
 void
 Client::shutdown()
 {
@@ -286,13 +267,14 @@ percentile(const std::vector<double> &sorted, double p)
 }
 
 bool
-latencyBucketsAgree(double client_seconds, double server_edge_us)
+latencyBucketsAgree(double client_seconds, uint64_t server_edge_us)
 {
     const double client_edge = static_cast<double>(
         obs::log2BucketUpperEdge(
             static_cast<uint64_t>(client_seconds * 1e6)));
-    const double hi = std::max(client_edge, server_edge_us);
-    const double lo = std::min(client_edge, server_edge_us);
+    const double server_edge = static_cast<double>(server_edge_us);
+    const double hi = std::max(client_edge, server_edge);
+    const double lo = std::min(client_edge, server_edge);
     // 2.01 admits exactly one bucket of slack (adjacent edges are
     // ~2.0005 apart); lo is 0 only for an empty server histogram.
     return lo > 0 && hi / lo <= 2.01;

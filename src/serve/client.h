@@ -10,7 +10,8 @@
  * Transport failures (connect refused, peer vanished mid-frame)
  * throw std::runtime_error; structured server errors (400/429/500
  * frames) are returned as data so callers can assert on them.
- * runLoad is ibs_loadgen's load loop.
+ * runLoad is ibs_loadgen's load loop; ibs_stat and ibs_loadgen
+ * --check read the server's telemetry through stats().
  */
 
 #ifndef IBS_SERVE_CLIENT_H
@@ -62,14 +63,11 @@ class Client
     /** {"type":"ping"} round trip; false if the response is off. */
     bool ping();
 
-    /** The server's "stats" response. Throws on transport failure or
-     *  a non-stats response. */
+    /** The server's "stats" frame, its one telemetry surface
+     *  (serve/protocol.h); obs::histogramsFromJson decodes its
+     *  "histograms" member. Throws on transport failure or a
+     *  non-stats response. */
     Json stats();
-
-    /** The server's telemetry in Prometheus text exposition format
-     *  (the "metrics" request's "text" member). Throws on transport
-     *  failure or a non-metrics response. */
-    std::string metricsText();
 
     /** Ask the server to stop; returns once it acknowledges. */
     void shutdown();
@@ -130,9 +128,10 @@ LoadResult runLoad(uint16_t port, unsigned connections,
 double percentile(const std::vector<double> &sorted, double p);
 
 /** True when a client latency's log2-bucket edge and the server
- *  histogram's quantile edge are at most one bucket (2x) apart; edges,
- *  not raw values, so power-of-two boundaries never flake. */
-bool latencyBucketsAgree(double client_seconds, double server_edge_us);
+ *  histogram's quantile edge (HistogramSnapshot::quantile) are at most
+ *  one bucket (2x) apart; edges, not raw values, so power-of-two
+ *  boundaries never flake. */
+bool latencyBucketsAgree(double client_seconds, uint64_t server_edge_us);
 
 } // namespace ibs::serve
 

@@ -20,11 +20,10 @@
  * answers with a structured error and keeps the connection.
  *
  * Requests:  {"type":"ping"} | {"type":"stats"} |
- *            {"type":"metrics"} | {"type":"shutdown"} |
+ *            {"type":"shutdown"} |
  *            {"type":"sweep","suite":...,"configs":[...],
  *             "workloads":[...],"instructions":N}
  * Responses: {"type":"pong"} | {"type":"stats",...} |
- *            {"type":"metrics","content_type":...,"text":...} |
  *            {"type":"shutting_down"} |
  *            {"type":"start",...} then one {"type":"cell",...} per
  *            finished cell then {"type":"done",...} |
@@ -39,12 +38,15 @@
  * process-wide sequence and echoes that instead — every response
  * frame to a well-formed request therefore carries a "req_id".
  *
- * The "metrics" response's "text" member is the server's telemetry
- * in Prometheus text exposition format (src/obs/prom.h): registry
- * counters, request/phase latency histograms with _bucket/_sum/_count
- * series, and the server's lifetime counters and gauges as
- * ibs_serve_* families. "content_type" carries the conventional
- * exposition MIME string for any HTTP gateway that fronts this.
+ * The "stats" response is the server's telemetry: "counters" (its
+ * lifetime connection/request/sweep/cell/rejection/protocol-error
+ * counts and the current "inflight"), "max_inflight",
+ * "uptime_wall_seconds", "memo" (serve/memo.h), "registry" (the obs
+ * registry's counters plus each histogram's count and sum;
+ * obs::Registry::snapshotJson) and "histograms" (every registry
+ * histogram's exact buckets, overflow, sum and count, as
+ * obs::histogramsToJson writes them and obs::histogramsFromJson
+ * reads them back). Any other request type gets a 400.
  */
 
 #ifndef IBS_SERVE_PROTOCOL_H

@@ -14,11 +14,9 @@
 
 #include <algorithm>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 
 #include "obs/log.h"
-#include "obs/prom.h"
 #include "obs/registry.h"
 #include "obs/timer.h"
 #include "obs/trace_sink.h"
@@ -113,12 +111,11 @@ parseSweepRequest(const Json &request)
     if (!instr || !instr->isNumber())
         throw std::invalid_argument(
             "missing numeric \"instructions\"");
-    const double v = instr->asNumber();
-    if (!(v >= 1) || v != static_cast<double>(
-                              static_cast<uint64_t>(v)))
+    const std::optional<uint64_t> v = instr->asUint();
+    if (!v || *v < 1)
         throw std::invalid_argument(
             "\"instructions\" must be a positive integer");
-    out.instructions = static_cast<uint64_t>(v);
+    out.instructions = *v;
     return out;
 }
 
@@ -268,7 +265,7 @@ void
 Server::start()
 {
     // An unobservable server cannot be operated: the registry backs
-    // the "metrics"/"stats" surfaces regardless of IBS_OBS.
+    // the "stats" frame regardless of IBS_OBS.
     obs::Registry::global().setEnabled(true);
     listenFd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (listenFd_ < 0)
@@ -415,8 +412,6 @@ Server::dispatch(int fd, const Json &request, std::mutex &write_mutex)
             Json::object().set("type", Json::string("pong")));
     if (kind == "stats")
         return telemetry.reply(statsMessage());
-    if (kind == "metrics")
-        return telemetry.reply(metricsMessage());
     if (kind == "shutdown") {
         // Stop first: once the client sees the ack, stopping() is
         // already true.
@@ -487,7 +482,6 @@ Server::handleSweep(const Json &request, RequestTelemetry &telemetry)
 
     bool memo_hit = false;
     std::shared_ptr<const SuiteTraces> suite;
-    WallTimer materialize_timer;
     try {
         suite = memo_.get(
             memoKey(sweep),
@@ -502,12 +496,9 @@ Server::handleSweep(const Json &request, RequestTelemetry &telemetry)
                        e.what());
         return;
     }
-    if (registry.enabled())
-        registry.observe(
-            "serve.sweep.materialize_us",
-            static_cast<uint64_t>(materialize_timer.seconds() *
-                                  1e6));
-    telemetry.step(); // Flow: handler thread, traces are warm.
+    // Flow: handler thread, suite in hand. SuiteTraces generates
+    // lazily, so on a cold request the cells below do the generating.
+    telemetry.step();
 
     if (!telemetry.reply(
             Json::object()
@@ -607,50 +598,14 @@ Server::statsMessage()
                                 uint64_t{config_.maxInflight}))
                        .set("counters", std::move(counters_json))
                        .set("memo", std::move(memo));
-    // The obs registry doubles as the server's /metrics surface.
-    if (obs::Registry::global().enabled())
-        message.set("registry",
-                    obs::Registry::global().snapshotJson());
+    // The server's one telemetry surface: its own lifetime counters
+    // above, then the obs registry (enabled by start()) with every
+    // histogram's exact buckets.
+    const obs::Registry &registry = obs::Registry::global();
+    message.set("registry", registry.snapshotJson())
+        .set("histograms",
+             obs::histogramsToJson(registry.snapshotHistograms()));
     return message;
-}
-
-Json
-Server::metricsMessage()
-{
-    std::string text =
-        obs::renderPrometheus(obs::Registry::global());
-    // The server's lifetime counters live in atomics, not the
-    // registry (they predate it and must count even when telemetry
-    // publishing is off); append them as their own families. Names
-    // are disjoint from every registry-derived ibs_serve_* family.
-    const Counters c = counters();
-    std::ostringstream extra;
-    const auto family = [&extra](const char *name, const char *type,
-                                 uint64_t value) {
-        extra << "# TYPE " << name << ' ' << type << '\n'
-              << name << ' ' << value << '\n';
-    };
-    family("ibs_serve_connections", "counter", c.connections);
-    family("ibs_serve_requests", "counter", c.requests);
-    family("ibs_serve_sweeps", "counter", c.sweeps);
-    family("ibs_serve_cells", "counter", c.cells);
-    family("ibs_serve_rejected", "counter", c.rejected);
-    family("ibs_serve_protocol_errors", "counter",
-           c.protocolErrors);
-    family("ibs_serve_inflight", "gauge",
-           inflight_.load(std::memory_order_relaxed));
-    family("ibs_serve_max_inflight", "gauge",
-           config_.maxInflight);
-    extra << "# TYPE ibs_serve_uptime_seconds gauge\n"
-          << "ibs_serve_uptime_seconds " << uptime_.seconds()
-          << '\n';
-    text += extra.str();
-    return Json::object()
-        .set("type", Json::string("metrics"))
-        .set("content_type",
-             Json::string(
-                 "text/plain; version=0.0.4; charset=utf-8"))
-        .set("text", Json::string(text));
 }
 
 Server::Counters

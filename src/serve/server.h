@@ -22,15 +22,15 @@
  * is wrapped in request-scoped telemetry — a req_id (client-supplied
  * or server-assigned, see serve/protocol.h), an access-log line at
  * Info level, latency/size histograms (serve.request.latency_us,
- * serve.request.bytes_out, serve.request.cells, and the per-phase
- * serve.sweep.materialize_us / simulate_us / serialize_us), and —
- * when IBS_OBS_TRACE is set — one async span per request with flow
- * events stepping from the handler through materialization into
- * each cell on the pool threads. Like any runSweep call, a sweep
- * also emits one "cell" trace span per cell and reports progress
- * under IBS_PROGRESS (obs/progress.h). The
- * "metrics" request exposes the whole registry in Prometheus text
- * exposition format.
+ * serve.request.bytes_out, serve.request.cells,
+ * serve.sweep.latency_us, and per cell serve.sweep.simulate_us /
+ * serialize_us), and — when IBS_OBS_TRACE is set — one async span
+ * per request with flow events stepping from the handler into each
+ * cell on the pool threads. Like any runSweep call, a sweep also
+ * emits one "cell" trace span per cell and reports progress under
+ * IBS_PROGRESS (obs/progress.h). The "stats" request is the one
+ * telemetry surface: the lifetime counters and memo numbers below,
+ * the registry's counters, and every histogram's exact buckets.
  *
  * Admission control keeps the process answerable under overload:
  * at most `maxInflight` sweep requests execute at once and a request
@@ -143,9 +143,6 @@ class Server
     bool replyError(RequestTelemetry &telemetry, int code,
                     const std::string &message);
     Json statsMessage();
-    /** The "metrics" response: Prometheus exposition text of the obs
-     *  registry plus the server's own lifetime counters. */
-    Json metricsMessage();
 
     ServerConfig config_;
     TraceMemo memo_;

@@ -153,6 +153,27 @@ Json::asNumber() const
     return 0.0;
 }
 
+std::optional<uint64_t>
+Json::asUint() const
+{
+    if (kind_ != Kind::Number)
+        return std::nullopt;
+    switch (num_) {
+      case Num::Uint:
+        return uint_;
+      case Num::Int:
+        if (int_ < 0)
+            return std::nullopt;
+        return static_cast<uint64_t>(int_);
+      case Num::Double:
+        if (!(double_ >= 0 && double_ < 0x1p64) ||
+            double_ != std::floor(double_))
+            return std::nullopt;
+        return static_cast<uint64_t>(double_);
+    }
+    return std::nullopt;
+}
+
 namespace {
 
 /**

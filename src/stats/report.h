@@ -27,6 +27,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +89,11 @@ class Json
     bool asBool() const { return bool_; }
     double asNumber() const;
     const std::string &asString() const { return string_; }
+
+    /** The exact value of a non-negative whole number; nullopt for
+     *  anything else (a negative or fractional number, a number past
+     *  2^64, a non-number). Integers up to 2^64-1 parse exactly. */
+    std::optional<uint64_t> asUint() const;
 
     /**
      * Serialize. indent > 0 pretty-prints with that many spaces per

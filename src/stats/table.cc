@@ -99,30 +99,4 @@ TextTable::render() const
     return os.str();
 }
 
-std::string
-TextTable::renderCsv() const
-{
-    auto emit = [](std::ostringstream &os,
-                   const std::vector<std::string> &cells) {
-        for (size_t i = 0; i < cells.size(); ++i) {
-            // Quote cells containing commas.
-            if (cells[i].find(',') != std::string::npos)
-                os << '"' << cells[i] << '"';
-            else
-                os << cells[i];
-            if (i + 1 < cells.size())
-                os << ",";
-        }
-        os << "\n";
-    };
-
-    std::ostringstream os;
-    if (!header_.empty())
-        emit(os, header_);
-    for (const auto &r : rows_)
-        if (!r.rule)
-            emit(os, r.cells);
-    return os.str();
-}
-
 } // namespace ibs

@@ -4,7 +4,7 @@
  *
  * Every bench binary reproduces one table or figure from the paper; the
  * TextTable gives them a common, diff-friendly way to print the same
- * rows/series the paper reports (and a CSV mode for plotting).
+ * rows/series the paper reports.
  */
 
 #ifndef IBS_STATS_TABLE_H
@@ -39,9 +39,6 @@ class TextTable
 
     /** Render with aligned columns and a rule under the header. */
     std::string render() const;
-
-    /** Render as CSV (title and rules omitted). */
-    std::string renderCsv() const;
 
     const std::string &title() const { return title_; }
 

@@ -68,13 +68,4 @@ Tlb::contains(Asid asid, uint64_t vaddr) const
     return entries_.contains(key(asid, vaddr));
 }
 
-void
-Tlb::flushAsid(Asid asid)
-{
-    for (uint64_t line : entries_.validLineAddrs()) {
-        if (line >> kAsidShift == asid)
-            entries_.invalidate(line);
-    }
-}
-
 } // namespace ibs

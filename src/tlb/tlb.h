@@ -64,9 +64,6 @@ class Tlb
     /** Hit/miss probe with no state change (kseg0 counts as present). */
     bool contains(Asid asid, uint64_t vaddr) const;
 
-    /** Drop all entries for one address space (context teardown). */
-    void flushAsid(Asid asid);
-
     /** Drop everything. */
     void flushAll() { entries_.invalidateAll(); }
 

@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -21,7 +20,6 @@
 
 #include "obs/log.h"
 #include "obs/progress.h"
-#include "obs/prom.h"
 #include "obs/registry.h"
 #include "obs/timer.h"
 #include "obs/trace_sink.h"
@@ -182,6 +180,58 @@ TEST(ObsRegistry, Log2BucketEdgesAndHistogramQuantiles)
         reg.snapshotHistograms().at("t.hist.over");
     EXPECT_EQ(over.overflow, 1u);
     EXPECT_EQ(over.quantile(0.5), UINT64_MAX);
+
+    // The stats frame's encoding: both histograms (one with an
+    // overflow) round-trip exactly, through the wire text too.
+    const auto all = reg.snapshotHistograms();
+    EXPECT_TRUE(obs::histogramsFromJson(Json::parse(
+                    obs::histogramsToJson(all).dump(0))) == all);
+
+    // The decoder reads network input, so every broken invariant
+    // throws. counts[0] and counts[1] are set by each case, and each
+    // case passes every check but the one it names: the negative
+    // bucket would add up to `count` as a wrapped uint64, the
+    // fractional ones once truncated, the wrapping ones modulo 2^64.
+    const auto decode = [](Json c0, Json c1, size_t buckets,
+                           uint64_t overflow, uint64_t count) {
+        Json counts = Json::array().push(std::move(c0)).push(
+            std::move(c1));
+        for (size_t k = 2; k < buckets; ++k)
+            counts.push(Json::number(uint64_t{0}));
+        return obs::histogramsFromJson(Json::object().set(
+            "t.hist.bad",
+            Json::object()
+                .set("counts", std::move(counts))
+                .set("overflow", Json::number(overflow))
+                .set("sum", Json::number(uint64_t{9}))
+                .set("count", Json::number(count))));
+    };
+    const size_t n = obs::kHistogramBuckets;
+    EXPECT_EQ(decode(Json::number(2), Json::number(1), n, 1, 4)
+                  .at("t.hist.bad")
+                  .count,
+              4u);
+    EXPECT_THROW(
+        decode(Json::number(-1), Json::number(0), n, 0, UINT64_MAX),
+        std::invalid_argument); // Negative count.
+    EXPECT_THROW(decode(Json::number(1.5), Json::number(0.5), n, 0, 1),
+                 std::invalid_argument); // Fractional counts.
+    EXPECT_THROW(
+        decode(Json::number(UINT64_MAX), Json::number(1), n, 0, 0),
+        std::invalid_argument); // Buckets that wrap past 2^64.
+    EXPECT_THROW(decode(Json::number(1), Json::number(0), n - 1, 0, 1),
+                 std::invalid_argument); // One bucket short.
+    EXPECT_THROW(decode(Json::number(1), Json::number(0), n + 1, 0, 1),
+                 std::invalid_argument); // One bucket too many.
+    EXPECT_THROW(decode(Json::number(1), Json::number(0), n, 1, 1),
+                 std::invalid_argument); // Buckets + overflow > count.
+    EXPECT_THROW(decode(Json::number(1), Json::number(0), n, 0, 2),
+                 std::invalid_argument); // Buckets + overflow < count.
+    EXPECT_THROW(obs::histogramsFromJson(Json::array()),
+                 std::invalid_argument);
+    EXPECT_THROW(obs::histogramsFromJson(
+                     Json::object().set("t.hist.bad", Json::number(1))),
+                 std::invalid_argument);
 }
 
 TEST(ObsRegistry, HistogramsMergeAcrossThreadsByBucketAddition)
@@ -262,91 +312,6 @@ TEST(ObsRegistry, ResetClearsHistogramShards)
     // And the shard is still writable after the reset.
     reg.observe("t.hist.reset", 1);
     EXPECT_EQ(reg.snapshotHistograms().at("t.hist.reset").count, 1u);
-}
-
-TEST(ObsProm, RenderParseValidateRoundTrip)
-{
-    RegistryGuard guard;
-    obs::Registry &reg = obs::Registry::global();
-    reg.add("t.prom.hits", 12);
-    for (uint64_t v : {3u, 100u, 5000u})
-        reg.observe("t.prom.lat_us", v);
-
-    EXPECT_EQ(obs::promMetricName("serve.request.latency_us"),
-              "ibs_serve_request_latency_us");
-
-    // The registry has no gauges; a caller appends its own family,
-    // as Server::metricsMessage does for ibs_serve_inflight.
-    const std::string text = obs::renderPrometheus(reg) +
-        "# TYPE ibs_t_prom_depth gauge\nibs_t_prom_depth 4\n";
-    std::string error;
-    EXPECT_TRUE(obs::validatePromText(text, error)) << error;
-
-    double value = 0;
-    ASSERT_TRUE(obs::findPromValue(text, "ibs_t_prom_hits", value));
-    EXPECT_EQ(value, 12.0);
-    ASSERT_TRUE(obs::findPromValue(text, "ibs_t_prom_depth", value));
-    EXPECT_EQ(value, 4.0);
-
-    obs::PromHistogram hist;
-    ASSERT_TRUE(
-        obs::parsePromHistogram(text, "ibs_t_prom_lat_us", hist));
-    EXPECT_EQ(hist.count, 3u);
-    EXPECT_EQ(hist.sum, 5103.0);
-    // Every edge up to the highest occupied bucket (5000 is in
-    // [4096, 8192), bucket 12), then the mandatory +Inf: edges
-    // 1, 3, 7, ..., 8191 and +Inf, cumulative counts throughout.
-    ASSERT_EQ(hist.buckets.size(), 14u);
-    EXPECT_EQ(hist.buckets[0].first, 1.0);
-    EXPECT_EQ(hist.buckets[0].second, 0u);
-    EXPECT_EQ(hist.buckets[1].first, 3.0);
-    EXPECT_EQ(hist.buckets[1].second, 1u);
-    EXPECT_EQ(hist.buckets[6].first, 127.0);
-    EXPECT_EQ(hist.buckets[6].second, 2u);
-    EXPECT_EQ(hist.buckets[12].first, 8191.0);
-    EXPECT_EQ(hist.buckets[12].second, 3u);
-    EXPECT_TRUE(std::isinf(hist.buckets[13].first));
-    EXPECT_EQ(hist.buckets[13].second, 3u);
-    // Parsed quantiles match the registry-side bucket edges.
-    EXPECT_EQ(hist.quantile(0.5), 127.0);
-    EXPECT_EQ(hist.quantile(1.0), 8191.0);
-    EXPECT_EQ(static_cast<uint64_t>(hist.quantile(0.5)),
-              reg.snapshotHistograms()
-                  .at("t.prom.lat_us")
-                  .quantile(0.5));
-
-    // Absent families are reported, not invented.
-    EXPECT_FALSE(obs::parsePromHistogram(text, "ibs_no_such", hist));
-    EXPECT_FALSE(obs::findPromValue(text, "ibs_no_such", value));
-}
-
-TEST(ObsProm, ValidateCatchesMalformedExposition)
-{
-    std::string error;
-    // A sample whose family was never announced by # TYPE.
-    EXPECT_FALSE(obs::validatePromText("orphan 1\n", error));
-    EXPECT_FALSE(error.empty());
-    // Histogram without the mandatory +Inf bucket.
-    EXPECT_FALSE(obs::validatePromText(
-        "# TYPE h histogram\n"
-        "h_bucket{le=\"1\"} 1\n"
-        "h_sum 1\n"
-        "h_count 1\n",
-        error));
-    // Cumulative bucket counts must never decrease.
-    EXPECT_FALSE(obs::validatePromText(
-        "# TYPE h histogram\n"
-        "h_bucket{le=\"1\"} 5\n"
-        "h_bucket{le=\"3\"} 2\n"
-        "h_bucket{le=\"+Inf\"} 5\n"
-        "h_sum 9\n"
-        "h_count 5\n",
-        error));
-    // A family announced twice.
-    EXPECT_FALSE(obs::validatePromText(
-        "# TYPE c counter\n# TYPE c counter\nc 1\n", error));
-    // The empty document is trivially well-formed.
-    EXPECT_TRUE(obs::validatePromText("", error)) << error;
 }
 
 TEST(ObsTraceSink, AsyncSpansAndFlowsCarryIdsAndRoundTrip)

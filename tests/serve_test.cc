@@ -22,7 +22,6 @@
 #include <gtest/gtest.h>
 
 #include "obs/log.h"
-#include "obs/prom.h"
 #include "obs/registry.h"
 #include "replay_oracle.h"
 #include "serve/catalog.h"
@@ -216,9 +215,27 @@ TEST(Serve, UnknownNamesAreStructured400s)
     EXPECT_FALSE(r.ok);
     EXPECT_EQ(r.errorCode, 400);
 
+    // An instruction count that is not a positive integer, including
+    // one past 2^64, is a 400 too.
+    for (const Json &instructions :
+         {Json::number(0), Json::number(-3), Json::number(1.5),
+          Json::number(1e30)}) {
+        Json configs = Json::array();
+        configs.push(Json::string("economy"));
+        client.send(Json::object()
+                        .set("type", Json::string("sweep"))
+                        .set("suite", Json::string("ibs_mach"))
+                        .set("configs", std::move(configs))
+                        .set("instructions", instructions));
+        Json response;
+        ASSERT_TRUE(client.receive(response));
+        EXPECT_EQ(response.at("code").asNumber(), 400)
+            << instructions.dump(0);
+    }
+
     // Rejections never cost the connection.
     EXPECT_TRUE(client.ping());
-    EXPECT_EQ(server.counters().protocolErrors, 3u);
+    EXPECT_EQ(server.counters().protocolErrors, 7u);
 }
 
 TEST(Serve, BadJsonGetsAnErrorAndKeepsTheConnection)
@@ -542,7 +559,7 @@ TEST(Serve, ConcurrentClientsAllComplete)
     EXPECT_EQ(server.memo().stats().misses, 1u);
 }
 
-TEST(Serve, MetricsExpositionValidatesAndCountsSweeps)
+TEST(Serve, StatsCarriesCountersAndHistograms)
 {
     // The request histograms live in the process-global registry;
     // clear residue from earlier tests so counts are exact.
@@ -555,39 +572,35 @@ TEST(Serve, MetricsExpositionValidatesAndCountsSweeps)
         client.sweep("ibs_mach", {"economy"}, testWorkloads(), kInstr)
             .ok);
 
-    const std::string text = client.metricsText();
-    std::string error;
-    EXPECT_TRUE(obs::validatePromText(text, error)) << error;
-
-    double value = 0;
-    ASSERT_TRUE(obs::findPromValue(text, "ibs_serve_requests", value));
-    EXPECT_GE(value, 2.0); // The sweep, then this scrape.
-    ASSERT_TRUE(obs::findPromValue(text, "ibs_serve_sweeps", value));
-    EXPECT_EQ(value, 1.0);
-    ASSERT_TRUE(obs::findPromValue(text, "ibs_serve_cells", value));
-    EXPECT_EQ(value, 2.0);
-    ASSERT_TRUE(
-        obs::findPromValue(text, "ibs_serve_inflight", value));
-    EXPECT_EQ(value, 0.0);
+    const Json stats = client.stats();
+    const Json &counters = stats.at("counters");
+    EXPECT_GE(counters.at("requests").asNumber(), 2.0); // Sweep, stats.
+    EXPECT_EQ(counters.at("sweeps").asNumber(), 1.0);
+    EXPECT_EQ(counters.at("cells").asNumber(), 2.0);
+    EXPECT_EQ(counters.at("inflight").asNumber(), 0.0);
 
     // The sweep landed exactly once in the latency histogram, and
-    // its per-phase breakdown exists alongside it.
-    obs::PromHistogram hist;
-    ASSERT_TRUE(obs::parsePromHistogram(
-        text, "ibs_serve_sweep_latency_us", hist));
-    EXPECT_EQ(hist.count, 1u);
-    ASSERT_TRUE(obs::parsePromHistogram(
-        text, "ibs_serve_request_latency_us", hist));
-    EXPECT_GE(hist.count, 1u);
-    ASSERT_TRUE(obs::parsePromHistogram(
-        text, "ibs_serve_request_cells", hist));
-    EXPECT_EQ(hist.count, 1u);
-    EXPECT_EQ(hist.sum, 2.0);
-    EXPECT_TRUE(obs::parsePromHistogram(
-        text, "ibs_serve_sweep_materialize_us", hist));
-    EXPECT_TRUE(obs::parsePromHistogram(
-        text, "ibs_serve_sweep_simulate_us", hist));
-    EXPECT_EQ(hist.count, 2u); // One sample per cell.
+    // its per-cell breakdown exists alongside it.
+    const auto hists = obs::histogramsFromJson(stats.at("histograms"));
+    EXPECT_EQ(hists.at("serve.sweep.latency_us").count, 1u);
+    EXPECT_GE(hists.at("serve.request.latency_us").count, 1u);
+    EXPECT_EQ(hists.at("serve.request.cells").count, 1u);
+    EXPECT_EQ(hists.at("serve.request.cells").sum, 2u);
+    EXPECT_EQ(hists.at("serve.sweep.simulate_us").count, 2u);
+
+    // The frame carries the registry's exact buckets: every sweep
+    // histogram decodes equal to the registry's own. (The stats
+    // request itself lands in serve.request.* after its reply.)
+    size_t sweep_histograms = 0;
+    for (const auto &[name, hist] :
+         obs::Registry::global().snapshotHistograms()) {
+        if (name.rfind("serve.sweep.", 0) != 0)
+            continue;
+        ++sweep_histograms;
+        ASSERT_TRUE(hists.count(name)) << name;
+        EXPECT_TRUE(hists.at(name) == hist) << name;
+    }
+    EXPECT_EQ(sweep_histograms, 3u); // latency, simulate, serialize.
 }
 
 TEST(Serve, ReqIdEchoesClientTokenOrAssignsServerId)
@@ -610,15 +623,13 @@ TEST(Serve, ReqIdEchoesClientTokenOrAssignsServerId)
     ASSERT_TRUE(client.receive(response));
     EXPECT_EQ(response.at("req_id").asString().substr(0, 2), "s-");
 
-    // Every other single-frame reply echoes it as well.
-    for (const char *type : {"stats", "metrics"}) {
-        client.send(Json::object()
-                        .set("type", Json::string(type))
-                        .set("req_id", Json::string(type)));
-        ASSERT_TRUE(client.receive(response));
-        EXPECT_EQ(response.at("type").asString(), type);
-        EXPECT_EQ(response.at("req_id").asString(), type);
-    }
+    // The stats reply echoes it as well.
+    client.send(Json::object()
+                    .set("type", Json::string("stats"))
+                    .set("req_id", Json::string("stats")));
+    ASSERT_TRUE(client.receive(response));
+    EXPECT_EQ(response.at("type").asString(), "stats");
+    EXPECT_EQ(response.at("req_id").asString(), "stats");
 
     // A sweep echoes the id on every frame: start, cells, done.
     Json configs = Json::array();
@@ -646,8 +657,9 @@ TEST(Serve, ReqIdEchoesClientTokenOrAssignsServerId)
     EXPECT_EQ(frames, 4u); // start + 2 cells + done.
 
     // Structured rejections carry the id too: 400s for a bad sweep,
-    // an unknown type and a typeless request, a 429 for a sweep over
-    // the per-request instruction budget.
+    // two unknown types ("metrics" among them: "stats" is the one
+    // telemetry request) and a typeless request, a 429 for a sweep
+    // over the per-request instruction budget.
     const auto expect_error = [&](const Json &request, int code,
                                   const std::string &req_id) {
         client.send(request);
@@ -667,6 +679,11 @@ TEST(Serve, ReqIdEchoesClientTokenOrAssignsServerId)
                  400, "bad-2");
     expect_error(Json::object().set("req_id", Json::string("bad-3")),
                  400, "bad-3");
+    expect_error(Json::object()
+                     .set("type", Json::string("metrics"))
+                     .set("req_id", Json::string("bad-4")),
+                 400, "bad-4");
+    EXPECT_TRUE(client.ping()); // The connection survives each 400.
     Json one_config = Json::array();
     one_config.push(Json::string("economy"));
     expect_error(Json::object()
@@ -678,7 +695,7 @@ TEST(Serve, ReqIdEchoesClientTokenOrAssignsServerId)
                               testConfig().maxTotalInstructions + 1))
                      .set("req_id", Json::string("big-1")),
                  429, "big-1");
-    EXPECT_EQ(server.counters().protocolErrors, 3u);
+    EXPECT_EQ(server.counters().protocolErrors, 4u);
     EXPECT_EQ(server.counters().rejected, 1u);
 
     // The last reply of a connection, too.
@@ -711,9 +728,9 @@ TEST(Serve, ServerHistogramAgreesWithClientLatencies)
     }
     std::sort(latencies.begin(), latencies.end());
 
-    obs::PromHistogram hist;
-    ASSERT_TRUE(obs::parsePromHistogram(
-        client.metricsText(), "ibs_serve_sweep_latency_us", hist));
+    const obs::HistogramSnapshot hist =
+        obs::histogramsFromJson(client.stats().at("histograms"))
+            .at("serve.sweep.latency_us");
     ASSERT_EQ(hist.count, 6u);
 
     // Both sides at log2-bucket resolution, with the rule ibs_loadgen

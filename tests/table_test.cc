@@ -42,25 +42,6 @@ TEST(TextTable, NumFormatting)
     EXPECT_EQ(TextTable::num(uint64_t{1234}), "1234");
 }
 
-TEST(TextTable, CsvEscapesCommas)
-{
-    TextTable t;
-    t.setHeader({"a", "b"});
-    t.addRow({"x,y", "2"});
-    const std::string csv = t.renderCsv();
-    EXPECT_NE(csv.find("\"x,y\",2"), std::string::npos);
-}
-
-TEST(TextTable, CsvOmitsRules)
-{
-    TextTable t;
-    t.setHeader({"a"});
-    t.addRule();
-    t.addRow({"1"});
-    const std::string csv = t.renderCsv();
-    EXPECT_EQ(csv, "a\n1\n");
-}
-
 TEST(TextTable, RuleInRender)
 {
     TextTable t;

@@ -93,16 +93,6 @@ TEST(Tlb, SetAssociativeIndexing)
     EXPECT_EQ(tlb.misses(), 4u);
 }
 
-TEST(Tlb, FlushAsid)
-{
-    Tlb tlb(cfg(64, 64));
-    tlb.access(1, 0);
-    tlb.access(2, 0);
-    tlb.flushAsid(1);
-    EXPECT_FALSE(tlb.contains(1, 0));
-    EXPECT_TRUE(tlb.contains(2, 0));
-}
-
 TEST(Tlb, FlushAllAndResetStats)
 {
     Tlb tlb(cfg(64, 64));

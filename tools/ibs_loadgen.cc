@@ -23,8 +23,9 @@
  * the usage line and exits 2.
  *
  * After the run the server's own sweep-latency histogram
- * (ibs_serve_sweep_latency_us from the `metrics` request) is printed
- * next to the client-side percentiles. Both sides are compared at
+ * (serve.sweep.latency_us from the `stats` request's "histograms",
+ * read with HistogramSnapshot::quantile) is printed next to the
+ * client-side percentiles. Both sides are compared at
  * log2-bucket resolution (serve::latencyBucketsAgree) — the
  * client's exact percentile is bucketized with
  * obs::log2BucketUpperEdge — so two views of the same distribution
@@ -48,7 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/prom.h"
 #include "obs/registry.h"
 #include "serve/client.h"
 #include "sim/runner.h"
@@ -152,21 +152,26 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
-/** Print one client-vs-server percentile line; false on divergence. */
+/** Print one client-vs-server percentile line; false on divergence.
+ *  A server quantile past the last bucket (UINT64_MAX) prints as
+ *  "inf". */
 bool
 comparePercentile(const char *label, double client_seconds,
-                  double server_edge_us)
+                  uint64_t server_edge_us)
 {
     const uint64_t client_us =
         static_cast<uint64_t>(client_seconds * 1e6);
     const bool agree =
         serve::latencyBucketsAgree(client_seconds, server_edge_us);
-    std::printf("%s client=%lluus (bucket<=%llu) server_bucket<=%.0f "
+    const std::string server =
+        server_edge_us == UINT64_MAX ? "inf"
+                                     : std::to_string(server_edge_us);
+    std::printf("%s client=%lluus (bucket<=%llu) server_bucket<=%s "
                 "%s\n",
                 label, static_cast<unsigned long long>(client_us),
                 static_cast<unsigned long long>(
                     obs::log2BucketUpperEdge(client_us)),
-                server_edge_us, agree ? "agree" : "DIVERGE");
+                server.c_str(), agree ? "agree" : "DIVERGE");
     return agree;
 }
 
@@ -200,21 +205,22 @@ main(int argc, char **argv)
                 load.p50, load.p99);
 
     // Server-side view of the same requests: the sweep-latency
-    // histogram from the metrics endpoint, printed next to the
-    // client percentiles (and gated under --check).
+    // histogram from the stats frame, printed next to the client
+    // percentiles (and gated under --check).
     bool check_ok = true;
     if (load.completed > 0) {
         try {
             serve::Client client(opt.port);
-            const std::string text = client.metricsText();
-            obs::PromHistogram latency;
-            if (obs::parsePromHistogram(
-                    text, "ibs_serve_sweep_latency_us", latency) &&
-                latency.count > 0) {
+            const auto histograms = obs::histogramsFromJson(
+                client.stats().at("histograms"));
+            const auto latency =
+                histograms.find("serve.sweep.latency_us");
+            if (latency != histograms.end() &&
+                latency->second.count > 0) {
                 const bool ok50 = comparePercentile(
-                    "p50:", load.p50, latency.quantile(0.50));
+                    "p50:", load.p50, latency->second.quantile(0.50));
                 const bool ok99 = comparePercentile(
-                    "p99:", load.p99, latency.quantile(0.99));
+                    "p99:", load.p99, latency->second.quantile(0.99));
                 check_ok = ok50 && ok99;
                 if (!check_ok && opt.check)
                     std::fprintf(
@@ -230,15 +236,15 @@ main(int argc, char **argv)
                 if (opt.check)
                     std::fprintf(
                         stderr,
-                        "loadgen: server metrics carry no "
-                        "ibs_serve_sweep_latency_us histogram — "
+                        "loadgen: server stats carry no "
+                        "serve.sweep.latency_us histogram — "
                         "cannot cross-check percentiles\n");
             }
         } catch (const std::exception &e) {
             check_ok = false;
             if (opt.check)
                 std::fprintf(stderr,
-                             "loadgen: metrics scrape failed: %s\n",
+                             "loadgen: stats request failed: %s\n",
                              e.what());
         }
     }

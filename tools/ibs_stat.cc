@@ -2,36 +2,36 @@
  * @file
  * ibs_stat: one-line live view of a running sweep server.
  *
- * Polls the server's `metrics` request (Prometheus text exposition;
- * see src/obs/prom.h and src/serve/protocol.h) and renders the
- * numbers an operator watches during a load test: request rate since
- * the previous poll, in-flight sweeps, total sweeps/cells served,
- * and the server-side p50/p99 of the sweep latency histogram.
+ * Polls the server's `stats` request (its one telemetry surface; see
+ * src/serve/protocol.h) and renders the numbers an operator watches
+ * during a load test: request rate since the previous poll, in-flight
+ * sweeps, total sweeps/cells served, and the server-side p50/p99 of
+ * the sweep latency histogram (HistogramSnapshot::quantile; a
+ * quantile past the histogram's last bucket prints as "inf").
  *
  *   ibs_stat --port 8423                 # poll every second, forever
  *   ibs_stat --port 8423 --interval 0.2 --count 50
- *   ibs_stat --port 8423 --once          # single scrape, then exit
- *   ibs_stat --port 8423 --raw           # dump one scrape verbatim
+ *   ibs_stat --port 8423 --once          # one sample, then exit
+ *   ibs_stat --port 8423 --raw           # one stats frame as JSON
  *
- * --raw prints the exposition text of a single scrape unmodified
- * (for piping into `validate_bench_json --prom` or a file; the CI
- * server check does exactly that) and exits.
+ * --raw prints one `stats` frame as a line of compact JSON (for a
+ * file or a JSON tool) and exits.
  *
- * The port must lie in 1-65535 and --count be a non-negative integer
- * (0, the default, polls until the connection drops); any other value
- * prints the usage line and exits 2.
+ * The port must lie in 1-65535, --interval be a number of seconds in
+ * (0, 3600] and --count a non-negative integer (0, the default, polls
+ * until the connection drops); any other value prints the usage line
+ * and exits 2.
  *
  * On a terminal the line redraws in place (carriage return); when
  * stdout is a pipe each sample is its own line, so scripts can
  * capture samples (scripts/check_server.sh does). Exit status is 0
  * after a clean run, 1 when the server cannot be reached or answers
- * with something other than exposition text.
+ * with something other than a well-formed `stats` frame.
  */
 
 #include <unistd.h>
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -39,7 +39,7 @@
 #include <string>
 #include <thread>
 
-#include "obs/prom.h"
+#include "obs/registry.h"
 #include "serve/client.h"
 #include "sim/runner.h"
 
@@ -51,7 +51,7 @@ struct Options
     double intervalSeconds = 1.0;
     uint64_t count = 0; ///< 0 = until the connection drops.
     bool once = false;
-    bool raw = false; ///< Dump one scrape's exposition text as-is.
+    bool raw = false; ///< Print one stats frame as JSON.
 };
 
 int
@@ -80,11 +80,17 @@ parseArgs(int argc, char **argv, Options &options)
                 return false;
             options.port = static_cast<uint16_t>(*port);
         } else if (arg == "--interval") {
+            // The whole text must be a number in (0, 3600]: this
+            // rejects "5x", nan, inf and 1e400, which would overflow
+            // sleep_for's integer duration.
             const char *v = next();
             if (!v)
                 return false;
-            options.intervalSeconds = std::strtod(v, nullptr);
-            if (!(options.intervalSeconds > 0))
+            char *end = nullptr;
+            options.intervalSeconds = std::strtod(v, &end);
+            if (end == v || *end != '\0' ||
+                !(options.intervalSeconds > 0 &&
+                  options.intervalSeconds <= 3600))
                 return false;
         } else if (arg == "--count") {
             const char *v = next();
@@ -104,31 +110,24 @@ parseArgs(int argc, char **argv, Options &options)
     return options.port != 0;
 }
 
-/** "2047us" / "1.2ms" / "inf" — compact latency for the one-liner. */
+/** "2047us" / "1.2ms" / "inf" — compact latency for the one-liner;
+ *  UINT64_MAX is HistogramSnapshot::quantile's "past the last
+ *  bucket". */
 std::string
-formatMicros(double us)
+formatMicros(uint64_t us)
 {
     char buffer[32];
-    if (std::isinf(us)) {
+    if (us == UINT64_MAX) {
         std::snprintf(buffer, sizeof(buffer), "inf");
-    } else if (us >= 1e6) {
+    } else if (us >= 1000000) {
         std::snprintf(buffer, sizeof(buffer), "%.2fs", us / 1e6);
-    } else if (us >= 1e3) {
+    } else if (us >= 1000) {
         std::snprintf(buffer, sizeof(buffer), "%.1fms", us / 1e3);
     } else {
-        std::snprintf(buffer, sizeof(buffer), "%.0fus", us);
+        std::snprintf(buffer, sizeof(buffer), "%lluus",
+                      static_cast<unsigned long long>(us));
     }
     return buffer;
-}
-
-double
-promValueOr(const std::string &text, const std::string &metric,
-            double fallback)
-{
-    double value = fallback;
-    if (!ibs::obs::findPromValue(text, metric, value))
-        return fallback;
-    return value;
 }
 
 } // namespace
@@ -148,27 +147,14 @@ main(int argc, char **argv)
     try {
         ibs::serve::Client client(options.port);
         if (options.raw) {
-            const std::string text = client.metricsText();
-            std::fwrite(text.data(), 1, text.size(), stdout);
+            std::printf("%s\n", client.stats().dump(0).c_str());
             return 0;
         }
         while (options.count == 0 || samples < options.count) {
-            const std::string text = client.metricsText();
-            std::string error;
-            if (!ibs::obs::validatePromText(text, error)) {
-                std::fprintf(stderr,
-                             "ibs_stat: malformed metrics: %s\n",
-                             error.c_str());
-                return 1;
-            }
+            const ibs::Json stats = client.stats();
+            const ibs::Json &counters = stats.at("counters");
             const double requests =
-                promValueOr(text, "ibs_serve_requests", 0.0);
-            const double inflight =
-                promValueOr(text, "ibs_serve_inflight", 0.0);
-            const double sweeps =
-                promValueOr(text, "ibs_serve_sweeps", 0.0);
-            const double cells =
-                promValueOr(text, "ibs_serve_cells", 0.0);
+                counters.at("requests").asNumber();
             const double rate =
                 prev_requests < 0.0
                     ? 0.0
@@ -177,18 +163,22 @@ main(int argc, char **argv)
             prev_requests = requests;
 
             std::string p50 = "-", p99 = "-";
-            ibs::obs::PromHistogram latency;
-            if (ibs::obs::parsePromHistogram(
-                    text, "ibs_serve_sweep_latency_us", latency) &&
-                latency.count > 0) {
-                p50 = formatMicros(latency.quantile(0.50));
-                p99 = formatMicros(latency.quantile(0.99));
+            const auto histograms =
+                ibs::obs::histogramsFromJson(stats.at("histograms"));
+            if (const auto it =
+                    histograms.find("serve.sweep.latency_us");
+                it != histograms.end() && it->second.count > 0) {
+                p50 = formatMicros(it->second.quantile(0.50));
+                p99 = formatMicros(it->second.quantile(0.99));
             }
             std::printf("%sreq/s %7.1f | inflight %2.0f | sweeps "
                         "%6.0f | cells %7.0f | sweep p50 %7s | p99 "
                         "%7s%s",
-                        tty ? "\r" : "", rate, inflight, sweeps,
-                        cells, p50.c_str(), p99.c_str(),
+                        tty ? "\r" : "", rate,
+                        counters.at("inflight").asNumber(),
+                        counters.at("sweeps").asNumber(),
+                        counters.at("cells").asNumber(), p50.c_str(),
+                        p99.c_str(),
                         tty ? "" : "\n");
             std::fflush(stdout);
 

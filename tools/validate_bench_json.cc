@@ -36,12 +36,6 @@
  *     id touches >= <min_tids> distinct tids (the request really
  *     crossed threads).
  *
- *   --prom <file...>
- *     Validate Prometheus text exposition documents as served by
- *     the sweep server's `metrics` request (obs::validatePromText):
- *     line grammar, TYPE-before-samples, histogram bucket
- *     monotonicity and the mandatory le="+Inf" == _count.
- *
  * Used by scripts/check_golden.sh, scripts/check_obs_trace.sh and
  * scripts/check_server.sh (wired in as ctests) and by perfbench, and
  * handy interactively:
@@ -59,7 +53,6 @@
 #include <sstream>
 #include <string>
 
-#include "obs/prom.h"
 #include "stats/report.h"
 
 namespace {
@@ -328,22 +321,6 @@ validateTraceFlow(const std::string &path, long min_tids)
     return true;
 }
 
-/** --prom: Prometheus exposition well-formedness. */
-bool
-validatePromFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return fail(path, "cannot open");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    std::string error;
-    if (!ibs::obs::validatePromText(buffer.str(), error))
-        return fail(path, error);
-    std::printf("%s: prom ok\n", path.c_str());
-    return true;
-}
-
 int
 usage(const char *argv0)
 {
@@ -352,9 +329,8 @@ usage(const char *argv0)
                  "[more.json...]\n"
                  "       %s --trace <trace.json> [more.json...]\n"
                  "       %s --trace-flow <min_tids> <trace.json> "
-                 "[more.json...]\n"
-                 "       %s --prom <metrics.txt> [more.txt...]\n",
-                 argv0, argv0, argv0, argv0);
+                 "[more.json...]\n",
+                 argv0, argv0, argv0);
     return 2;
 }
 
@@ -385,15 +361,6 @@ main(int argc, char **argv)
         bool ok = true;
         for (int i = 3; i < argc; ++i)
             ok = validateTraceFlow(argv[i], min_tids) && ok;
-        return ok ? 0 : 1;
-    }
-
-    if (std::strcmp(argv[1], "--prom") == 0) {
-        if (argc < 3)
-            return usage(argv[0]);
-        bool ok = true;
-        for (int i = 2; i < argc; ++i)
-            ok = validatePromFile(argv[i]) && ok;
         return ok ? 0 : 1;
     }
 
