@@ -3,7 +3,8 @@
 # tracing on, drive it with tools/ibs_loadgen (--check: server-side
 # histogram percentiles must agree with the client's clocks), read
 # the stats frame with tools/ibs_stat (numeric sweep p50/p99 from the
-# frame's histograms), then SIGINT the server mid-service and require
+# frame's histograms, and a request rate of 0.0 once the server is
+# idle), then SIGINT the server mid-service and require
 # a clean drain — exit status 0 and a trace file that validates as
 # Perfetto traceEvents JSON, including one async request span whose
 # flow steps cross pool threads (the server runs with IBS_THREADS=4 so
@@ -111,6 +112,14 @@ if ! grep -Eq 'sweep p50 +[0-9.]+(us|ms|s) \| p99 +[0-9.]+(us|ms|s)$' \
     "$workdir/stat.out"; then
     echo "FAIL: ibs_stat printed no numeric sweep p50/p99" >&2
     cat "$workdir/stat.out" >&2
+    exit 1
+fi
+# The load above has finished, so the server is idle: the request
+# rate between two samples must leave out ibs_stat's own polls.
+"$stat" --port "$port" --count 2 --interval 0.2 > "$workdir/idle.out"
+if ! sed -n 2p "$workdir/idle.out" | grep -Eq '^req/s +0\.0 \|'; then
+    echo "FAIL: ibs_stat counted its own polls on an idle server" >&2
+    cat "$workdir/idle.out" >&2
     exit 1
 fi
 # --raw prints the frame itself, histograms included.

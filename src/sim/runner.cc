@@ -80,7 +80,8 @@ benchInstructions(uint64_t fallback)
 
 SuiteTraces::SuiteTraces(const std::vector<WorkloadSpec> &suite,
                          uint64_t instructions_per_workload)
-    : requested_(instructions_per_workload), specs_(suite)
+    : requested_(instructions_per_workload), specs_(suite),
+      generated_(suite.size())
 {}
 
 const RunTrace &
@@ -95,17 +96,47 @@ SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
             slot = std::make_unique<Slot<RunTrace>>();
         entry = slot.get();
     }
-    // Generation runs outside the map lock; concurrent callers for
+    // The build runs outside the map lock; concurrent callers for
     // the same key rendezvous on the entry's once_flag, callers for
-    // other keys proceed independently. Runs stream straight from
-    // the workload model (run_stream.h).
+    // other keys proceed independently.
     std::call_once(entry->once, [&] {
-        obs::ScopedTimer timer("stream " + name(i) + " line" +
-                                   std::to_string(line_bytes),
+        // The first line size requested for workload i streams it
+        // from its model. A request for another line size waits for
+        // that generation rather than starting a second one.
+        std::call_once(generated_[i], [&] {
+            obs::ScopedTimer timer("stream " + name(i) + " line" +
+                                       std::to_string(line_bytes),
+                                   "run_trace");
+            WorkloadModel model(specs_[i]);
+            entry->value =
+                generateRunTrace(model, line_bytes, requested_);
+            warnShortTrace(name(i), entry->value.instructions,
+                           requested_);
+            // Built before the flag completes: a request waiting on
+            // the flag cuts from this trace.
+            entry->built.store(true, std::memory_order_release);
+        });
+        if (entry->built.load(std::memory_order_relaxed))
+            return; // This request generated workload i.
+        // Every built trace of workload i holds its whole instruction
+        // sequence, so cut this line size from the coarsest one
+        // (fewest runs; the map orders a workload's entries by line
+        // size). The generation above is built, so one exists.
+        const RunTrace *source = nullptr;
+        {
+            std::lock_guard<std::mutex> lock(runTraceMutex_);
+            for (auto it = runTraces_.lower_bound({i, 0});
+                 it != runTraces_.end() && it->first.first == i; ++it) {
+                if (it->second->built.load(std::memory_order_acquire))
+                    source = &it->second->value;
+            }
+        }
+        obs::ScopedTimer timer("cut " + name(i) + " line" +
+                                   std::to_string(line_bytes) +
+                                   " from line" +
+                                   std::to_string(source->lineBytes),
                                "run_trace");
-        WorkloadModel model(specs_[i]);
-        entry->value = generateRunTrace(model, line_bytes, requested_);
-        warnShortTrace(name(i), entry->value.instructions, requested_);
+        entry->value = cutRunTrace(*source, line_bytes);
         entry->built.store(true, std::memory_order_release);
     });
     return entry->value;

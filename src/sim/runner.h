@@ -83,12 +83,16 @@ uint64_t benchInstructions(uint64_t fallback = 1'500'000);
 /**
  * Instruction traces for a suite of workloads, held run-compressed.
  *
- * Construction generates nothing. The first runTrace(i, lineBytes)
- * call streams workload `i` from its model straight into a
- * run-length trace (workload/run_stream.h), memoized per
- * (workload, lineBytes): the encoding depends only on the L1 line
- * size, so every sweep cell with that line size shares it
- * read-only. runOne and the miss-stream capture (missStream) drive
+ * Construction generates nothing. runTrace(i, lineBytes) builds a
+ * run-length trace (workload/run_stream.h) on first request,
+ * memoized per (workload, lineBytes): the encoding depends only on
+ * the L1 line size, so every sweep cell with that line size shares
+ * it read-only. The first line size requested for workload `i`
+ * streams it from its model; every later one is cut (cutRunTrace)
+ * from the coarsest trace of `i` already built, so a suite runs each
+ * model once (a request that arrives while `i` is being generated
+ * waits for it) and retains no trace beyond the memo entries.
+ * runOne and the miss-stream capture (missStream) drive
  * FetchEngine::fetchRun over that trace; it is the only replay path
  * sweeps and the server use. Run traces are the only trace form: a
  * driver that needs one reference per instruction walks a run's
@@ -128,9 +132,10 @@ class SuiteTraces
 
     /**
      * Run-length encoding of workload `i` at `line_bytes` (lazy,
-     * built once, then shared read-only across callers — see the
-     * class comment). The returned reference stays valid for the
-     * lifetime of this SuiteTraces.
+     * built once — generated, or cut from another line size of `i` —
+     * then shared read-only across callers; see the class comment).
+     * The returned reference stays valid for the lifetime of this
+     * SuiteTraces.
      */
     const RunTrace &runTrace(size_t i, uint32_t line_bytes) const;
 
@@ -183,6 +188,11 @@ class SuiteTraces
 
     uint64_t requested_ = 0;
     std::vector<WorkloadSpec> specs_;
+
+    // One flag per workload, guarding its generation from the model:
+    // the first runTrace of a workload generates under it, and every
+    // other line size waits for it and is then cut.
+    mutable std::vector<std::once_flag> generated_;
 
     // (workload, lineBytes) -> lazily built run trace. unique_ptr
     // keeps entry addresses stable across map rebalancing (once_flag

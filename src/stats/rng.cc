@@ -100,15 +100,7 @@ Rng::nextBool(double p)
 uint64_t
 Rng::nextGeometric(double p)
 {
-    assert(p > 0.0 && p <= 1.0);
-    if (p >= 1.0)
-        return 0;
-    double u = nextDouble();
-    // Avoid log(0).
-    if (u <= 0.0)
-        u = 0x1.0p-53;
-    return static_cast<uint64_t>(std::floor(std::log(u) /
-                                            std::log1p(-p)));
+    return GeometricSampler(p).sample(*this);
 }
 
 double
@@ -129,6 +121,25 @@ Rng::fork()
     uint64_t a = next();
     uint64_t b = next();
     return Rng(a ^ rotl(b, 31) ^ 0xd1b54a32d192ed03ULL);
+}
+
+GeometricSampler::GeometricSampler(double p)
+{
+    assert(p > 0.0 && p <= 1.0);
+    if (p < 1.0)
+        logFail_ = std::log1p(-p);
+}
+
+uint64_t
+GeometricSampler::sample(Rng &rng) const
+{
+    if (logFail_ == 0.0)
+        return 0;
+    double u = rng.nextDouble();
+    // Avoid log(0).
+    if (u <= 0.0)
+        u = 0x1.0p-53;
+    return static_cast<uint64_t>(std::floor(std::log(u) / logFail_));
 }
 
 DiscreteSampler::DiscreteSampler(const std::vector<double> &weights)

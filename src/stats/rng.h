@@ -50,7 +50,9 @@ class Rng
 
     /**
      * Geometric sample: number of failures before the first success,
-     * success probability p in (0, 1]. Mean is (1-p)/p.
+     * success probability p in (0, 1]. Mean is (1-p)/p. A caller
+     * that draws with one p many times holds a GeometricSampler
+     * instead, which draws the same values.
      */
     uint64_t nextGeometric(double p);
 
@@ -65,6 +67,31 @@ class Rng
 
   private:
     uint64_t s_[4];
+};
+
+/**
+ * Geometric distribution with a fixed success probability p in
+ * (0, 1]: the number of failures before the first success, drawn by
+ * inversion as floor(log(u) / log1p(-p)) for one uniform u. Holding
+ * log1p(-p) spares a caller that draws with one p many times (the
+ * workload walkers) its evaluation on every draw; the samples are
+ * bit for bit those of evaluating it each time. Rng::nextGeometric
+ * draws through a temporary sampler. With p = 1 the sample is always
+ * 0 and consumes no draw.
+ */
+class GeometricSampler
+{
+  public:
+    /** @param p success probability in (0, 1] */
+    explicit GeometricSampler(double p);
+
+    /** Draw one sample (one nextDouble, none when p = 1). */
+    uint64_t sample(Rng &rng) const;
+
+  private:
+    /** log1p(-p), negative; 0 marks p = 1 (log1p(-p) is nonzero for
+     *  every p in (0, 1)). */
+    double logFail_ = 0.0;
 };
 
 /**

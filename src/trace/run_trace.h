@@ -13,9 +13,12 @@
  *
  * The encoding depends only on the line size, not on any other cache
  * parameter, which is what lets SuiteTraces share one RunTrace per
- * (workload, lineBytes) across every cell of a sweep grid. SuiteTraces
- * builds those straight from the workload model
- * (workload/run_stream.h); the tests' reference encoder over a flat
+ * (workload, lineBytes) across every cell of a sweep grid. And it
+ * depends only on the instruction sequence, so the trace at one line
+ * size determines the trace at every other. SuiteTraces streams a
+ * workload's first trace straight from its model and cuts every
+ * further line size from a trace it already holds (cutRunTrace in
+ * workload/run_stream.h); the tests' reference encoder over a flat
  * address vector, compressRuns in tests/flat_trace.h, cuts the same
  * runs.
  *

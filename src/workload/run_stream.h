@@ -1,6 +1,7 @@
 /**
  * @file
- * RunStream: zero-materialization streaming run generation.
+ * RunStream: zero-materialization streaming run generation, and the
+ * re-cut of a run trace to another line size.
  *
  * Replaying a workload through the batched fetch path
  * (FetchEngine::fetchRun) needs FetchRun records, not individual
@@ -25,6 +26,14 @@
  * ASID-tagged trace of the address-translating drivers
  * (sim/tapeworm.h).
  *
+ * The cut rule sees only the instruction sequence, never the block
+ * boundaries, so a run trace at one line size determines the trace
+ * at every other: RunStream can also take its blocks from an existing
+ * RunTrace, one run per block, and cutRunTrace re-cuts a trace that
+ * way without running the model again. SuiteTraces generates each
+ * workload once and cuts every further line size from the coarsest
+ * trace it already holds (sim/runner.h).
+ *
  * Only instruction-only workloads have run traces. With data
  * references enabled every instruction draws from the scheduler RNG,
  * so blocks cannot skip records; RunStream refuses such a workload,
@@ -42,7 +51,8 @@
 
 namespace ibs {
 
-/** Pull-based generator of line-bounded FetchRuns from a workload. */
+/** Pull-based generator of line-bounded FetchRuns from a workload
+ *  model or from another run trace. */
 class RunStream
 {
   public:
@@ -59,10 +69,19 @@ class RunStream
               uint64_t max_instructions);
 
     /**
+     * @param source run trace to re-cut (not owned; must outlive the
+     *        stream): its runs are the blocks, so the stream emits
+     *        the trace of the same instructions at `line_bytes`
+     * @param line_bytes as above
+     * @throws std::invalid_argument on an invalid line size
+     */
+    RunStream(const RunTrace &source, uint32_t line_bytes);
+
+    /**
      * Produce the next run.
      *
-     * @retval false the instruction budget is exhausted (or the model
-     *         drained); no run was written
+     * @retval false the instruction budget or the source trace is
+     *         exhausted; no run was written
      */
     bool next(FetchRun &run);
 
@@ -70,16 +89,19 @@ class RunStream
     uint64_t instructions() const { return emitted_; }
 
   private:
-    /** Pull the next contiguous block from the model; false at
-     *  end-of-budget. */
+    /** Pull the next contiguous block from the model or the source
+     *  trace; false at end-of-budget or end of the source. */
     bool refill();
 
-    WorkloadModel &model_;
+    WorkloadModel *model_ = nullptr; ///< Block source, or null when
+                                     ///< re-cutting a source trace.
+    const FetchRun *sourceNext_ = nullptr; ///< Next source run.
+    const FetchRun *sourceEnd_ = nullptr;
     uint32_t lineBytes_;
     uint64_t lineMask_; ///< ~(lineBytes - 1).
-    uint64_t cap_;
+    uint64_t cap_ = UINT64_MAX;
 
-    uint64_t pulled_ = 0;  ///< Instructions drawn from the model.
+    uint64_t pulled_ = 0;  ///< Instructions drawn from the source.
     uint64_t emitted_ = 0; ///< Instructions handed out in runs.
 
     // Contiguous block not yet sliced into runs.
@@ -101,6 +123,17 @@ class RunStream
  */
 RunTrace generateRunTrace(WorkloadModel &model, uint32_t line_bytes,
                           uint64_t max_instructions);
+
+/**
+ * The trace of `source`'s instructions at `line_bytes`: run-for-run
+ * what generateRunTrace at `line_bytes` gives for the model and
+ * budget `source` was generated from, whatever `source.lineBytes`
+ * is. The runs are counted first and then filled, so the result
+ * holds no spare capacity.
+ *
+ * @throws std::invalid_argument on an invalid line size
+ */
+RunTrace cutRunTrace(const RunTrace &source, uint32_t line_bytes);
 
 } // namespace ibs
 

@@ -13,19 +13,23 @@ namespace ibs {
 namespace {
 
 /**
- * Geometric length in 4-byte units with the given mean in bytes
- * (minimum one unit).
+ * The geometric part of a length in 4-byte units with the given mean
+ * in bytes (minimum one unit); geomUnits adds the one.
  */
-int64_t
-geomUnits(Rng &rng, uint32_t mean_bytes)
+GeometricSampler
+unitsSampler(uint32_t mean_bytes)
 {
     const double mean_units =
         std::max(1.0, static_cast<double>(mean_bytes) / 4.0);
-    if (mean_units <= 1.0)
-        return 1;
     // 1 + Geometric(p) has mean 1 + (1-p)/p = 1/p; solve 1/p = mean.
-    const double p = 1.0 / mean_units;
-    return 1 + static_cast<int64_t>(rng.nextGeometric(p));
+    // A mean of one unit gives p = 1: always one unit, and no draw.
+    return GeometricSampler(1.0 / mean_units);
+}
+
+int64_t
+geomUnits(Rng &rng, const GeometricSampler &units)
+{
+    return 1 + static_cast<int64_t>(units.sample(rng));
 }
 
 } // namespace
@@ -36,7 +40,11 @@ CodeWalker::CodeWalker(const CodeLayout &layout,
       zipf_(params.hotProcs > 0 &&
                     params.hotProcs < layout.size()
                 ? params.hotProcs : layout.size(),
-            params.zipfS)
+            params.zipfS),
+      visitUnits_(unitsSampler(params.visitMeanBytes)),
+      runUnits_(unitsSampler(params.runMeanBytes)),
+      loopUnits_(unitsSampler(params.loopMeanBytes)),
+      skipUnits_(unitsSampler(params.skipMeanBytes))
 {
     stack_.reserve(MAX_DEPTH);
     enter(static_cast<uint32_t>(layout_.indexOf(0)));
@@ -50,14 +58,14 @@ CodeWalker::enter(uint32_t index)
     procStart_ = proc.start;
     procEnd_ = proc.start + proc.size;
     pc_ = procStart_;
-    visitLeft_ = geomUnits(rng_, params_.visitMeanBytes);
+    visitLeft_ = geomUnits(rng_, visitUnits_);
     newRun();
 }
 
 void
 CodeWalker::newRun()
 {
-    runLeft_ = geomUnits(rng_, params_.runMeanBytes);
+    runLeft_ = geomUnits(rng_, runUnits_);
 }
 
 void
@@ -71,7 +79,7 @@ CodeWalker::transfer()
         procStart_ = proc.start;
         procEnd_ = proc.start + proc.size;
         pc_ = std::min(frame.returnPc, procEnd_ - 4);
-        visitLeft_ = geomUnits(rng_, params_.visitMeanBytes);
+        visitLeft_ = geomUnits(rng_, visitUnits_);
         newRun();
         return;
     }
@@ -98,13 +106,13 @@ CodeWalker::branch()
     const double u = rng_.nextDouble();
     if (u < params_.pLoop) {
         // Backward branch: bounded by the procedure start.
-        const int64_t dist = 4 * geomUnits(rng_, params_.loopMeanBytes);
+        const int64_t dist = 4 * geomUnits(rng_, loopUnits_);
         const uint64_t target = pc_ > procStart_ + dist
             ? pc_ - dist : procStart_;
         pc_ = target;
     } else if (u < params_.pLoop + params_.pSkip) {
         // Short taken forward branch.
-        const int64_t dist = 4 * geomUnits(rng_, params_.skipMeanBytes);
+        const int64_t dist = 4 * geomUnits(rng_, skipUnits_);
         pc_ += dist;
         if (pc_ >= procEnd_) {
             transfer();
@@ -155,7 +163,9 @@ CodeWalker::nextBlock(uint64_t max_count, uint64_t &start)
 
 DataWalker::DataWalker(const DataParams &params, uint64_t base_offset,
                        Rng rng)
-    : params_(params), base_(params.dataBase + base_offset), rng_(rng)
+    : params_(params), base_(params.dataBase + base_offset), rng_(rng),
+      stackWords_(std::max<uint64_t>(1, params.stackBytes / 4)),
+      stackDepth_(8.0 / static_cast<double>(stackWords_))
 {
     const size_t blocks =
         std::max<uint64_t>(1, params_.heapBytes / 32);
@@ -183,11 +193,9 @@ DataWalker::next()
 {
     if (rng_.nextBool(params_.pStack)) {
         // Stack window: geometric depth from the top, word aligned.
-        const uint64_t words =
-            std::max<uint64_t>(1, params_.stackBytes / 4);
-        uint64_t depth = rng_.nextGeometric(8.0 / words * 1.0);
-        if (depth >= words)
-            depth = words - 1;
+        uint64_t depth = stackDepth_.sample(rng_);
+        if (depth >= stackWords_)
+            depth = stackWords_ - 1;
         // Stack grows down from just below the heap base.
         return base_ - 4 - depth * 4;
     }

@@ -86,6 +86,12 @@ class CodeWalker
     ComponentParams params_;
     Rng rng_;
     ZipfSampler zipf_;
+    // Geometric parts of the visit, run, loop and skip lengths (in
+    // instructions), one per mean in params_, drawn at every decision.
+    GeometricSampler visitUnits_;
+    GeometricSampler runUnits_;
+    GeometricSampler loopUnits_;
+    GeometricSampler skipUnits_;
 
     uint32_t procIndex_ = 0;
     uint64_t pc_ = 0;
@@ -118,6 +124,8 @@ class DataWalker
     DataParams params_;
     uint64_t base_;
     Rng rng_;
+    uint64_t stackWords_;          ///< Stack window in words (>= 1).
+    GeometricSampler stackDepth_;  ///< Depth from the top, in words.
     ZipfSampler heapZipf_;
     std::vector<uint32_t> blockShuffle_; ///< rank -> heap block.
 };

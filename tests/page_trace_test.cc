@@ -7,6 +7,10 @@
  *    to exactly WorkloadModel::next's (vaddr, asid) sequence, and no
  *    run crosses a page; a test-local workload whose tasks share one
  *    text page makes the ASID cut fire;
+ *  - cutRunTrace from any line size to any other equals generation at
+ *    the target size run for run, and SuiteTraces, which cuts every
+ *    line size after a workload's first, builds the same traces
+ *    whatever order (or concurrency) the line sizes are requested in;
  *  - runTapeworm over the page trace and over a 32-byte trace equals
  *    the per-instruction loop it replaced (translate and access every
  *    instruction), trial by trial, across replacement policies,
@@ -15,11 +19,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cache/cache.h"
+#include "obs/trace_sink.h"
+#include "sim/parallel.h"
+#include "sim/runner.h"
 #include "sim/tapeworm.h"
+#include "stats/report.h"
 #include "trace/run_trace.h"
 #include "vm/address_space.h"
 #include "vm/page.h"
@@ -84,6 +97,15 @@ instructionRecords(const WorkloadSpec &spec, uint64_t n)
             out.push_back(rec);
     }
     return out;
+}
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    return buffer.str();
 }
 
 RunTrace
@@ -166,6 +188,156 @@ TEST(PageTrace, AsidSwitchCutsAnOtherwiseSequentialRun)
             ++breaks;
     }
     EXPECT_EQ(runTrace(spec, PAGE_SIZE, 20000).runs.size(), breaks + 1);
+}
+
+/** The line sizes the cut tests convert between, 4 B to a page. */
+const std::vector<uint32_t> kCutLines = {
+    4, 8, 16, 32, 64, 128, 256, static_cast<uint32_t>(PAGE_SIZE)};
+
+/** `actual` must equal `expected` run for run, ASIDs included. */
+void
+expectSameTrace(const RunTrace &actual, const RunTrace &expected,
+                const std::string &label)
+{
+    EXPECT_EQ(actual.lineBytes, expected.lineBytes) << label;
+    EXPECT_EQ(actual.instructions, expected.instructions) << label;
+    ASSERT_EQ(actual.runs.size(), expected.runs.size()) << label;
+    for (size_t r = 0; r < actual.runs.size(); ++r) {
+        const FetchRun &a = actual.runs[r];
+        const FetchRun &e = expected.runs[r];
+        if (a.startVaddr != e.startVaddr || a.count != e.count ||
+            a.asid != e.asid) {
+            FAIL() << label << " run " << r << ": {" << a.startVaddr
+                   << ", " << a.count << ", " << a.asid
+                   << "} != {" << e.startVaddr << ", " << e.count
+                   << ", " << e.asid << "}";
+        }
+    }
+}
+
+/** Cutting the first `n` instructions of `spec`, generated at any
+ *  line size, to any other must give what generation at the target
+ *  size gives, with no spare capacity. */
+void
+expectCutsEqualGeneration(const WorkloadSpec &spec, uint64_t n)
+{
+    std::vector<RunTrace> generated;
+    for (uint32_t line : kCutLines)
+        generated.push_back(runTrace(spec, line, n));
+    for (const RunTrace &source : generated) {
+        for (size_t t = 0; t < kCutLines.size(); ++t) {
+            const std::string label = spec.name + "/n" +
+                std::to_string(n) + "/line" +
+                std::to_string(kCutLines[t]) + " from line" +
+                std::to_string(source.lineBytes);
+            const RunTrace cut = cutRunTrace(source, kCutLines[t]);
+            expectSameTrace(cut, generated[t], label);
+            EXPECT_EQ(cut.runs.capacity(), cut.runs.size()) << label;
+        }
+    }
+}
+
+/** A budget of `spec` that stops one instruction into a 32-B run of
+ *  at least two, past instruction 5000: the last run of the trace at
+ *  every line size from 32 B up is then cut short by the budget. */
+uint64_t
+budgetEndingMidRun(const WorkloadSpec &spec)
+{
+    const RunTrace full = runTrace(spec, 32, 20000);
+    uint64_t n = 0;
+    for (const FetchRun &run : full.runs) {
+        if (n >= 5000 && run.count >= 2)
+            return n + 1;
+        n += run.count;
+    }
+    ADD_FAILURE() << spec.name << ": no 32-B run of two past 5000";
+    return n;
+}
+
+TEST(PageTrace, CutFromAnyLineSizeEqualsGeneration)
+{
+    std::vector<WorkloadSpec> specs = ibsSuite(OsType::Mach);
+    specs.push_back(makeSpec(SpecBenchmark::Gcc));
+    specs.push_back(sharedPageSpec());
+    for (const WorkloadSpec &spec : specs)
+        expectCutsEqualGeneration(spec, 20000);
+}
+
+TEST(PageTrace, CutOfABudgetEndingMidRunEqualsGeneration)
+{
+    for (const WorkloadSpec &spec :
+         {makeIbs(IbsBenchmark::Gs, OsType::Mach), sharedPageSpec()}) {
+        const uint64_t n = budgetEndingMidRun(spec);
+        // The budget's last instruction starts a run that the next
+        // instruction would have continued.
+        const RunTrace longer = runTrace(spec, 32, n + 1);
+        ASSERT_EQ(runTrace(spec, 32, n).runs.size(), longer.runs.size())
+            << spec.name;
+        ASSERT_EQ(longer.runs.back().count, 2u) << spec.name;
+        expectCutsEqualGeneration(spec, n);
+    }
+}
+
+TEST(PageTrace, SuiteTracesCutTheSameTracesInAnyRequestOrder)
+{
+    const std::vector<WorkloadSpec> specs = {
+        makeIbs(IbsBenchmark::Gs, OsType::Mach),
+        makeSpec(SpecBenchmark::Gcc), sharedPageSpec()};
+    constexpr uint64_t kInstr = 20000;
+    const size_t sizes = kCutLines.size();
+    // Every generation and cut is a run_trace span: count them.
+    const std::string path =
+        testing::TempDir() + "page_trace_suite_spans.json";
+    auto prev_sink = obs::TraceEventSink::exchangeGlobal(
+        std::make_unique<obs::TraceEventSink>(path));
+
+    // Ascending: each line size is cut from the one before it.
+    // Descending: the page trace is generated, and every smaller size
+    // is cut from it. Concurrent: line-major, so the first requests
+    // for two line sizes of one workload overlap.
+    const SuiteTraces ascending(specs, kInstr);
+    const SuiteTraces descending(specs, kInstr);
+    const SuiteTraces concurrent(specs, kInstr);
+    for (size_t w = 0; w < specs.size(); ++w) {
+        for (size_t l = 0; l < sizes; ++l) {
+            ascending.runTrace(w, kCutLines[l]);
+            descending.runTrace(w, kCutLines[sizes - 1 - l]);
+        }
+    }
+    parallelFor(specs.size() * sizes, 4, [&](size_t k) {
+        concurrent.runTrace(k % specs.size(), kCutLines[k / specs.size()]);
+    });
+
+    // Restoring the previous sink destroys ours, which writes the file.
+    obs::TraceEventSink::exchangeGlobal(std::move(prev_sink));
+    std::map<std::string, size_t> spans;
+    const Json events = Json::parse(readFile(path)).at("traceEvents");
+    for (size_t e = 0; e < events.size(); ++e) {
+        const std::string name = events.at(e).at("name").asString();
+        if (events.at(e).at("cat").asString() == "run_trace")
+            ++spans[name.substr(0, name.find(' '))];
+    }
+    std::remove(path.c_str());
+    // One generation per workload and suite, even when requests race;
+    // every other line size is a cut.
+    EXPECT_EQ(spans["stream"], 3 * specs.size());
+    EXPECT_EQ(spans["cut"], 3 * specs.size() * (sizes - 1));
+
+    for (const SuiteTraces *suite : {&ascending, &descending, &concurrent})
+        EXPECT_EQ(suite->runTracesBuilt(), specs.size() * sizes);
+    for (size_t w = 0; w < specs.size(); ++w) {
+        for (uint32_t line : kCutLines) {
+            const RunTrace generated = runTrace(specs[w], line, kInstr);
+            const std::string label =
+                specs[w].name + "/line" + std::to_string(line);
+            expectSameTrace(ascending.runTrace(w, line), generated,
+                            "ascending " + label);
+            expectSameTrace(descending.runTrace(w, line), generated,
+                            "descending " + label);
+            expectSameTrace(concurrent.runTrace(w, line), generated,
+                            "concurrent " + label);
+        }
+    }
 }
 
 /**

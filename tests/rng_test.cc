@@ -101,6 +101,59 @@ TEST(Rng, GeometricPOneIsZero)
         EXPECT_EQ(rng.nextGeometric(1.0), 0u);
 }
 
+/** The reference draw GeometricSampler must match: log1p(-p)
+ *  evaluated on every draw. */
+uint64_t
+perDrawGeometric(Rng &rng, double p)
+{
+    if (p >= 1.0)
+        return 0;
+    double u = rng.nextDouble();
+    if (u <= 0.0)
+        u = 0x1.0p-53;
+    return static_cast<uint64_t>(std::floor(std::log(u) /
+                                            std::log1p(-p)));
+}
+
+TEST(Rng, GeometricSamplerDrawsExactlyThePerDrawFormula)
+{
+    // Edge values, the walkers' 1 / (mean bytes / 4) over a spread of
+    // means, and DataWalker's 8 / (stack words).
+    std::vector<double> ps = {1e-12, 1e-6, 0.001, 0.12, 0.2, 0.5,
+                              0.75, 0.999, 1.0 - 1e-12, 1.0};
+    for (double mean_bytes : {5.0, 6.0, 7.0, 12.0, 24.0, 40.0, 96.0,
+                              160.0, 640.0, 4096.0, 1e5})
+        ps.push_back(1.0 / (mean_bytes / 4.0));
+    ps.push_back(8.0 / 512.0);
+    for (const uint64_t seed : {1ull, 42ull, 0x9e3779b97f4a7c15ull,
+                                0xdeadbeefull, ~0ull}) {
+        for (const double p : ps) {
+            const GeometricSampler sampler(p);
+            Rng reference(seed), held(seed), per_call(seed);
+            for (int k = 0; k < 2000; ++k) {
+                const uint64_t want = perDrawGeometric(reference, p);
+                ASSERT_EQ(sampler.sample(held), want)
+                    << "p=" << p << " seed=" << seed << " draw " << k;
+                ASSERT_EQ(per_call.nextGeometric(p), want)
+                    << "p=" << p << " seed=" << seed << " draw " << k;
+            }
+            // Each consumed exactly the reference's draws.
+            const uint64_t after = reference.next();
+            EXPECT_EQ(held.next(), after) << "p=" << p;
+            EXPECT_EQ(per_call.next(), after) << "p=" << p;
+        }
+    }
+}
+
+TEST(Rng, GeometricSamplerAtPOneDrawsNothing)
+{
+    Rng rng(5), untouched(5);
+    const GeometricSampler certain(1.0);
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(certain.sample(rng), 0u);
+    EXPECT_EQ(rng.next(), untouched.next());
+}
+
 TEST(Rng, ExponentialMean)
 {
     Rng rng(17);

@@ -234,6 +234,35 @@ TEST(StreamGenDiff, ObsCountersFlowFromStreamingReplay)
     suite.runOne(0, economyBaseline());
     expect_every_run_replayed(2);
 
+    // SuiteTraces cuts every line size after a workload's first from
+    // a trace it already holds; a cut trace publishes exactly what
+    // the streamed one does, on the replay path (economy) and on the
+    // derived L2 path (on-chip L2).
+    const uint32_t line = economyBaseline().l1.lineBytes;
+    const SuiteTraces cut_suite({spec}, 10000);
+    cut_suite.runTrace(0, 2 * line); // Streamed: the cut's source.
+    for (const FetchConfig &config :
+         {economyBaseline(),
+          withOnChipL2(economyBaseline(), 64 * 1024, 64, 2)}) {
+        const auto replay = [&](const SuiteTraces &s) {
+            reg.reset();
+            s.runOne(0, config);
+            const auto snap = reg.snapshot();
+            return std::vector<uint64_t>{
+                snap.at("workload.model.runs_emitted"),
+                snap.at("fetch.engine.batched_runs"),
+                snap.at("fetch.engine.batch_fallbacks")};
+        };
+        const std::vector<uint64_t> streamed = replay(suite);
+        const std::vector<uint64_t> cut = replay(cut_suite);
+        EXPECT_EQ(cut, streamed) << config.toString();
+        EXPECT_EQ(cut[0], suite.runTrace(0, line).runs.size());
+        EXPECT_EQ(cut[1] + cut[2], cut[0]);
+    }
+    EXPECT_EQ(cut_suite.runTrace(0, line).runs.size(),
+              suite.runTrace(0, line).runs.size());
+    EXPECT_EQ(cut_suite.runTracesBuilt(), 2u);
+
     reg.reset();
     reg.setEnabled(was_enabled);
 }

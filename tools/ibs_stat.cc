@@ -4,8 +4,11 @@
  *
  * Polls the server's `stats` request (its one telemetry surface; see
  * src/serve/protocol.h) and renders the numbers an operator watches
- * during a load test: request rate since the previous poll, in-flight
- * sweeps, total sweeps/cells served, and the server-side p50/p99 of
+ * during a load test: request rate since the previous poll (other
+ * clients' requests per second of measured time; the server's
+ * `requests` counter also counts each of these polls, which the rate
+ * leaves out, so an idle server reads 0.0), in-flight sweeps, total
+ * sweeps/cells served, and the server-side p50/p99 of
  * the sweep latency histogram (HistogramSnapshot::quantile; a
  * quantile past the histogram's last bucket prints as "inf").
  *
@@ -31,6 +34,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -143,6 +147,7 @@ main(int argc, char **argv)
 
     const bool tty = ::isatty(STDOUT_FILENO) == 1;
     double prev_requests = -1.0;
+    std::chrono::steady_clock::time_point prev_time;
     uint64_t samples = 0;
     try {
         ibs::serve::Client client(options.port);
@@ -152,15 +157,22 @@ main(int argc, char **argv)
         }
         while (options.count == 0 || samples < options.count) {
             const ibs::Json stats = client.stats();
+            const auto now = std::chrono::steady_clock::now();
             const ibs::Json &counters = stats.at("counters");
             const double requests =
                 counters.at("requests").asNumber();
-            const double rate =
-                prev_requests < 0.0
-                    ? 0.0
-                    : (requests - prev_requests) /
-                          options.intervalSeconds;
+            // Between two replies the counter took this tool's one
+            // poll; the time is what passed, not the nominal interval
+            // (the sleep plus a round trip).
+            double rate = 0.0;
+            if (prev_requests >= 0.0) {
+                const double seconds =
+                    std::chrono::duration<double>(now - prev_time)
+                        .count();
+                rate = (requests - prev_requests - 1.0) / seconds;
+            }
             prev_requests = requests;
+            prev_time = now;
 
             std::string p50 = "-", p99 = "-";
             const auto histograms =
