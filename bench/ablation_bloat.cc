@@ -40,7 +40,7 @@ mpiOf(const std::vector<WorkloadSpec> &specs, uint64_t n,
 {
     const SuiteTraces suite(specs, n);
     FetchConfig config;
-    config.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    config.l1 = CacheConfig{8 * 1024, 1, 32};
     const std::vector<FetchConfig> configs = {config};
     const SweepResult result = runSweep(suite, configs);
     g_report.addSweep(grid, suite, configs, result);

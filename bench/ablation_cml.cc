@@ -48,15 +48,14 @@ main()
         for (uint64_t kb : {16u, 32u, 64u}) {
             CmlExperiment experiment;
             experiment.cache =
-                CacheConfig{kb * 1024, 1, 32, Replacement::LRU};
+                CacheConfig{kb * 1024, 1, 32};
             WallTimer cell_timer;
             const CmlResult r = runCml(trace, experiment);
 
             // The 2-way reference point via a one-trial Tapeworm run
             // over the same trace.
             TapewormConfig tw;
-            tw.cache = CacheConfig{kb * 1024, 2, 32,
-                                   Replacement::LRU};
+            tw.cache = CacheConfig{kb * 1024, 2, 32};
             tw.trials = 1;
             const TapewormResult assoc = runTapeworm(trace, tw);
 

@@ -41,12 +41,12 @@ main()
         for (size_t i = 0; i < suite.count(); ++i) {
             WallTimer cell_timer;
             CacheHierarchy ni(
-                CacheConfig{8 * 1024, 1, 32, Replacement::LRU},
-                CacheConfig{64 * 1024, assoc, 64, Replacement::LRU},
+                CacheConfig{8 * 1024, 1, 32},
+                CacheConfig{64 * 1024, assoc, 64},
                 false);
             CacheHierarchy incl(
-                CacheConfig{8 * 1024, 1, 32, Replacement::LRU},
-                CacheConfig{64 * 1024, assoc, 64, Replacement::LRU},
+                CacheConfig{8 * 1024, 1, 32},
+                CacheConfig{64 * 1024, assoc, 64},
                 true);
             const RunTrace &trace = suite.runTrace(i, 32);
             for (const FetchRun &run : trace.runs) {
@@ -59,10 +59,8 @@ main()
             }
             const uint64_t instrs = trace.instructions;
             const Json config = Json::object()
-                .set("l1", toJson(CacheConfig{8 * 1024, 1, 32,
-                                              Replacement::LRU}))
-                .set("l2", toJson(CacheConfig{64 * 1024, assoc, 64,
-                                              Replacement::LRU}));
+                .set("l1", toJson(CacheConfig{8 * 1024, 1, 32}))
+                .set("l2", toJson(CacheConfig{64 * 1024, assoc, 64}));
             const Json stats = Json::object()
                 .set("instructions", Json::number(instrs))
                 .set("l1_misses_noninclusive",

@@ -60,7 +60,7 @@ mpiOf(const std::vector<WorkloadSpec> &specs, uint64_t n)
 {
     const SuiteTraces suite(specs, n);
     FetchConfig config;
-    config.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    config.l1 = CacheConfig{8 * 1024, 1, 32};
     const std::vector<FetchConfig> configs = {config};
     const SweepResult result = runSweep(suite, configs);
     g_report.addSweep("procedure_placement", suite, configs, result);
@@ -125,8 +125,7 @@ main()
                                   PagePolicy::BinHopping,
                                   PagePolicy::PageColoring}) {
             TapewormConfig config;
-            config.cache = CacheConfig{32 * 1024, 1, 32,
-                                       Replacement::LRU};
+            config.cache = CacheConfig{32 * 1024, 1, 32};
             config.policy = policy;
             config.trials = 3;
             WallTimer cell_timer;

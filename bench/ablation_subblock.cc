@@ -37,8 +37,7 @@ using namespace ibs;
 double
 subBlockCpi(const RunTrace &trace)
 {
-    SubBlockCache cache(CacheConfig{8 * 1024, 1, 64,
-                                    Replacement::LRU}, 16);
+    SubBlockCache cache(CacheConfig{8 * 1024, 1, 64}, 16);
     const MemoryTiming fill{6, 16};
     uint64_t stall = 0;
     for (const FetchRun &run : trace.runs) {
@@ -67,7 +66,7 @@ main()
     SuiteTraces suite(ibsSuite(OsType::Mach), n);
 
     FetchConfig plain16;
-    plain16.l1 = CacheConfig{8 * 1024, 1, 16, Replacement::LRU};
+    plain16.l1 = CacheConfig{8 * 1024, 1, 16};
     plain16.l1Fill = MemoryTiming{6, 16};
 
     FetchConfig plain64 = plain16;
@@ -99,8 +98,7 @@ main()
         const double cpi = subBlockCpi(trace);
         const uint64_t instrs = trace.instructions;
         const Json config = Json::object()
-            .set("l1", toJson(CacheConfig{8 * 1024, 1, 64,
-                                          Replacement::LRU}))
+            .set("l1", toJson(CacheConfig{8 * 1024, 1, 64}))
             .set("sub_block_bytes", Json::number(uint64_t{16}));
         const Json stats = Json::object()
             .set("instructions", Json::number(instrs))

@@ -64,14 +64,13 @@ void
 checkInclusion(const WorkloadPass &pass,
                const std::vector<TlbConfig> &configs)
 {
-    auto lruFullyAssociative = [&](size_t k) {
-        return configs[k].assoc == configs[k].entries &&
-            configs[k].replacement == Replacement::LRU;
+    auto fullyAssociative = [&](size_t k) {
+        return configs[k].assoc == configs[k].entries;
     };
     for (size_t a = 0; a < configs.size(); ++a) {
         for (size_t b = 0; b < configs.size(); ++b) {
-            const bool b_is_larger = lruFullyAssociative(a) &&
-                lruFullyAssociative(b) &&
+            const bool b_is_larger = fullyAssociative(a) &&
+                fullyAssociative(b) &&
                 configs[a].entries < configs[b].entries;
             if (!b_is_larger || pass.misses[b] <= pass.misses[a])
                 continue;
@@ -161,8 +160,7 @@ main()
     std::vector<TlbConfig> configs;
     for (uint32_t entries : {16u, 32u, 64u, 128u, 256u}) {
         for (uint32_t assoc : {4u, entries})
-            configs.push_back(
-                TlbConfig{entries, assoc, Replacement::LRU, true});
+            configs.push_back(TlbConfig{entries, assoc});
     }
     const std::vector<WorkloadPass> spec_passes =
         passSuite(specSuite(), configs, n, "spec92");

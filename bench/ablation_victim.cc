@@ -48,7 +48,7 @@ main()
     std::vector<std::string> labels;
     for (uint32_t assoc : {1u, 2u, 8u}) {
         FetchConfig config;
-        config.l1 = CacheConfig{8 * 1024, assoc, 32, Replacement::LRU};
+        config.l1 = CacheConfig{8 * 1024, assoc, 32};
         plain.push_back(config);
         labels.push_back(std::to_string(assoc) + "way");
     }
@@ -61,7 +61,7 @@ main()
     table.addRow({"direct-mapped", plainMpi(0), "-"});
     for (uint32_t v : {1u, 2u, 4u, 8u}) {
         uint64_t misses = 0, swaps = 0, instrs = 0;
-        const CacheConfig cfg{8 * 1024, 1, 32, Replacement::LRU};
+        const CacheConfig cfg{8 * 1024, 1, 32};
         for (size_t i = 0; i < suite.count(); ++i) {
             WallTimer cell_timer;
             VictimCache cache(cfg, v);

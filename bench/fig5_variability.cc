@@ -48,7 +48,7 @@ sweep(const std::string &name, const WorkloadSpec &spec, uint64_t n,
         for (uint32_t assoc : {1u, 2u, 4u}) {
             TapewormConfig config;
             config.cache =
-                CacheConfig{kb * 1024, assoc, 32, Replacement::LRU};
+                CacheConfig{kb * 1024, assoc, 32};
             config.missPenalty = 7;
             config.trials = 5;
             config.policy = PagePolicy::Random;

@@ -44,7 +44,7 @@ main()
     for (uint32_t line : lines) {
         for (uint32_t bw : bandwidths) {
             FetchConfig c;
-            c.l1 = CacheConfig{8 * 1024, 1, line, Replacement::LRU};
+            c.l1 = CacheConfig{8 * 1024, 1, line};
             c.l1Fill = MemoryTiming{6, bw};
             configs.push_back(c);
             labels.push_back("line" + std::to_string(line) + "B_bw" +

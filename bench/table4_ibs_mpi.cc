@@ -76,7 +76,7 @@ measure(BenchReport &report, const std::vector<WorkloadSpec> &specs,
 {
     const SuiteTraces suite(specs, n);
     FetchConfig config;
-    config.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    config.l1 = CacheConfig{8 * 1024, 1, 32};
     const SweepResult result = runSweep(suite, {config});
 
     std::vector<Row> rows;

@@ -39,7 +39,7 @@ main()
     for (uint32_t pf = 0; pf <= 3; ++pf) {
         for (uint32_t line : {16u, 32u, 64u}) {
             FetchConfig c;
-            c.l1 = CacheConfig{8 * 1024, 1, line, Replacement::LRU};
+            c.l1 = CacheConfig{8 * 1024, 1, line};
             c.l1Fill = MemoryTiming{6, 16};
             c.prefetchLines = pf;
             grid.push_back(c);

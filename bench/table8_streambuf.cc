@@ -46,7 +46,7 @@ main()
         for (uint32_t bw : bws) {
             FetchConfig c;
             // Line size = interface bandwidth (one beat per line).
-            c.l1 = CacheConfig{8 * 1024, 1, bw, Replacement::LRU};
+            c.l1 = CacheConfig{8 * 1024, 1, bw};
             c.l1Fill = MemoryTiming{6, bw};
             c.pipelined = true;
             c.streamBufferLines = lines;

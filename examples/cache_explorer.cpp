@@ -99,8 +99,7 @@ main(int argc, char **argv)
             for (uint32_t assoc : {1u, 2u, 4u}) {
                 FetchConfig c = highPerfBaseline();
                 c.l1 =
-                    CacheConfig{kb * 1024, assoc, 32,
-                                Replacement::LRU};
+                    CacheConfig{kb * 1024, assoc, 32};
                 row.push_back(TextTable::num(cpiOf(*spec, c, n)));
             }
             table.addRow(row);

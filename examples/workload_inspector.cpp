@@ -88,14 +88,14 @@ inspectSuite(const std::string &title,
         for (uint64_t kb : sizes_kb) {
             const double mpi = measureMpi(
                 spec, instructions,
-                CacheConfig{kb * 1024, 1, 32, Replacement::LRU});
+                CacheConfig{kb * 1024, 1, 32});
             avg[col++] += mpi;
             row.push_back(TextTable::num(mpi, 2));
         }
         for (uint32_t lb : lines) {
             const double mpi = measureMpi(
                 spec, instructions,
-                CacheConfig{8 * 1024, 1, lb, Replacement::LRU});
+                CacheConfig{8 * 1024, 1, lb});
             avg[col++] += mpi;
             row.push_back(TextTable::num(mpi, 2));
         }

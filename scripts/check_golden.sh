@@ -45,4 +45,4 @@ else
     exit 1
 fi
 
-"$validator" --min-schema 2 "$workdir/BENCH_${name}.json"
+"$validator" "$workdir/BENCH_${name}.json"

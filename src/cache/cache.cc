@@ -5,25 +5,9 @@
 
 #include "cache/cache.h"
 
-#include <bit>
-#include <cassert>
+#include <algorithm>
 
 namespace ibs {
-
-uint64_t
-Cache::lfsrSeed(const CacheConfig &config)
-{
-    // Documented mix (see the header): splitmix64-style avalanche of
-    // the geometry, XORed into 0xace1 and folded to 16 bits.
-    uint64_t h = config.sizeBytes;
-    h ^= (uint64_t{config.assoc} << 32) | config.lineBytes;
-    h *= 0x9e3779b97f4a7c15ull;
-    h ^= h >> 32;
-    h *= 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 29;
-    const uint64_t seed = (0xace1 ^ h ^ (h >> 16) ^ (h >> 32)) & 0xffff;
-    return seed ? seed : 0xace1;
-}
 
 Cache::Cache(const CacheConfig &config)
     : config_(config)
@@ -32,15 +16,13 @@ Cache::Cache(const CacheConfig &config)
     assoc_ = config_.assoc;
     lineShift_ = config_.lineShift();
     setMask_ = config_.numSets() - 1;
-    lfsr_ = lfsrSeed(config_);
     const size_t lines = config_.numSets() * assoc_;
     tags_.assign(lines, kInvalidTag);
     stamps_.assign(lines, 0);
-    valid_.assign((lines + 63) / 64, 0);
 }
 
 uint32_t
-Cache::victimWay(uint64_t set)
+Cache::victimWay(uint64_t set) const
 {
     const size_t base = set * assoc_;
     // Prefer an invalid way (invalid slots carry kInvalidTag; the
@@ -48,79 +30,59 @@ Cache::victimWay(uint64_t set)
     const int invalid = probeWays(base, kInvalidTag);
     if (invalid >= 0)
         return static_cast<uint32_t>(invalid);
-    switch (config_.replacement) {
-      case Replacement::LRU:
-      case Replacement::FIFO: {
-        uint32_t victim = 0;
-        uint64_t oldest = stamps_[base];
-        for (uint32_t w = 1; w < assoc_; ++w) {
-            if (stamps_[base + w] < oldest) {
-                oldest = stamps_[base + w];
-                victim = w;
-            }
-        }
-        return victim;
-      }
-      case Replacement::Random: {
-        // Deterministic 16-bit Galois LFSR, drawn without modulo
-        // bias: mask to the next power of two >= assoc and redraw
-        // until the value lands in range. For power-of-two
-        // associativity every draw is accepted, so victim sequences
-        // are unchanged there.
-        const uint64_t mask = std::bit_ceil(uint64_t{assoc_}) - 1;
-        for (;;) {
-            const uint64_t bit = ((lfsr_ >> 0) ^ (lfsr_ >> 2) ^
-                                  (lfsr_ >> 3) ^ (lfsr_ >> 5)) & 1u;
-            lfsr_ = (lfsr_ >> 1) | (bit << 15);
-            const uint64_t draw = lfsr_ & mask;
-            if (draw < assoc_)
-                return static_cast<uint32_t>(draw);
-        }
-      }
+    uint32_t victim = 0;
+    for (uint32_t w = 1; w < assoc_; ++w) {
+        if (stamps_[base + w] < stamps_[base + victim])
+            victim = w;
     }
-    return 0;
+    return victim;
+}
+
+Cache::AccessOutcome
+Cache::fill(uint64_t set, uint64_t tag)
+{
+    AccessOutcome outcome;
+    outcome.slot = set;
+    if (assoc_ > 1) {
+        outcome.slot = set * assoc_ + victimWay(set);
+        stamps_[outcome.slot] = ++clock_;
+    }
+    const uint64_t replaced = tags_[outcome.slot];
+    if (replaced != kInvalidTag) {
+        outcome.evicted = true;
+        outcome.victimAddr = replaced << lineShift_;
+        ++evictions_;
+    }
+    tags_[outcome.slot] = tag;
+    return outcome;
 }
 
 bool
 Cache::access(uint64_t addr)
 {
-    // Mirror of accessEx without eviction reporting; kept separate so
-    // the common (no-hierarchy) path pays nothing for the outcome
-    // struct.
+    // accessEx without the outcome; kept separate so the common
+    // (no-hierarchy) path pays nothing for the outcome struct.
     ++accesses_;
     // Tag includes the set bits; comparing full line addresses keeps
     // the model correct for any (set, way) geometry.
     const uint64_t tag = addr >> lineShift_;
     const uint64_t set = tag & setMask_;
     if (assoc_ == 1) {
-        // Direct-mapped fast path: one slot, one compare.
+        // Direct-mapped fast path: one slot, one compare, no stamp.
         if (tags_[set] == tag) {
             ++hits_;
-            if (config_.replacement == Replacement::LRU)
-                stamps_[set] = ++clock_;
             return true;
         }
-        if (tags_[set] != kInvalidTag)
-            ++evictions_;
-        tags_[set] = tag;
-        setValid(set);
-        stamps_[set] = ++clock_;
-        return false;
-    }
-    const size_t base = set * assoc_;
-    const int w = probeWays(base, tag);
-    if (w >= 0) {
-        ++hits_;
-        if (config_.replacement == Replacement::LRU)
+    } else {
+        const size_t base = set * assoc_;
+        const int w = probeWays(base, tag);
+        if (w >= 0) {
+            ++hits_;
             stamps_[base + static_cast<uint32_t>(w)] = ++clock_;
-        return true;
+            return true;
+        }
     }
-    const size_t slot = base + victimWay(set);
-    if (tags_[slot] != kInvalidTag)
-        ++evictions_;
-    tags_[slot] = tag;
-    setValid(slot);
-    stamps_[slot] = ++clock_;
+    fill(set, tag);
     return false;
 }
 
@@ -128,29 +90,17 @@ Cache::AccessOutcome
 Cache::accessEx(uint64_t addr)
 {
     ++accesses_;
-    AccessOutcome outcome;
     const uint64_t tag = addr >> lineShift_;
     const uint64_t set = tag & setMask_;
     const size_t base = set * assoc_;
     const int w = probeWays(base, tag);
-    if (w >= 0) {
-        ++hits_;
-        outcome.slot = base + static_cast<uint32_t>(w);
-        if (config_.replacement == Replacement::LRU)
-            stamps_[outcome.slot] = ++clock_;
-        outcome.hit = true;
-        return outcome;
-    }
-    const size_t slot = base + victimWay(set);
-    if (tags_[slot] != kInvalidTag) {
-        outcome.evicted = true;
-        outcome.victimAddr = tags_[slot] << lineShift_;
-        ++evictions_;
-    }
-    tags_[slot] = tag;
-    setValid(slot);
-    stamps_[slot] = ++clock_;
-    outcome.slot = slot;
+    if (w < 0)
+        return fill(set, tag);
+    ++hits_;
+    AccessOutcome outcome;
+    outcome.hit = true;
+    outcome.slot = base + static_cast<uint32_t>(w);
+    stamps_[outcome.slot] = ++clock_;
     return outcome;
 }
 
@@ -169,17 +119,10 @@ Cache::insert(uint64_t addr)
     const uint64_t set = tag & setMask_;
     const size_t base = set * assoc_;
     const int w = probeWays(base, tag);
-    if (w >= 0) {
-        if (config_.replacement == Replacement::LRU)
-            stamps_[base + static_cast<uint32_t>(w)] = ++clock_;
-        return;
-    }
-    const size_t slot = base + victimWay(set);
-    if (tags_[slot] != kInvalidTag)
-        ++evictions_;
-    tags_[slot] = tag;
-    setValid(slot);
-    stamps_[slot] = ++clock_;
+    if (w >= 0)
+        stamps_[base + static_cast<uint32_t>(w)] = ++clock_;
+    else
+        fill(set, tag);
 }
 
 void
@@ -188,17 +131,14 @@ Cache::invalidate(uint64_t addr)
     const uint64_t tag = addr >> lineShift_;
     const size_t base = (tag & setMask_) * assoc_;
     const int w = probeWays(base, tag);
-    if (w >= 0) {
+    if (w >= 0)
         tags_[base + static_cast<uint32_t>(w)] = kInvalidTag;
-        clearValid(base + static_cast<uint32_t>(w));
-    }
 }
 
 void
 Cache::invalidateAll()
 {
     tags_.assign(tags_.size(), kInvalidTag);
-    valid_.assign(valid_.size(), 0);
 }
 
 void
@@ -223,10 +163,9 @@ Cache::publishCounters(obs::Registry &registry,
 uint64_t
 Cache::validLines() const
 {
-    uint64_t n = 0;
-    for (uint64_t word : valid_)
-        n += static_cast<uint64_t>(std::popcount(word));
-    return n;
+    return static_cast<uint64_t>(
+        std::count_if(tags_.begin(), tags_.end(),
+                      [](uint64_t tag) { return tag != kInvalidTag; }));
 }
 
 std::vector<uint64_t>
@@ -234,9 +173,9 @@ Cache::validLineAddrs() const
 {
     std::vector<uint64_t> out;
     out.reserve(tags_.size());
-    for (size_t i = 0; i < tags_.size(); ++i) {
-        if (isValid(i))
-            out.push_back(tags_[i] << lineShift_);
+    for (const uint64_t tag : tags_) {
+        if (tag != kInvalidTag)
+            out.push_back(tag << lineShift_);
     }
     return out;
 }

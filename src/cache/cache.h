@@ -1,23 +1,24 @@
 /**
  * @file
- * Set-associative cache model.
+ * Set-associative LRU cache model.
  *
  * A purely functional (hit/miss) cache: timing is layered on top by
  * core/FetchEngine and core/DecstationModel. This separation — *what
  * misses* vs *what a miss costs* — is what lets Tables 5-8 share one
  * miss model under different L1-L2 interface policies.
  *
- * Storage is structure-of-arrays: packed tag and stamp vectors plus a
- * valid bitset, rather than a vector of per-line structs. The tag
- * probe — the inner loop of every trace-driven simulation — then
- * walks 8-byte tags instead of 24-byte padded structs, and the
- * direct-mapped case reduces to a single load-compare. Set-associative
- * probes compare four ways at a time (probeWays): the contiguous SoA
- * tag row turns the unrolled mask-compare into SIMD lane compares
- * under -O3, with no intrinsics and no target-specific flags.
- * Geometry (set mask, line shift, way count) is precomputed at
- * construction so the access path performs no divisions and
- * re-derives nothing.
+ * Replacement is LRU, the one policy the paper's machines use.
+ * Storage is structure-of-arrays: packed tag and stamp vectors rather
+ * than a vector of per-line structs, and an invalid slot holds
+ * kInvalidTag, so the tag is also the valid mark. The tag probe — the
+ * inner loop of every trace-driven simulation — then walks 8-byte
+ * tags instead of 24-byte padded structs, and the direct-mapped case
+ * reduces to a single load-compare. Set-associative probes compare
+ * four ways at a time (probeWays): the contiguous SoA tag row turns
+ * the unrolled mask-compare into SIMD lane compares under -O3, with
+ * no intrinsics and no target-specific flags. Geometry (set mask,
+ * line shift, way count) is precomputed at construction so the
+ * access path performs no divisions and re-derives nothing.
  */
 
 #ifndef IBS_CACHE_CACHE_H
@@ -30,11 +31,10 @@
 
 #include "cache/config.h"
 #include "obs/registry.h"
-#include "stats/summary.h"
 
 namespace ibs {
 
-/** Classic set-associative cache with selectable replacement. */
+/** Classic set-associative cache with LRU replacement. */
 class Cache
 {
   public:
@@ -67,11 +67,11 @@ class Cache
 
     /**
      * Batched hit path: reference the line containing `addr` `count`
-     * times with a single tag probe. On a hit the counters and — for
-     * LRU — the stamp clock advance exactly as `count` scalar
-     * access() calls would have left them (the clock steps by `count`
-     * and the line takes the final stamp), so interleaving batched
-     * and scalar accesses is bit-identical to an all-scalar run. On a
+     * times with a single tag probe. On a hit the counters and the
+     * LRU stamp clock advance exactly as `count` scalar access()
+     * calls would have left them (the clock steps by `count` and the
+     * line takes the final stamp), so interleaving batched and scalar
+     * accesses is bit-identical to an all-scalar run. On a
      * miss *nothing* changes (no allocation, no counters) and false
      * is returned so the caller can fall back to the scalar path.
      *
@@ -85,10 +85,10 @@ class Cache
 
     /**
      * Reference the line containing `addr` `count` times (count >=
-     * 1), allocating it on a miss: counters, recency, replacement
-     * state and later outcomes end exactly as after `count` access()
-     * calls, of which at most the first can miss. One accessRun probe
-     * on a hit; on a miss, access() followed by accessRun(count - 1).
+     * 1), allocating it on a miss: counters, recency and later
+     * outcomes end exactly as after `count` access() calls, of which
+     * at most the first can miss. One accessRun probe on a hit; on a
+     * miss, access() followed by accessRun(count - 1).
      * This is how a driver replays one line piece of a run when it
      * needs every miss filled (sim/tapeworm.h, cache/three_c.h).
      *
@@ -139,21 +139,6 @@ class Cache
     std::vector<uint64_t> validLineAddrs() const;
 
     /**
-     * Initial LFSR state for Replacement::Random, derived from the
-     * cache geometry. Seeding every instance with the same constant
-     * would make the victim streams of distinct caches in one
-     * simulation (L1 and L2, say) step the *same* LFSR sequence in
-     * lockstep — correlated replacement the hardware would not have.
-     * The mix is deterministic and documented so traces remain
-     * reproducible: splitmix64-style avalanche of
-     * (sizeBytes, assoc, lineBytes) XORed into the classic 0xace1,
-     * folded to the LFSR's 16 bits, with 0xace1 substituted should
-     * the fold come out zero (an all-zero Galois LFSR never leaves
-     * zero).
-     */
-    static uint64_t lfsrSeed(const CacheConfig &config);
-
-    /**
      * Publish hit/miss/eviction counts to the observability registry
      * under "cache.<instance>.<event>" (see obs/registry.h for the
      * naming convention). Called by owners (FetchEngine, benches)
@@ -165,25 +150,25 @@ class Cache
   private:
     /** Tag value stored in invalid slots. Real tags are
      *  addr >> lineShift with lineShift >= 2, so they can never equal
-     *  ~0; the hot lookup therefore compares tags alone, without a
-     *  separate valid-bit load. */
+     *  ~0: the tag is also the line's valid mark, and every probe
+     *  compares tags alone. */
     static constexpr uint64_t kInvalidTag = ~uint64_t{0};
 
-    bool isValid(size_t idx) const
-    {
-        return (valid_[idx >> 6] >> (idx & 63)) & 1u;
-    }
-    void setValid(size_t idx)
-    {
-        valid_[idx >> 6] |= uint64_t{1} << (idx & 63);
-    }
-    void clearValid(size_t idx)
-    {
-        valid_[idx >> 6] &= ~(uint64_t{1} << (idx & 63));
-    }
+    /** The way of `set` a miss fills: its lowest invalid way, else
+     *  its least recently used one (the first with the oldest
+     *  stamp). Called only for sets of two or more ways. */
+    uint32_t victimWay(uint64_t set) const;
 
-    /** Choose a victim way in `set` per the replacement policy. */
-    uint32_t victimWay(uint64_t set);
+    /**
+     * Allocate `tag` in `set`, which does not hold it — the one path
+     * every miss and insert() takes. The victim way takes the tag and,
+     * in a set of two or more ways, the newest stamp (a one-way set
+     * has no choice to make, so it keeps no stamps). Counts an
+     * eviction when the way held a line.
+     *
+     * @return the miss outcome: the slot filled and what it evicted
+     */
+    AccessOutcome fill(uint64_t set, uint64_t tag);
 
     /**
      * Find the way holding `tag` in the set whose tag row starts at
@@ -228,11 +213,9 @@ class Cache
 
     // Line state, structure-of-arrays, way-major within a set.
     std::vector<uint64_t> tags_;   ///< kInvalidTag when invalid.
-    std::vector<uint64_t> stamps_; ///< Recency (LRU) / insertion (FIFO).
-    std::vector<uint64_t> valid_;  ///< Bitset, one bit per line.
+    std::vector<uint64_t> stamps_; ///< LRU recency; read by victimWay.
 
     uint64_t clock_ = 0;
-    uint64_t lfsr_; ///< For Replacement::Random; see lfsrSeed().
     uint64_t accesses_ = 0;
     uint64_t hits_ = 0;
     uint64_t evictions_ = 0;
@@ -244,20 +227,16 @@ Cache::accessRun(uint64_t addr, uint64_t count)
     const uint64_t tag = addr >> lineShift_;
     const uint64_t set = tag & setMask_;
     if (assoc_ == 1) {
-        // Branchless direct-mapped probe: the counter bumps and the
-        // stamp write are predicated on the compare result (cmov /
-        // csel), so run replay pays no branch-miss penalty when hit
-        // and miss runs interleave. A miss adds zero to every counter
-        // and stores the stamp's own value back — state is untouched,
-        // exactly as the early-return form left it.
+        // Branchless direct-mapped probe: the counter bumps are
+        // predicated on the compare result (cmov / csel), so run
+        // replay pays no branch-miss penalty when hit and miss runs
+        // interleave. A miss adds zero to every counter — state is
+        // untouched, exactly as the early-return form left it — and
+        // a one-way set keeps no stamp.
         const bool hit = tags_[set] == tag;
         const uint64_t n = hit ? count : 0;
         accesses_ += n;
         hits_ += n;
-        if (config_.replacement == Replacement::LRU) {
-            clock_ += n;
-            stamps_[set] = hit ? clock_ : stamps_[set];
-        }
         return hit;
     }
     const size_t base = set * assoc_;
@@ -266,10 +245,8 @@ Cache::accessRun(uint64_t addr, uint64_t count)
         return false;
     accesses_ += count;
     hits_ += count;
-    if (config_.replacement == Replacement::LRU) {
-        clock_ += count;
-        stamps_[base + static_cast<uint32_t>(w)] = clock_;
-    }
+    clock_ += count;
+    stamps_[base + static_cast<uint32_t>(w)] = clock_;
     return true;
 }
 

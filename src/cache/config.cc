@@ -9,17 +9,6 @@
 
 namespace ibs {
 
-const char *
-replacementName(Replacement policy)
-{
-    switch (policy) {
-      case Replacement::LRU: return "LRU";
-      case Replacement::Random: return "random";
-      case Replacement::FIFO: return "FIFO";
-    }
-    return "?";
-}
-
 namespace {
 
 bool

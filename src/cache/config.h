@@ -13,16 +13,17 @@
 
 namespace ibs {
 
-/** Replacement policy for set-associative caches. */
+/**
+ * Replacement policy. Every Cache is LRU (cache/cache.h), so this is
+ * not a setting: nothing in the library reads CacheConfig::replacement
+ * or TlbConfig::replacement. The type and the two members remain only
+ * so that aggregate initializers spelling Replacement::LRU as a
+ * fourth field (perfbench/layers.cc) still compile.
+ */
 enum class Replacement : uint8_t
 {
-    LRU,    ///< Least-recently-used (the study's default).
-    Random, ///< Pseudo-random (deterministic LFSR).
-    FIFO,   ///< First-in first-out.
+    LRU, ///< Least-recently-used.
 };
-
-/** Name of a replacement policy. */
-const char *replacementName(Replacement policy);
 
 /**
  * Geometry of one cache level.
@@ -35,7 +36,7 @@ struct CacheConfig
     uint64_t sizeBytes = 8 * 1024; ///< Total capacity.
     uint32_t assoc = 1;            ///< Ways per set (1 = direct-mapped).
     uint32_t lineBytes = 32;       ///< Line (block) size.
-    Replacement replacement = Replacement::LRU;
+    Replacement replacement = Replacement::LRU; ///< Read by nothing.
 
     /** Number of sets. */
     uint64_t

@@ -11,10 +11,7 @@
  * comparison.
  *
  * The line tags live in a Cache (cache/cache.h); this class keeps
- * only a valid mask per Cache slot (Cache::AccessOutcome::slot). Line
- * replacement therefore honours `config.replacement` like any Cache
- * — a FIFO or Random sub-block cache is no longer silently LRU. Every
- * bench and test configures LRU, whose behaviour is unchanged.
+ * only a valid mask per Cache slot (Cache::AccessOutcome::slot).
  */
 
 #ifndef IBS_CACHE_SUBBLOCK_H

@@ -7,27 +7,12 @@
 
 namespace ibs {
 
-namespace {
-
-CacheConfig
-makeConfig(uint64_t size_bytes, uint32_t line_bytes, uint32_t assoc)
-{
-    CacheConfig config;
-    config.sizeBytes = size_bytes;
-    config.lineBytes = line_bytes;
-    config.assoc = assoc;
-    config.replacement = Replacement::LRU;
-    return config;
-}
-
-} // namespace
-
 ThreeCClassifier::ThreeCClassifier(uint64_t size_bytes,
                                    uint32_t line_bytes,
                                    uint32_t measured_assoc,
                                    uint32_t proxy_assoc)
-    : measured_(makeConfig(size_bytes, line_bytes, measured_assoc)),
-      proxy_(makeConfig(size_bytes, line_bytes, proxy_assoc))
+    : measured_(CacheConfig{size_bytes, measured_assoc, line_bytes}),
+      proxy_(CacheConfig{size_bytes, proxy_assoc, line_bytes})
 {
 }
 

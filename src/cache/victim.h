@@ -11,10 +11,7 @@
  * associativity the paper recommends.
  *
  * The main array is a plain Cache (cache/cache.h); the buffer takes
- * the line each main-array miss evicts (Cache::accessEx). The main
- * array therefore honours `config.replacement` like any Cache — a
- * FIFO or Random main array is no longer silently LRU. Every bench
- * and test configures LRU, whose behaviour is unchanged.
+ * the line each main-array miss evicts (Cache::accessEx).
  */
 
 #ifndef IBS_CACHE_VICTIM_H

@@ -7,14 +7,6 @@
 
 namespace ibs {
 
-DecstationModel::DecstationModel(const DecstationConfig &config)
-    : config_(config), icache_(config.icache), dcache_(config.dcache),
-      tlb_(config.tlb)
-{
-    stats_.cacheMissPenalty = config_.cacheMissPenalty;
-    stats_.tlbMissPenalty = config_.tlbMissPenalty;
-}
-
 void
 DecstationModel::handleWrite()
 {
@@ -22,7 +14,7 @@ DecstationModel::handleWrite()
     while (!writeBuffer_.empty() && writeBuffer_.front() <= cycle_)
         writeBuffer_.pop_front();
 
-    if (writeBuffer_.size() >= config_.writeBufferDepth) {
+    if (writeBuffer_.size() >= kWriteBufferDepth) {
         // Buffer full: the CPU stalls until the oldest write drains.
         const uint64_t wait = writeBuffer_.front() - cycle_;
         stats_.writeStallCycles += wait;
@@ -32,7 +24,7 @@ DecstationModel::handleWrite()
 
     const uint64_t start = writeBuffer_.empty()
         ? cycle_ : writeBuffer_.back();
-    writeBuffer_.push_back(start + config_.writeDrainCycles);
+    writeBuffer_.push_back(start + kWriteDrainCycles);
 }
 
 DecstationStats
@@ -49,29 +41,29 @@ DecstationModel::run(TraceStream &stream, uint64_t max_instructions)
                 ++stats_.userInstructions;
             if (!tlb_.access(rec.asid, rec.vaddr)) {
                 ++stats_.tlbMisses;
-                cycle_ += config_.tlbMissPenalty;
+                cycle_ += DecstationStats::kTlbMissPenalty;
             }
             if (!icache_.access(rec.vaddr)) {
                 ++stats_.icacheMisses;
-                cycle_ += config_.cacheMissPenalty;
+                cycle_ += DecstationStats::kCacheMissPenalty;
             }
             break;
 
           case RefKind::DataRead:
             if (!tlb_.access(rec.asid, rec.vaddr)) {
                 ++stats_.tlbMisses;
-                cycle_ += config_.tlbMissPenalty;
+                cycle_ += DecstationStats::kTlbMissPenalty;
             }
             if (!dcache_.access(rec.vaddr)) {
                 ++stats_.dcacheMisses;
-                cycle_ += config_.cacheMissPenalty;
+                cycle_ += DecstationStats::kCacheMissPenalty;
             }
             break;
 
           case RefKind::DataWrite:
             if (!tlb_.access(rec.asid, rec.vaddr)) {
                 ++stats_.tlbMisses;
-                cycle_ += config_.tlbMissPenalty;
+                cycle_ += DecstationStats::kTlbMissPenalty;
             }
             // Write-through, no-allocate: update the D-cache if the
             // word is present, never stall for the line.
@@ -95,11 +87,7 @@ DecstationModel::reset()
     tlb_.resetStats();
     writeBuffer_.clear();
     cycle_ = 0;
-    const auto cache_penalty = stats_.cacheMissPenalty;
-    const auto tlb_penalty = stats_.tlbMissPenalty;
     stats_ = DecstationStats{};
-    stats_.cacheMissPenalty = cache_penalty;
-    stats_.tlbMissPenalty = tlb_penalty;
 }
 
 } // namespace ibs

@@ -25,49 +25,35 @@
 
 namespace ibs {
 
-/** Machine parameters (defaults = DECstation 3100). */
-struct DecstationConfig
-{
-    CacheConfig icache{64 * 1024, 1, 4, Replacement::LRU};
-    CacheConfig dcache{64 * 1024, 1, 4, Replacement::LRU};
-    uint32_t cacheMissPenalty = 6; ///< Cycles per I-/D-cache miss.
-
-    TlbConfig tlb{64, 64, Replacement::LRU, true};
-    uint32_t tlbMissPenalty = 16;  ///< Software-refill cycles.
-
-    uint32_t writeBufferDepth = 4;  ///< Entries.
-    uint32_t writeDrainCycles = 10; ///< Memory cycles per write
-                                    ///< (raw write + bus contention).
-};
-
 /** Measured CPI components (one Table 1 / Table 3 row). */
 struct DecstationStats
 {
+    static constexpr uint32_t kCacheMissPenalty = 6; ///< Per I/D miss.
+    static constexpr uint32_t kTlbMissPenalty = 16;  ///< Software refill.
+
     uint64_t instructions = 0;
     uint64_t userInstructions = 0; ///< ASID == 1 (the user task).
     uint64_t icacheMisses = 0;
     uint64_t dcacheMisses = 0;
     uint64_t tlbMisses = 0;
     uint64_t writeStallCycles = 0;
-    uint32_t cacheMissPenalty = 6;
-    uint32_t tlbMissPenalty = 16;
 
     double
     cpiInstr() const
     {
-        return ratio(icacheMisses) * cacheMissPenalty;
+        return ratio(icacheMisses) * kCacheMissPenalty;
     }
 
     double
     cpiData() const
     {
-        return ratio(dcacheMisses) * cacheMissPenalty;
+        return ratio(dcacheMisses) * kCacheMissPenalty;
     }
 
     double
     cpiTlb() const
     {
-        return ratio(tlbMisses) * tlbMissPenalty;
+        return ratio(tlbMisses) * kTlbMissPenalty;
     }
 
     double cpiWrite() const { return ratio(writeStallCycles); }
@@ -99,11 +85,23 @@ struct DecstationStats
     }
 };
 
-/** Trace-driven model of the measured machine. */
+/** Trace-driven model of the measured machine. Its parameters are
+ *  the DECstation 3100's, fixed; DecstationStats holds the two miss
+ *  penalties. */
 class DecstationModel
 {
   public:
-    explicit DecstationModel(const DecstationConfig &config = {});
+    /** The I-cache and the D-cache: each 64 KB, direct-mapped, 4-B
+     *  lines. */
+    static constexpr CacheConfig kCache{64 * 1024, 1, 4};
+    /** The R2000 TLB: 64 entries, fully associative; kseg0
+     *  references bypass it. */
+    static constexpr TlbConfig kTlb{64, 64};
+    static constexpr uint32_t kWriteBufferDepth = 4; ///< Entries.
+    /** Memory cycles per write (raw write + bus contention). */
+    static constexpr uint32_t kWriteDrainCycles = 10;
+
+    DecstationModel() : icache_(kCache), dcache_(kCache), tlb_(kTlb) {}
 
     /**
      * Consume a full trace (instructions and data).
@@ -119,7 +117,6 @@ class DecstationModel
   private:
     void handleWrite();
 
-    DecstationConfig config_;
     Cache icache_;
     Cache dcache_;
     Tlb tlb_;

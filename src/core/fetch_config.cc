@@ -62,7 +62,7 @@ FetchConfig
 economyBaseline()
 {
     FetchConfig config;
-    config.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    config.l1 = CacheConfig{8 * 1024, 1, 32};
     config.l1Fill = MemoryTiming{30, 4};
     config.hasL2 = false;
     config.l2Fill = MemoryTiming{30, 4};
@@ -73,7 +73,7 @@ FetchConfig
 highPerfBaseline()
 {
     FetchConfig config;
-    config.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    config.l1 = CacheConfig{8 * 1024, 1, 32};
     config.l1Fill = MemoryTiming{12, 8};
     config.hasL2 = false;
     config.l2Fill = MemoryTiming{12, 8};
@@ -88,7 +88,7 @@ withOnChipL2(FetchConfig base, uint64_t l2_size, uint32_t l2_line,
     // from the on-chip L2 at 6 cycles, 16 bytes/cycle (§5.1).
     base.l2Fill = base.hasL2 ? base.l2Fill : base.l1Fill;
     base.hasL2 = true;
-    base.l2 = CacheConfig{l2_size, l2_assoc, l2_line, Replacement::LRU};
+    base.l2 = CacheConfig{l2_size, l2_assoc, l2_line};
     base.l1Fill = MemoryTiming{6, 16};
     return base;
 }

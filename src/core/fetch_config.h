@@ -28,7 +28,7 @@ namespace ibs {
 struct FetchConfig
 {
     /** L1 I-cache (cycle-time constrained: small, low-assoc). */
-    CacheConfig l1{8 * 1024, 1, 32, Replacement::LRU};
+    CacheConfig l1{8 * 1024, 1, 32};
 
     /** Timing of the interface that fills the L1 (from L2 when hasL2,
      *  else from the baseline backing store). */
@@ -38,7 +38,7 @@ struct FetchConfig
     bool hasL2 = false;
 
     /** On-chip L2 geometry (when hasL2). */
-    CacheConfig l2{64 * 1024, 1, 64, Replacement::LRU};
+    CacheConfig l2{64 * 1024, 1, 64};
 
     /** Timing of the interface that fills the L2 (the baseline
      *  backing store: main memory or ideal off-chip cache). */

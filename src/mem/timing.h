@@ -64,54 +64,6 @@ struct MemoryTiming
 };
 
 /**
- * A non-pipelined port: one outstanding fill at a time. Tracks the
- * cycle at which the port becomes free so back-to-back misses queue.
- */
-class MemoryPort
-{
-  public:
-    explicit MemoryPort(MemoryTiming timing)
-        : timing_(timing)
-    {}
-
-    const MemoryTiming &timing() const { return timing_; }
-
-    /**
-     * Issue a fill of `bytes` at `cycle` (or when the port frees up,
-     * whichever is later).
-     *
-     * @return cycle at which the last byte has arrived
-     */
-    uint64_t
-    fill(uint64_t cycle, uint64_t bytes)
-    {
-        const uint64_t start = cycle > freeAt_ ? cycle : freeAt_;
-        const uint64_t done = start + timing_.fillCycles(bytes);
-        freeAt_ = done;
-        ++fills_;
-        bytes_ += bytes;
-        return done;
-    }
-
-    uint64_t fills() const { return fills_; }
-    uint64_t bytesTransferred() const { return bytes_; }
-
-    void
-    reset()
-    {
-        freeAt_ = 0;
-        fills_ = 0;
-        bytes_ = 0;
-    }
-
-  private:
-    MemoryTiming timing_;
-    uint64_t freeAt_ = 0;
-    uint64_t fills_ = 0;
-    uint64_t bytes_ = 0;
-};
-
-/**
  * A pipelined port: accepts one line request per cycle; each request
  * completes a fixed latency later (§5.2 "Pipelining"). Requests issued
  * in the same cycle serialize by one cycle each.

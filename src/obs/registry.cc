@@ -224,16 +224,8 @@ Registry::snapshotHistograms() const
 Json
 Registry::snapshotJson() const
 {
-    // Build into a map first so histogram-derived keys land in
-    // lexicographic order next to the counters; emplace keeps a
-    // colliding counter (documented collision rule).
-    std::map<std::string, uint64_t> flat = snapshot();
-    for (const auto &[name, hist] : snapshotHistograms()) {
-        flat.emplace(name + ".count", hist.count);
-        flat.emplace(name + ".sum", hist.sum);
-    }
     Json obj = Json::object();
-    for (const auto &[name, value] : flat)
+    for (const auto &[name, value] : snapshot())
         obj.set(name, Json::number(value));
     return obj;
 }

@@ -32,11 +32,6 @@
  * contract (the merge is still deterministic given the same
  * observations — the observations themselves are wall-clock).
  *
- * Name collisions across classes: counters and histograms keep
- * separate per-shard maps, so one name can in principle exist as
- * both. The flattened JSON view resolves collisions
- * deterministically — see snapshotJson().
- *
  * The registry is off by default. It turns on when IBS_OBS=1 or
  * IBS_OBS_TRACE is set (see obs/trace_sink.h), or programmatically
  * via setEnabled() (the sweep server does — an unobservable server
@@ -162,15 +157,8 @@ class Registry
     std::map<std::string, HistogramSnapshot>
     snapshotHistograms() const;
 
-    /**
-     * snapshot() as a flat all-numeric JSON object (keys already
-     * sorted), plus two derived keys per histogram: `<name>.count`
-     * and `<name>.sum`. Collision rule: a counter already holding
-     * one of those derived names keeps its value and the histogram's
-     * summary key is dropped (tested by
-     * obs_test.cc:CounterWinsNameCollisions). Bucket detail is
-     * available via snapshotHistograms().
-     */
+    /** snapshot() as a flat all-numeric JSON object, keys sorted.
+     *  Histograms are not in it; see snapshotHistograms(). */
     Json snapshotJson() const;
 
     /** Zero every shard — counters and histograms (tests). Thread

@@ -42,11 +42,11 @@
  * lifetime connection/request/sweep/cell/rejection/protocol-error
  * counts and the current "inflight"), "max_inflight",
  * "uptime_wall_seconds", "memo" (serve/memo.h), "registry" (the obs
- * registry's counters plus each histogram's count and sum;
- * obs::Registry::snapshotJson) and "histograms" (every registry
- * histogram's exact buckets, overflow, sum and count, as
- * obs::histogramsToJson writes them and obs::histogramsFromJson
- * reads them back). Any other request type gets a 400.
+ * registry's counters; obs::Registry::snapshotJson) and "histograms"
+ * (every registry histogram's exact buckets, overflow, sum and
+ * count, as obs::histogramsToJson writes them and
+ * obs::histogramsFromJson reads them back). Any other request type
+ * gets a 400.
  */
 
 #ifndef IBS_SERVE_PROTOCOL_H

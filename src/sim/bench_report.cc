@@ -27,9 +27,7 @@ toJson(const CacheConfig &config)
     return Json::object()
         .set("size_bytes", Json::number(config.sizeBytes))
         .set("assoc", Json::number(uint64_t{config.assoc}))
-        .set("line_bytes", Json::number(uint64_t{config.lineBytes}))
-        .set("replacement",
-             Json::string(replacementName(config.replacement)));
+        .set("line_bytes", Json::number(uint64_t{config.lineBytes}));
 }
 
 Json

@@ -24,7 +24,7 @@ namespace ibs {
 /** One CML experiment. */
 struct CmlExperiment
 {
-    CacheConfig cache{32 * 1024, 1, 32, Replacement::LRU};
+    CacheConfig cache{32 * 1024, 1, 32};
     uint32_t missPenalty = 7;
     CmlConfig cml;
     PagePolicy policy = PagePolicy::Random;

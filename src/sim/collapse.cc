@@ -5,8 +5,6 @@
 
 #include "sim/collapse.h"
 
-#include <sstream>
-
 #include "cache/cache.h"
 #include "obs/registry.h"
 
@@ -26,15 +24,7 @@ collapseKey(const FetchConfig &config)
 {
     // Everything but the L2 geometry and L2 fill timing; eligibility
     // pins the interface flags, so the L1 side is the whole key.
-    // Built field-by-field (not CacheConfig::toString, which omits
-    // the replacement policy).
-    std::ostringstream os;
-    os << config.l1.sizeBytes << '/' << config.l1.assoc << '/'
-       << config.l1.lineBytes << '/'
-       << replacementName(config.l1.replacement) << '|'
-       << config.l1Fill.latencyCycles << ':'
-       << config.l1Fill.bytesPerCycle;
-    return os.str();
+    return config.l1.toString() + '|' + config.l1Fill.toString();
 }
 
 FetchStats

@@ -33,12 +33,7 @@
  *
  * Replay is the only L2 path: no bench or catalog grid has more than
  * 5 distinct geometries per line size, and one Mattson stack walk
- * (sim/stack_sim.h) costs more than replaying that many. Cache is
- * also the tag store that Tlb, VictimCache and SubBlockCache are
- * built on, which deliberately changes two configurations nothing
- * uses: a Random-replacement Tlb draws from Cache's LFSR, and
- * VictimCache and SubBlockCache honour a non-LRU `replacement`
- * instead of always running LRU.
+ * (sim/stack_sim.h) costs more than replaying that many.
  *
  * Configs that fail the eligibility test (no real L2, prefetch,
  * bypass, pipelined/stream-buffer, unified L2) replay their run

@@ -36,7 +36,7 @@ namespace ibs {
 /** One Figure 5 experiment point. */
 struct TapewormConfig
 {
-    CacheConfig cache{8 * 1024, 1, 32, Replacement::LRU};
+    CacheConfig cache{8 * 1024, 1, 32};
     uint32_t missPenalty = 7;  ///< Cycles (32-B line from on-chip L2).
     PagePolicy policy = PagePolicy::Random;
     uint64_t frames = 16384;   ///< Physical pool (64 MB of 4-KB pages).

@@ -1,6 +1,6 @@
 /**
  * @file
- * Running summary statistics (Welford) and simple counters.
+ * Running summary statistics (Welford).
  *
  * Figure 5 of the paper reports one standard deviation of CPIinstr over
  * five Tapeworm trials; RunningStats is the accumulator used for that
@@ -84,37 +84,6 @@ class RunningStats
     double m2_ = 0.0;
     double min_ = std::numeric_limits<double>::infinity();
     double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * A ratio counter: events per base (e.g. misses per instruction).
- * Exists so callers never divide by zero by hand.
- */
-class Ratio
-{
-  public:
-    void addEvent(uint64_t k = 1) { events_ += k; }
-    void addBase(uint64_t k = 1) { base_ += k; }
-
-    uint64_t events() const { return events_; }
-    uint64_t base() const { return base_; }
-
-    /** events / base, or 0 when the base is empty. */
-    double
-    value() const
-    {
-        return base_ ? static_cast<double>(events_) /
-                       static_cast<double>(base_)
-                     : 0.0;
-    }
-
-    /** events per 100 base units — the paper's "misses per 100
-     *  instructions" (MPI) convention. */
-    double per100() const { return value() * 100.0; }
-
-  private:
-    uint64_t events_ = 0;
-    uint64_t base_ = 0;
 };
 
 } // namespace ibs

@@ -18,8 +18,7 @@ entryStore(const TlbConfig &config)
 {
     config.validate();
     return CacheConfig{uint64_t{config.entries} * PAGE_SIZE, config.assoc,
-                       static_cast<uint32_t>(PAGE_SIZE),
-                       config.replacement};
+                       static_cast<uint32_t>(PAGE_SIZE)};
 }
 
 } // namespace
@@ -42,8 +41,7 @@ std::string
 TlbConfig::toString() const
 {
     std::ostringstream os;
-    os << entries << "-entry/" << assoc << "-way/"
-       << replacementName(replacement);
+    os << entries << "-entry/" << assoc << "-way";
     return os.str();
 }
 

@@ -7,16 +7,13 @@
  * 64-entry, fully-associative, software-managed buffer of 4-KB page
  * mappings tagged by ASID; kseg0 (kernel direct-mapped) references do
  * not consult it. This model supports fully- and set-associative
- * geometries with LRU/FIFO/random replacement so TLB reach can be
- * studied alongside the caches.
+ * LRU geometries so TLB reach can be studied alongside the caches.
  *
  * The entries live in a Cache (cache/cache.h), the one tag store of
  * the library: each entry is a 4-KB line whose key carries the ASID
  * above the page address, so the set index is the low VPN bits and
  * one tag compare matches VPN and ASID together. Only the kseg0
- * bypass is the TLB's own. Random replacement therefore draws from
- * Cache's geometry-seeded, unbiased LFSR rather than a TLB-private
- * one; no bench or test uses a Random TLB.
+ * bypass is the TLB's own.
  */
 
 #ifndef IBS_TLB_TLB_H
@@ -34,12 +31,12 @@
 
 namespace ibs {
 
-/** TLB geometry and policy. */
+/** TLB geometry and kseg0 handling. */
 struct TlbConfig
 {
     uint32_t entries = 64;     ///< Total entries (R2000: 64).
     uint32_t assoc = 64;       ///< Ways; == entries for fully-assoc.
-    Replacement replacement = Replacement::LRU;
+    Replacement replacement = Replacement::LRU; ///< Read by nothing.
     bool kseg0Bypasses = true; ///< Kernel direct-mapped refs skip TLB.
 
     uint32_t numSets() const { return entries / assoc; }

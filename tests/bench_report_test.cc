@@ -26,7 +26,6 @@ TEST(BenchReportJson, FetchConfigFields)
     const Json j = toJson(
         withOnChipL2(economyBaseline(), 64 * 1024, 64, 2));
     EXPECT_EQ(j.at("l1").at("size_bytes").asNumber(), 8 * 1024);
-    EXPECT_EQ(j.at("l1").at("replacement").asString(), "LRU");
     EXPECT_TRUE(j.at("has_l2").asBool());
     EXPECT_EQ(j.at("l2").at("assoc").asNumber(), 2);
     ASSERT_NE(j.find("l2_fill"), nullptr);

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -18,10 +17,9 @@ namespace ibs {
 namespace {
 
 CacheConfig
-cfg(uint64_t size, uint32_t assoc, uint32_t line,
-    Replacement repl = Replacement::LRU)
+cfg(uint64_t size, uint32_t assoc, uint32_t line)
 {
-    return CacheConfig{size, assoc, line, repl};
+    return CacheConfig{size, assoc, line};
 }
 
 TEST(CacheConfig, DerivedGeometry)
@@ -104,26 +102,6 @@ TEST(Cache, LruEvictsLeastRecent)
     EXPECT_FALSE(c.access(0x400));
 }
 
-TEST(Cache, FifoIgnoresTouches)
-{
-    Cache c(cfg(1024, 2, 32, Replacement::FIFO));
-    ASSERT_FALSE(c.access(0x0));   // Inserted first.
-    ASSERT_FALSE(c.access(0x400));
-    ASSERT_TRUE(c.access(0x0));    // Touch does not refresh FIFO age.
-    ASSERT_FALSE(c.access(0x800)); // Evicts 0x0 (oldest insertion).
-    EXPECT_FALSE(c.access(0x0));
-}
-
-TEST(Cache, RandomReplacementStaysInSet)
-{
-    Cache c(cfg(1024, 4, 32, Replacement::Random));
-    // Fill one set (set 0) beyond capacity; cache must keep exactly
-    // 4 of the 8 candidate lines and all hits must be real.
-    for (uint64_t i = 0; i < 8; ++i)
-        c.access(i * 1024 / 4 * 4); // 0, 0x400, 0x800, ... set 0.
-    EXPECT_EQ(c.validLines(), 4u);
-}
-
 TEST(CacheConfig, NonPowerOfTwoAssocIsLegal)
 {
     // Only the set count must be a power of two; a 3-way cache with
@@ -136,64 +114,6 @@ TEST(CacheConfig, NonPowerOfTwoAssocIsLegal)
                  std::invalid_argument);
     // 6 sets of 2 ways: set count not a power of two.
     EXPECT_THROW(cfg(384, 2, 32).validate(), std::invalid_argument);
-}
-
-TEST(Cache, RandomVictimMatchesUnbiasedReferenceDraw)
-{
-    // 3-way fully-associative cache: the victim draw cannot be a
-    // plain `lfsr % 3`, which biases toward low ways within any
-    // window of the LFSR sequence. The contract is a masked draw
-    // with rejection: step the 16-bit Galois LFSR (seeded from the
-    // geometry via Cache::lfsrSeed, so distinct caches draw
-    // decorrelated sequences), mask to the next power of two >=
-    // assoc, redraw until the value lands in range.
-    const CacheConfig config{96, 3, 32, Replacement::Random};
-    Cache c(config);
-
-    uint64_t lfsr = Cache::lfsrSeed(config);
-    auto draw = [&]() {
-        for (;;) {
-            const uint64_t bit = ((lfsr >> 0) ^ (lfsr >> 2) ^
-                                  (lfsr >> 3) ^ (lfsr >> 5)) & 1u;
-            lfsr = (lfsr >> 1) | (bit << 15);
-            const uint64_t v = lfsr & 3;
-            if (v < 3)
-                return static_cast<uint32_t>(v);
-        }
-    };
-
-    // The first three misses fill the invalid ways in order.
-    std::array<uint64_t, 3> slots = {0x0, 0x20, 0x40};
-    for (uint64_t addr : slots)
-        c.access(addr);
-
-    std::array<uint64_t, 3> hist{};
-    for (uint64_t i = 3; i < 3000; ++i) {
-        const uint64_t addr = i * 0x20;
-        const uint32_t way = draw();
-        ++hist[way];
-        slots[way] = addr;
-        ASSERT_FALSE(c.access(addr)) << i;
-        for (uint64_t resident : slots)
-            ASSERT_TRUE(c.contains(resident)) << i;
-    }
-    // The accepted draws are near-uniform over the three ways.
-    for (uint64_t count : hist) {
-        EXPECT_GT(count, 800u);
-        EXPECT_LT(count, 1200u);
-    }
-}
-
-TEST(Cache, RandomVictimIsDeterministic)
-{
-    const CacheConfig config{96, 3, 32, Replacement::Random};
-    Cache a(config);
-    Cache b(config);
-    for (uint64_t i = 0; i < 500; ++i) {
-        a.access(i * 0x20);
-        b.access(i * 0x20);
-    }
-    EXPECT_EQ(a.validLineAddrs(), b.validLineAddrs());
 }
 
 TEST(Cache, ContainsDoesNotMutate)
@@ -370,17 +290,16 @@ INSTANTIATE_TEST_SUITE_P(Sizes, CacheAssocSweep,
  * Reference model for the differential test below: the
  * array-of-structs cache this codebase used before the
  * structure-of-arrays refactor, kept deliberately naive (one struct
- * per line, linear way scan, no precomputed geometry). Replacement
- * semantics — way-order preference for invalid slots, first-oldest
- * stamp for LRU/FIFO ties, the 16-bit Galois LFSR with masked
- * rejection seeded by Cache::lfsrSeed — mirror the production cache
- * exactly; only the storage layout differs.
+ * per line with its own valid flag, linear way scan, no precomputed
+ * geometry). LRU semantics — way-order preference for invalid slots,
+ * first-oldest stamp on ties — mirror the production cache exactly;
+ * only the storage layout differs.
  */
 class ReferenceAosCache
 {
   public:
     explicit ReferenceAosCache(const CacheConfig &config)
-        : config_(config), lfsr_(Cache::lfsrSeed(config))
+        : config_(config)
     {
         config_.validate();
         lines_.resize(config_.numSets() * config_.assoc);
@@ -395,8 +314,7 @@ class ReferenceAosCache
         Line *line = find(addr);
         if (line) {
             ++hits_;
-            if (config_.replacement == Replacement::LRU)
-                line->stamp = ++clock_;
+            line->stamp = ++clock_;
             outcome.hit = true;
             return outcome;
         }
@@ -420,8 +338,7 @@ class ReferenceAosCache
     {
         Line *line = find(addr);
         if (line) {
-            if (config_.replacement == Replacement::LRU)
-                line->stamp = ++clock_;
+            line->stamp = ++clock_;
             return;
         }
         fill(pickVictim(addr), addr);
@@ -435,6 +352,7 @@ class ReferenceAosCache
 
     uint64_t accesses() const { return accesses_; }
     uint64_t hits() const { return hits_; }
+    uint64_t evictions() const { return evictions_; }
 
     std::vector<uint64_t> validLineAddrs() const
     {
@@ -476,21 +394,6 @@ class ReferenceAosCache
             if (!lines_[base + w].valid)
                 return lines_[base + w];
         }
-        if (config_.replacement == Replacement::Random) {
-            uint64_t mask = 1;
-            while (mask < config_.assoc)
-                mask <<= 1;
-            --mask;
-            for (;;) {
-                const uint64_t bit =
-                    ((lfsr_ >> 0) ^ (lfsr_ >> 2) ^ (lfsr_ >> 3) ^
-                     (lfsr_ >> 5)) & 1u;
-                lfsr_ = (lfsr_ >> 1) | (bit << 15);
-                const uint64_t draw = lfsr_ & mask;
-                if (draw < config_.assoc)
-                    return lines_[base + draw];
-            }
-        }
         uint32_t victim = 0;
         for (uint32_t w = 1; w < config_.assoc; ++w) {
             if (lines_[base + w].stamp < lines_[base + victim].stamp)
@@ -501,6 +404,8 @@ class ReferenceAosCache
 
     void fill(Line &line, uint64_t addr)
     {
+        if (line.valid)
+            ++evictions_;
         line.valid = true;
         line.tag = addr >> config_.lineShift();
         line.stamp = ++clock_;
@@ -509,18 +414,19 @@ class ReferenceAosCache
     CacheConfig config_;
     std::vector<Line> lines_;
     uint64_t clock_ = 0;
-    uint64_t lfsr_;
     uint64_t accesses_ = 0;
     uint64_t hits_ = 0;
+    uint64_t evictions_ = 0;
 };
 
 /**
  * Differential test: the SoA cache and the AoS reference must agree
  * access-by-access — hit/miss, eviction reporting, victim addresses,
  * counters and final contents — over randomized streams mixing every
- * public mutation, for every replacement policy and a range of
- * geometries (direct-mapped, power-of-two and non-power-of-two ways,
- * fully associative).
+ * public mutation, across a range of geometries (direct-mapped,
+ * power-of-two and non-power-of-two ways, fully associative). The
+ * policy axis holds Replacement's one value, LRU, and keeps the
+ * cases' names.
  */
 class CacheSoaDifferential
     : public ::testing::TestWithParam<
@@ -531,9 +437,8 @@ class CacheSoaDifferential
 
 TEST_P(CacheSoaDifferential, MatchesAosReferenceExactly)
 {
-    const Replacement repl = std::get<0>(GetParam());
     const auto [size, assoc, line] = std::get<1>(GetParam());
-    const CacheConfig config = cfg(size, assoc, line, repl);
+    const CacheConfig config = cfg(size, assoc, line);
 
     Cache soa(config);
     ReferenceAosCache aos(config);
@@ -574,6 +479,7 @@ TEST_P(CacheSoaDifferential, MatchesAosReferenceExactly)
 
     EXPECT_EQ(soa.accesses(), aos.accesses());
     EXPECT_EQ(soa.hits(), aos.hits());
+    EXPECT_EQ(soa.evictions(), aos.evictions());
 
     std::vector<uint64_t> soa_lines = soa.validLineAddrs();
     std::vector<uint64_t> aos_lines = aos.validLineAddrs();
@@ -586,8 +492,7 @@ TEST_P(CacheSoaDifferential, MatchesAosReferenceExactly)
 INSTANTIATE_TEST_SUITE_P(
     PoliciesAndGeometries, CacheSoaDifferential,
     ::testing::Combine(
-        ::testing::Values(Replacement::LRU, Replacement::FIFO,
-                          Replacement::Random),
+        ::testing::Values(Replacement::LRU),
         ::testing::Values(std::make_tuple(uint64_t{4096}, 1u, 32u),
                           std::make_tuple(uint64_t{4096}, 2u, 32u),
                           std::make_tuple(uint64_t{8192}, 4u, 64u),
@@ -597,75 +502,42 @@ INSTANTIATE_TEST_SUITE_P(
                           std::make_tuple(uint64_t{2048}, 64u,
                                           32u))));
 
-TEST(Cache, LfsrSeedIsDeterministicSixteenBitAndNonZero)
-{
-    const CacheConfig config = cfg(8192, 4, 32, Replacement::Random);
-    const uint64_t seed = Cache::lfsrSeed(config);
-    EXPECT_EQ(seed, Cache::lfsrSeed(config));
-    EXPECT_NE(seed, 0u);
-    EXPECT_LE(seed, 0xffffu);
-}
-
-TEST(Cache, LfsrSeedDecorrelatesDistinctGeometries)
-{
-    // The point of geometry mixing: caches that coexist in one
-    // simulation (an 8KB L1 and a 128KB L2, say) must not start
-    // their victim LFSRs in lockstep. Not all pairs can differ (the
-    // fold is 16-bit), but these common pairings must.
-    const uint64_t l1 = Cache::lfsrSeed(
-        cfg(8192, 2, 32, Replacement::Random));
-    const uint64_t l2 = Cache::lfsrSeed(
-        cfg(131072, 2, 64, Replacement::Random));
-    const uint64_t l2b = Cache::lfsrSeed(
-        cfg(131072, 4, 64, Replacement::Random));
-    EXPECT_NE(l1, l2);
-    EXPECT_NE(l2, l2b);
-}
-
 /**
  * accessLine applies a line piece in one call; it must leave the
  * cache exactly as `count` scalar access() calls do — counters,
- * evictions, victim choice and so every later outcome — for every
- * replacement policy, direct-mapped through fully associative.
+ * evictions, victim choice and so every later outcome —
+ * direct-mapped through fully associative.
  */
 TEST(Cache, AccessLineEqualsCountScalarAccesses)
 {
     constexpr uint32_t kLine = 32;
     constexpr uint64_t kSize = 16 * kLine;
-    for (Replacement repl : {Replacement::LRU, Replacement::FIFO,
-                             Replacement::Random}) {
-        for (uint32_t assoc : {1u, 2u, 4u, 16u}) {
-            const std::string label = std::string(replacementName(repl)) +
-                "/" + std::to_string(assoc) + "-way";
-            Cache batched(cfg(kSize, assoc, kLine, repl));
-            Cache scalar(cfg(kSize, assoc, kLine, repl));
-            Rng rng(0xacce55 + assoc);
-            for (int step = 0; step < 4000; ++step) {
-                // A piece of 1..8 instructions inside one of 48 lines
-                // (3x capacity, so hits, misses and evictions mix).
-                const uint64_t first = rng.nextBounded(kLine / 4);
-                const uint64_t count =
-                    1 + rng.nextBounded(kLine / 4 - first);
-                const uint64_t addr =
-                    rng.nextBounded(48) * kLine + first * 4;
-                const bool hit = batched.accessLine(addr, count);
-                ASSERT_EQ(hit, scalar.access(addr))
-                    << label << " step " << step;
-                for (uint64_t k = 1; k < count; ++k)
-                    ASSERT_TRUE(scalar.access(addr + 4 * k)) << label;
-                ASSERT_EQ(batched.accesses(), scalar.accesses())
-                    << label;
-                ASSERT_EQ(batched.hits(), scalar.hits()) << label;
-                ASSERT_EQ(batched.evictions(), scalar.evictions())
-                    << label;
-            }
-            EXPECT_EQ(batched.validLineAddrs(), scalar.validLineAddrs())
-                << label;
-            for (uint64_t line = 0; line < 48; ++line) {
-                EXPECT_EQ(batched.access(line * kLine),
-                          scalar.access(line * kLine))
-                    << label << " line " << line;
-            }
+    for (uint32_t assoc : {1u, 2u, 4u, 16u}) {
+        const std::string label = std::to_string(assoc) + "-way";
+        Cache batched(cfg(kSize, assoc, kLine));
+        Cache scalar(cfg(kSize, assoc, kLine));
+        Rng rng(0xacce55 + assoc);
+        for (int step = 0; step < 4000; ++step) {
+            // A piece of 1..8 instructions inside one of 48 lines (3x
+            // capacity, so hits, misses and evictions mix).
+            const uint64_t first = rng.nextBounded(kLine / 4);
+            const uint64_t count = 1 + rng.nextBounded(kLine / 4 - first);
+            const uint64_t addr = rng.nextBounded(48) * kLine + first * 4;
+            const bool hit = batched.accessLine(addr, count);
+            ASSERT_EQ(hit, scalar.access(addr))
+                << label << " step " << step;
+            for (uint64_t k = 1; k < count; ++k)
+                ASSERT_TRUE(scalar.access(addr + 4 * k)) << label;
+            ASSERT_EQ(batched.accesses(), scalar.accesses()) << label;
+            ASSERT_EQ(batched.hits(), scalar.hits()) << label;
+            ASSERT_EQ(batched.evictions(), scalar.evictions()) << label;
+        }
+        EXPECT_EQ(batched.validLineAddrs(), scalar.validLineAddrs())
+            << label;
+        for (uint64_t line = 0; line < 48; ++line) {
+            EXPECT_EQ(batched.access(line * kLine),
+                      scalar.access(line * kLine))
+                << label << " line " << line;
         }
     }
 }

@@ -28,7 +28,7 @@ mpi(const WorkloadSpec &spec, uint64_t size, uint32_t line,
     uint32_t assoc = 1)
 {
     WorkloadModel model(spec);
-    Cache cache(CacheConfig{size, assoc, line, Replacement::LRU});
+    Cache cache(CacheConfig{size, assoc, line});
     TraceRecord rec;
     uint64_t n = 0, misses = 0;
     while (n < N && model.next(rec)) {

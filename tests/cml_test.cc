@@ -143,8 +143,7 @@ TEST(CmlSim, PairedRunsShareBaselinePlacement)
 TEST(CmlSim, RecoloringBoundedAndAccounted)
 {
     CmlExperiment experiment;
-    experiment.cache = CacheConfig{16 * 1024, 1, 32,
-                                   Replacement::LRU};
+    experiment.cache = CacheConfig{16 * 1024, 1, 32};
     const CmlResult r = runCml(
         pageTrace(makeIbs(IbsBenchmark::Gs, OsType::Mach), 60000),
         experiment);

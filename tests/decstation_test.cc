@@ -14,11 +14,10 @@ namespace ibs {
 namespace {
 
 DecstationStats
-runRecords(const std::vector<TraceRecord> &recs,
-           DecstationConfig config = {})
+runRecords(const std::vector<TraceRecord> &recs)
 {
     VectorTraceStream stream(recs);
-    DecstationModel model(config);
+    DecstationModel model;
     return model.run(stream, UINT64_MAX);
 }
 

@@ -57,7 +57,7 @@ TEST_P(PrefetchGrid, InvariantsAndBounds)
 {
     const auto [lines, line_size] = GetParam();
     FetchConfig c;
-    c.l1 = CacheConfig{8 * 1024, 1, line_size, Replacement::LRU};
+    c.l1 = CacheConfig{8 * 1024, 1, line_size};
     c.l1Fill = MemoryTiming{6, 16};
     c.prefetchLines = lines;
     const FetchStats s = runTrace(c);
@@ -85,7 +85,7 @@ TEST_P(BypassSweep, BypassReducesStalls)
 {
     const uint32_t prefetch = GetParam();
     FetchConfig blocking;
-    blocking.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    blocking.l1 = CacheConfig{8 * 1024, 1, 32};
     blocking.l1Fill = MemoryTiming{6, 16};
     blocking.prefetchLines = prefetch;
 
@@ -111,7 +111,7 @@ TEST_P(StreamBufferSweep, MonotoneImprovement)
 {
     const uint32_t lines = GetParam();
     FetchConfig c;
-    c.l1 = CacheConfig{8 * 1024, 1, 16, Replacement::LRU};
+    c.l1 = CacheConfig{8 * 1024, 1, 16};
     c.l1Fill = MemoryTiming{6, 16};
     c.pipelined = true;
     c.streamBufferLines = lines;
@@ -173,7 +173,7 @@ TEST_P(BandwidthSweep, MoreBandwidthNeverHurts)
 {
     const uint32_t bw = GetParam();
     FetchConfig c;
-    c.l1 = CacheConfig{8 * 1024, 1, 32, Replacement::LRU};
+    c.l1 = CacheConfig{8 * 1024, 1, 32};
     c.l1Fill = MemoryTiming{6, bw};
     const FetchStats s = runTrace(c);
     checkBasicInvariants(s);

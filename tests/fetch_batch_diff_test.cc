@@ -54,7 +54,7 @@ configClasses()
     classes.emplace_back("prefetch_bypass", bypass);
 
     FetchConfig pipe;
-    pipe.l1 = CacheConfig{8 * 1024, 1, 16, Replacement::LRU};
+    pipe.l1 = CacheConfig{8 * 1024, 1, 16};
     pipe.l1Fill = MemoryTiming{6, 16};
     pipe.pipelined = true;
     pipe.streamBufferLines = 6;
@@ -206,7 +206,7 @@ TEST(FetchBatchDiff, StampClockAdvancement)
     FetchConfig config = economyBaseline();
     // 2 sets x 2 ways of 16B lines: lines 0x000, 0x040, 0x080 all
     // index set 0.
-    config.l1 = CacheConfig{64, 2, 16, Replacement::LRU};
+    config.l1 = CacheConfig{64, 2, 16};
 
     const uint64_t lineA = 0x000, lineB = 0x040, lineC = 0x080;
     std::vector<uint64_t> addrs;

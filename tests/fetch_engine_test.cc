@@ -21,7 +21,7 @@ FetchConfig
 l2Backed(uint32_t line = 32, uint32_t latency = 6, uint32_t bw = 16)
 {
     FetchConfig c;
-    c.l1 = CacheConfig{8 * 1024, 1, line, Replacement::LRU};
+    c.l1 = CacheConfig{8 * 1024, 1, line};
     c.l1Fill = MemoryTiming{latency, bw};
     c.hasL2 = false;
     return c;

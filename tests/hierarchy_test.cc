@@ -14,7 +14,7 @@ namespace {
 CacheConfig
 cfg(uint64_t size, uint32_t assoc, uint32_t line)
 {
-    return CacheConfig{size, assoc, line, Replacement::LRU};
+    return CacheConfig{size, assoc, line};
 }
 
 TEST(CacheHierarchy, RejectsSmallerL2Lines)

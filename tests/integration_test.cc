@@ -71,7 +71,7 @@ TEST_F(Integration, Table6PrefetchInversion)
     // 16B line + 3 prefetches beats a plain 64B line, both moving
     // 64 bytes per miss (the paper's Smith [Smith82] result).
     FetchConfig fine;
-    fine.l1 = CacheConfig{8 * 1024, 1, 16, Replacement::LRU};
+    fine.l1 = CacheConfig{8 * 1024, 1, 16};
     fine.l1Fill = MemoryTiming{6, 16};
     fine.prefetchLines = 3;
 
@@ -87,7 +87,7 @@ TEST_F(Integration, Table8StreamBufferSaturation)
 {
     auto cpi = [&](uint32_t lines) {
         FetchConfig c;
-        c.l1 = CacheConfig{8 * 1024, 1, 16, Replacement::LRU};
+        c.l1 = CacheConfig{8 * 1024, 1, 16};
         c.l1Fill = MemoryTiming{6, 16};
         c.pipelined = true;
         c.streamBufferLines = lines;
@@ -125,7 +125,7 @@ TEST_F(Integration, BandwidthOptimalLineGrows)
         uint32_t arg = 0;
         for (uint32_t line : {8u, 16u, 32u, 64u, 128u, 256u}) {
             FetchConfig c;
-            c.l1 = CacheConfig{8 * 1024, 1, line, Replacement::LRU};
+            c.l1 = CacheConfig{8 * 1024, 1, line};
             c.l1Fill = MemoryTiming{6, bw};
             const double v = runSuite(*ibs_, c).cpiInstr();
             if (v < best) {

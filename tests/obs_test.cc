@@ -286,19 +286,21 @@ TEST(ObsRegistry, SweepHistogramsAreThreadCountInvariant)
     EXPECT_EQ(cells.sum, 4u * 5000u);
 }
 
-TEST(ObsRegistry, CounterWinsNameCollisions)
+TEST(ObsRegistry, SnapshotJsonHoldsOnlyCounters)
 {
     RegistryGuard guard;
     obs::Registry &reg = obs::Registry::global();
 
-    // A counter squatting on a histogram's derived ".count" key wins
-    // in snapshotJson; the non-colliding ".sum" comes through.
-    reg.add("t.col.h.count", 7);
-    reg.observe("t.col.h", 3);
-    reg.observe("t.col.h", 3);
+    // Histograms stay out of the flat view, whatever their names:
+    // their counts and sums live in snapshotHistograms() alone.
+    reg.add("t.json.counter", 7);
+    reg.observe("t.json.h", 3);
+    reg.observe("t.json.h", 3);
+    reg.observe("t.json.counter", 5);
     const Json j = reg.snapshotJson();
-    EXPECT_EQ(j.at("t.col.h.count").asNumber(), 7);
-    EXPECT_EQ(j.at("t.col.h.sum").asNumber(), 6);
+    ASSERT_EQ(j.size(), 1u);
+    EXPECT_EQ(j.at("t.json.counter").asNumber(), 7);
+    EXPECT_EQ(reg.snapshotHistograms().at("t.json.h").sum, 6u);
 }
 
 TEST(ObsRegistry, ResetClearsHistogramShards)

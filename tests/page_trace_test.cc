@@ -13,8 +13,8 @@
  *    whatever order (or concurrency) the line sizes are requested in;
  *  - runTapeworm over the page trace and over a 32-byte trace equals
  *    the per-instruction loop it replaced (translate and access every
- *    instruction), trial by trial, across replacement policies,
- *    associativities, line sizes and page policies.
+ *    instruction), trial by trial, across associativities, line
+ *    sizes and page policies.
  */
 
 #include <gtest/gtest.h>
@@ -379,39 +379,34 @@ TEST(PageTrace, TapewormRunReplayEqualsPerInstructionLoop)
     const RunTrace page_trace = runTrace(spec, PAGE_SIZE, kInstr);
     const RunTrace line_trace = runTrace(spec, 32, kInstr);
 
-    for (Replacement repl : {Replacement::LRU, Replacement::FIFO,
-                             Replacement::Random}) {
-        for (uint32_t line : {16u, 32u, 64u}) {
-            for (uint32_t assoc :
-                 {1u, 2u, 4u, static_cast<uint32_t>(kSize / line)}) {
-                for (PagePolicy policy :
-                     {PagePolicy::Random, PagePolicy::BinHopping,
-                      PagePolicy::PageColoring}) {
-                    TapewormConfig config;
-                    config.cache = CacheConfig{kSize, assoc, line, repl};
-                    config.policy = policy;
-                    config.trials = kTrials;
-                    const std::string label =
-                        config.cache.toString() + "/" +
-                        replacementName(repl) + "/" +
-                        policyName(policy);
-                    const std::vector<double> expected =
-                        perInstructionMpi100(records, config, kSeed);
-                    // Trial t of a run is seeded kSeed + t: replay it
-                    // alone to compare every trial, not just moments.
-                    config.trials = 1;
-                    for (uint32_t t = 0; t < kTrials; ++t) {
-                        EXPECT_EQ(runTapeworm(page_trace, config,
-                                             kSeed + t)
-                                      .mpi100.mean(),
-                                  expected[t])
-                            << label << " page trace, trial " << t;
-                        EXPECT_EQ(runTapeworm(line_trace, config,
-                                             kSeed + t)
-                                      .mpi100.mean(),
-                                  expected[t])
-                            << label << " 32-B trace, trial " << t;
-                    }
+    for (uint32_t line : {16u, 32u, 64u}) {
+        for (uint32_t assoc :
+             {1u, 2u, 4u, static_cast<uint32_t>(kSize / line)}) {
+            for (PagePolicy policy :
+                 {PagePolicy::Random, PagePolicy::BinHopping,
+                  PagePolicy::PageColoring}) {
+                TapewormConfig config;
+                config.cache = CacheConfig{kSize, assoc, line};
+                config.policy = policy;
+                config.trials = kTrials;
+                const std::string label =
+                    config.cache.toString() + "/" + policyName(policy);
+                const std::vector<double> expected =
+                    perInstructionMpi100(records, config, kSeed);
+                // Trial t of a run is seeded kSeed + t: replay it
+                // alone to compare every trial, not just moments.
+                config.trials = 1;
+                for (uint32_t t = 0; t < kTrials; ++t) {
+                    EXPECT_EQ(runTapeworm(page_trace, config,
+                                         kSeed + t)
+                                  .mpi100.mean(),
+                              expected[t])
+                        << label << " page trace, trial " << t;
+                    EXPECT_EQ(runTapeworm(line_trace, config,
+                                         kSeed + t)
+                                  .mpi100.mean(),
+                              expected[t])
+                        << label << " 32-B trace, trial " << t;
                 }
             }
         }

@@ -89,8 +89,7 @@ TEST(Runner, L2LessBlockingMissesEqualBareCacheLoop)
         const std::vector<uint64_t> addrs = flatTrace(specs[w], kInstr);
         for (uint32_t assoc : {1u, 2u, 8u}) {
             FetchConfig config;
-            config.l1 = CacheConfig{8 * 1024, assoc, 32,
-                                    Replacement::LRU};
+            config.l1 = CacheConfig{8 * 1024, assoc, 32};
             ASSERT_FALSE(config.hasL2 || config.prefetchLines ||
                          config.bypass || config.pipelined);
             Cache bare(config.l1);
@@ -181,7 +180,7 @@ TEST(Tapeworm, RandomMappingVaries)
     // With a physically-indexed cache larger than a page, random
     // page placement must produce run-to-run variation (Figure 5).
     TapewormConfig config;
-    config.cache = CacheConfig{32 * 1024, 1, 32, Replacement::LRU};
+    config.cache = CacheConfig{32 * 1024, 1, 32};
     config.trials = 5;
     config.policy = PagePolicy::Random;
     const TapewormResult r = runTapeworm(
@@ -196,7 +195,7 @@ TEST(Tapeworm, PageColoringIsDeterministicAcrossTrials)
     // the conflict pattern — and hence CPIinstr — should be nearly
     // identical across trials even though frames differ.
     TapewormConfig config;
-    config.cache = CacheConfig{32 * 1024, 1, 32, Replacement::LRU};
+    config.cache = CacheConfig{32 * 1024, 1, 32};
     config.trials = 5;
     const RunTrace trace =
         pageTrace(makeIbs(IbsBenchmark::Verilog, OsType::Mach), 60000);
@@ -217,7 +216,7 @@ TEST(Tapeworm, FullyAssociativeCacheImmuneToPlacement)
     // A fully-associative cache has a single set: page placement
     // cannot change its behaviour at all.
     TapewormConfig config;
-    config.cache = CacheConfig{16 * 1024, 512, 32, Replacement::LRU};
+    config.cache = CacheConfig{16 * 1024, 512, 32};
     config.trials = 3;
     const TapewormResult r = runTapeworm(
         pageTrace(makeIbs(IbsBenchmark::Gs, OsType::Mach), 40000),

@@ -58,7 +58,7 @@ configClasses()
     classes.emplace_back("prefetch_bypass", bypass);
 
     FetchConfig pipe;
-    pipe.l1 = CacheConfig{8 * 1024, 1, 16, Replacement::LRU};
+    pipe.l1 = CacheConfig{8 * 1024, 1, 16};
     pipe.l1Fill = MemoryTiming{6, 16};
     pipe.pipelined = true;
     pipe.streamBufferLines = 6;
@@ -288,8 +288,7 @@ TEST(StreamGenDiff, SimdProbeUpdatesLruStampPerWay)
         // survivor must be the touched one — if the SIMD probe
         // stamped the wrong way (or none), a different line
         // survives.
-        Cache cache(CacheConfig{kWays * kLine, kWays, kLine,
-                                Replacement::LRU});
+        Cache cache(CacheConfig{kWays * kLine, kWays, kLine});
         for (uint64_t i = 0; i < kWays; ++i)
             cache.insert(line(i));
         ASSERT_TRUE(cache.accessRun(line(touched), 4))
@@ -308,8 +307,7 @@ TEST(StreamGenDiff, ProbeFindsTagInEveryWayPosition)
 {
     constexpr uint32_t kWays = 8;
     constexpr uint32_t kLine = 32;
-    Cache cache(CacheConfig{kWays * kLine, kWays, kLine,
-                            Replacement::LRU});
+    Cache cache(CacheConfig{kWays * kLine, kWays, kLine});
     for (uint64_t i = 0; i < kWays; ++i) {
         const uint64_t addr = i * kLine;
         EXPECT_FALSE(cache.contains(addr));

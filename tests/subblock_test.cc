@@ -13,7 +13,7 @@ namespace {
 CacheConfig
 cfg(uint64_t size, uint32_t assoc, uint32_t line)
 {
-    return CacheConfig{size, assoc, line, Replacement::LRU};
+    return CacheConfig{size, assoc, line};
 }
 
 TEST(SubBlockCache, RejectsBadSubBlockSize)

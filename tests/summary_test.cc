@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for RunningStats and Ratio.
+ * Unit tests for RunningStats.
  */
 
 #include <gtest/gtest.h>
@@ -84,36 +84,6 @@ TEST(RunningStats, StddevOfConstantIsZero)
     for (int i = 0; i < 100; ++i)
         s.add(7.25);
     EXPECT_NEAR(s.stddev(), 0.0, 1e-12);
-}
-
-TEST(Ratio, EmptyBaseIsZero)
-{
-    Ratio r;
-    r.addEvent(10);
-    EXPECT_EQ(r.value(), 0.0);
-    EXPECT_EQ(r.per100(), 0.0);
-}
-
-TEST(Ratio, Per100Convention)
-{
-    Ratio r;
-    r.addBase(1000);
-    r.addEvent(48);
-    EXPECT_DOUBLE_EQ(r.value(), 0.048);
-    EXPECT_DOUBLE_EQ(r.per100(), 4.8);
-}
-
-TEST(Ratio, IncrementalAccumulation)
-{
-    Ratio r;
-    for (int i = 0; i < 50; ++i) {
-        r.addBase();
-        if (i % 5 == 0)
-            r.addEvent();
-    }
-    EXPECT_EQ(r.base(), 50u);
-    EXPECT_EQ(r.events(), 10u);
-    EXPECT_DOUBLE_EQ(r.value(), 0.2);
 }
 
 } // namespace

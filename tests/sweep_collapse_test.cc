@@ -129,7 +129,7 @@ TEST(StackSim, MatchesCacheOnRandomizedGeometries)
         for (uint32_t assoc : {1u, 2u, 4u, 8u}) {
             geometries.push_back(StackGeometry{sets, assoc});
             configs.push_back(CacheConfig{sets * assoc * 64, assoc,
-                                          64, Replacement::LRU});
+                                          64});
         }
     }
 
@@ -191,19 +191,13 @@ TEST(Collapse, DeepLadderMatchesPerCellExactly)
 
 TEST(Collapse, ReplacementVariantsMatchPerCellExactly)
 {
-    // FIFO and Random L2s share the front end with the LRU cells;
-    // Random's LFSR sequence is deterministic per Cache instance, so
-    // replaying the shared miss stream is exact there too.
+    // Replacement is LRU alone, so the variants are LRU L2s of 2 and
+    // 8 ways sharing one front end on the IBS Mach suite.
     SuiteTraces suite(ibsSuite(OsType::Mach), 10000);
     std::vector<FetchConfig> grid;
-    for (const Replacement repl :
-         {Replacement::LRU, Replacement::FIFO, Replacement::Random}) {
-        for (uint32_t assoc : {2u, 8u}) {
-            FetchConfig cfg =
-                withOnChipL2(economyBaseline(), 64 * 1024, 64, assoc);
-            cfg.l2.replacement = repl;
-            grid.push_back(cfg);
-        }
+    for (uint32_t assoc : {2u, 8u}) {
+        grid.push_back(
+            withOnChipL2(economyBaseline(), 64 * 1024, 64, assoc));
     }
     expectCollapseParity(suite, grid, "replacement");
     EXPECT_EQ(suite.missStreamsBuilt(), suite.count());

@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the memory timing arithmetic and ports. The fill
+ * Unit tests for the memory timing arithmetic and the pipelined
+ * port. The fill
  * arithmetic here is load-bearing for every table in the paper; the
  * Table 5 worked example (12 + 1 + 1 + 1 = 15 cycles) is pinned
  * explicitly.
@@ -61,28 +62,6 @@ TEST(MemoryTiming, CyclesToWordStreamsInOrder)
 TEST(MemoryTiming, ToString)
 {
     EXPECT_EQ((MemoryTiming{30, 4}).toString(), "30cyc/4Bpc");
-}
-
-TEST(MemoryPort, SerializesFills)
-{
-    MemoryPort port(MemoryTiming{6, 16});
-    // First fill at cycle 10: done at 10 + 7 = 17.
-    EXPECT_EQ(port.fill(10, 32), 17u);
-    // Second request at cycle 12 queues behind: starts 17, done 24.
-    EXPECT_EQ(port.fill(12, 32), 24u);
-    // Third after the port is idle again.
-    EXPECT_EQ(port.fill(100, 32), 107u);
-    EXPECT_EQ(port.fills(), 3u);
-    EXPECT_EQ(port.bytesTransferred(), 96u);
-}
-
-TEST(MemoryPort, Reset)
-{
-    MemoryPort port(MemoryTiming{6, 16});
-    port.fill(0, 32);
-    port.reset();
-    EXPECT_EQ(port.fills(), 0u);
-    EXPECT_EQ(port.fill(0, 32), 7u);
 }
 
 TEST(PipelinedPort, OneRequestPerCycle)

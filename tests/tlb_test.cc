@@ -15,10 +15,10 @@ namespace ibs {
 namespace {
 
 TlbConfig
-cfg(uint32_t entries, uint32_t assoc,
-    Replacement repl = Replacement::LRU, bool kseg0 = true)
+cfg(uint32_t entries, uint32_t assoc, bool kseg0 = true)
 {
-    return TlbConfig{entries, assoc, repl, kseg0};
+    return TlbConfig{
+        .entries = entries, .assoc = assoc, .kseg0Bypasses = kseg0};
 }
 
 TEST(TlbConfig, Validation)
@@ -29,7 +29,7 @@ TEST(TlbConfig, Validation)
     EXPECT_THROW(cfg(64, 5).validate(), std::invalid_argument);
     EXPECT_THROW(cfg(96, 8).validate(), std::invalid_argument);
     EXPECT_EQ(cfg(64, 4).numSets(), 16u);
-    EXPECT_EQ(cfg(64, 64).toString(), "64-entry/64-way/LRU");
+    EXPECT_EQ(cfg(64, 64).toString(), "64-entry/64-way");
 }
 
 TEST(Tlb, MissThenHitSamePage)
@@ -64,7 +64,7 @@ TEST(Tlb, Kseg0Bypass)
 
 TEST(Tlb, Kseg0BypassDisabled)
 {
-    Tlb tlb(cfg(64, 64, Replacement::LRU, false));
+    Tlb tlb(cfg(64, 64, false));
     EXPECT_FALSE(tlb.access(0, 0x80031000));
     EXPECT_TRUE(tlb.access(0, 0x80031ffc));
     EXPECT_EQ(tlb.accesses(), 2u);

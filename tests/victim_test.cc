@@ -15,7 +15,7 @@ namespace {
 CacheConfig
 cfg(uint64_t size = 1024, uint32_t assoc = 1, uint32_t line = 32)
 {
-    return CacheConfig{size, assoc, line, Replacement::LRU};
+    return CacheConfig{size, assoc, line};
 }
 
 TEST(VictimCache, MainHitPath)

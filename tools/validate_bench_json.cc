@@ -4,18 +4,15 @@
  *
  * Default mode exits 0 when every file given on the command line
  * parses as JSON and carries the required report keys (see
- * src/sim/bench_report.h): schema_version (1 or 2), bench, threads,
- * total_wall_seconds, and a non-empty cells array whose entries each
+ * src/sim/bench_report.h): schema_version 2 (every report writer's;
+ * any other version is rejected), bench, threads,
+ * total_wall_seconds, the meta provenance block (string
+ * compiler/build_type, numeric schema_version/threads/
+ * bench_instructions), and a non-empty cells array whose entries each
  * have config, workload, stats and a timing object with wall_seconds
- * / instructions / instructions_per_second. Schema v2 additionally
- * requires the meta provenance block (string compiler/build_type,
- * numeric schema_version/threads/bench_instructions); the optional
- * "counters" object must be all-numeric when present in either
- * version. Any violation prints the file and reason and exits 1.
- * A leading --min-schema <n> raises the accepted schema floor — the
- * ctests pass --min-schema 2 so a bench regressing to a v1 report
- * (no meta block) fails validation even though v1 documents still
- * parse.
+ * / instructions / instructions_per_second; the optional "counters"
+ * object must be all-numeric when present. Any violation prints the
+ * file and reason and exits 1.
  *
  * Further modes:
  *
@@ -134,13 +131,13 @@ validateCell(const Json &cell, size_t index, const std::string &path)
                       where + ".timing");
 }
 
-/** The schema-v2 provenance block (src/sim/bench_report.h). */
+/** The provenance block (src/sim/bench_report.h). */
 bool
 validateMeta(const Json &doc, const std::string &path)
 {
     const Json *meta = doc.find("meta");
     if (!meta || !meta->isObject())
-        return fail(path, "schema v2: missing object \"meta\"");
+        return fail(path, "missing object \"meta\"");
     return requireString(*meta, "compiler", path, "meta") &&
         requireString(*meta, "build_type", path, "meta") &&
         requireNumber(*meta, "schema_version", path, "meta") &&
@@ -166,7 +163,7 @@ validateCounters(const Json &doc, const std::string &path)
 }
 
 bool
-validateFile(const std::string &path, int min_schema)
+validateFile(const std::string &path)
 {
     Json doc;
     if (!loadJson(path, doc))
@@ -176,20 +173,16 @@ validateFile(const std::string &path, int min_schema)
     if (!requireNumber(doc, "schema_version", path, "top level"))
         return false;
     const double version = doc.at("schema_version").asNumber();
-    if (version != 1 && version != 2)
+    if (version != 2)
         return fail(path, "unsupported schema_version " +
                               std::to_string(version));
-    if (version < min_schema)
-        return fail(path, "schema_version " + std::to_string(version) +
-                              " below required minimum " +
-                              std::to_string(min_schema));
     const Json *bench = doc.find("bench");
     if (!bench || !bench->isString())
         return fail(path, "missing string \"bench\"");
     if (!requireNumber(doc, "threads", path, "top level") ||
         !requireNumber(doc, "total_wall_seconds", path, "top level"))
         return false;
-    if (version == 2 && !validateMeta(doc, path))
+    if (!validateMeta(doc, path))
         return false;
     if (!validateCounters(doc, path))
         return false;
@@ -325,7 +318,7 @@ int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--min-schema <n>] BENCH_<name>.json "
+                 "usage: %s BENCH_<name>.json "
                  "[more.json...]\n"
                  "       %s --trace <trace.json> [more.json...]\n"
                  "       %s --trace-flow <min_tids> <trace.json> "
@@ -364,21 +357,8 @@ main(int argc, char **argv)
         return ok ? 0 : 1;
     }
 
-    int first = 1;
-    int min_schema = 1;
-    if (std::strcmp(argv[1], "--min-schema") == 0) {
-        if (argc < 4)
-            return usage(argv[0]);
-        char *end = nullptr;
-        const long v = std::strtol(argv[2], &end, 10);
-        if (end == argv[2] || *end != '\0' || v < 1 || v > 2)
-            return usage(argv[0]);
-        min_schema = static_cast<int>(v);
-        first = 3;
-    }
-
     bool ok = true;
-    for (int i = first; i < argc; ++i)
-        ok = validateFile(argv[i], min_schema) && ok;
+    for (int i = 1; i < argc; ++i)
+        ok = validateFile(argv[i]) && ok;
     return ok ? 0 : 1;
 }
