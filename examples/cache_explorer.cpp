@@ -25,11 +25,9 @@
 #include <string>
 
 #include "core/fetch_config.h"
-#include "core/fetch_engine.h"
 #include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
-#include "workload/model.h"
 
 namespace {
 
@@ -51,14 +49,6 @@ lookup(const std::string &name)
             return spec;
     }
     return std::nullopt;
-}
-
-double
-cpiOf(const WorkloadSpec &spec, const FetchConfig &config, uint64_t n)
-{
-    WorkloadModel model(spec);
-    FetchEngine engine(config);
-    return engine.run(model, n).cpiInstr();
 }
 
 } // namespace
@@ -87,6 +77,11 @@ main(int argc, char **argv)
     }
     std::cout << "exploring fetch designs for " << spec->name << " ("
               << n << " instructions)\n\n";
+    // Generated once; every design below replays the same trace.
+    const SuiteTraces traces({*spec}, n);
+    const auto cpiCell = [&traces](const FetchConfig &c) {
+        return TextTable::num(traces.runOne(0, c).cpiInstr());
+    };
 
     // 1. L1 geometry under the high-performance baseline.
     {
@@ -100,7 +95,7 @@ main(int argc, char **argv)
                 FetchConfig c = highPerfBaseline();
                 c.l1 =
                     CacheConfig{kb * 1024, assoc, 32};
-                row.push_back(TextTable::num(cpiOf(*spec, c, n)));
+                row.push_back(cpiCell(c));
             }
             table.addRow(row);
         }
@@ -117,7 +112,7 @@ main(int argc, char **argv)
             for (uint32_t assoc : {1u, 8u}) {
                 const FetchConfig c = withOnChipL2(
                     highPerfBaseline(), kb * 1024, 64, assoc);
-                row.push_back(TextTable::num(cpiOf(*spec, c, n)));
+                row.push_back(cpiCell(c));
             }
             table.addRow(row);
         }
@@ -131,26 +126,22 @@ main(int argc, char **argv)
         TextTable table("L1-L2 interface (64KB 8-way L2)");
         table.setHeader({"design", "CPIinstr"});
 
-        table.addRow({"blocking fill",
-                      TextTable::num(cpiOf(*spec, l2, n))});
+        table.addRow({"blocking fill", cpiCell(l2)});
 
         FetchConfig pf = l2;
         pf.l1.lineBytes = 16;
         pf.prefetchLines = 3;
-        table.addRow({"16B lines + 3-line prefetch",
-                      TextTable::num(cpiOf(*spec, pf, n))});
+        table.addRow({"16B lines + 3-line prefetch", cpiCell(pf)});
 
         FetchConfig byp = pf;
         byp.bypass = true;
-        table.addRow({"  + bypass buffers",
-                      TextTable::num(cpiOf(*spec, byp, n))});
+        table.addRow({"  + bypass buffers", cpiCell(byp)});
 
         FetchConfig pipe = l2;
         pipe.l1.lineBytes = 16;
         pipe.pipelined = true;
         pipe.streamBufferLines = 6;
-        table.addRow({"pipelined + 6-line stream buffer",
-                      TextTable::num(cpiOf(*spec, pipe, n))});
+        table.addRow({"pipelined + 6-line stream buffer", cpiCell(pipe)});
         std::cout << table.render();
     }
     return 0;

@@ -12,9 +12,8 @@
 #include <iostream>
 
 #include "core/fetch_config.h"
-#include "core/fetch_engine.h"
+#include "sim/runner.h"
 #include "workload/ibs.h"
-#include "workload/model.h"
 
 int
 main()
@@ -23,13 +22,14 @@ main()
 
     const WorkloadSpec spec = makeIbs(IbsBenchmark::Gs, OsType::Mach);
     constexpr uint64_t N = 2'000'000;
+    // The workload's instruction stream, generated once and replayed
+    // through every design below.
+    const SuiteTraces traces({spec}, N);
 
     // 1. The economy baseline: 8-KB direct-mapped L1 filled straight
     //    from main memory (30 cycles latency, 4 bytes/cycle).
     FetchConfig base = economyBaseline();
-    WorkloadModel workload(spec);
-    FetchEngine base_engine(base);
-    const FetchStats base_stats = base_engine.run(workload, N);
+    const FetchStats base_stats = traces.runOne(0, base);
 
     // 2. The optimized design the paper arrives at: 64-KB 8-way
     //    on-chip L2, then a pipelined L1-L2 interface with a 6-line
@@ -39,10 +39,7 @@ main()
     opt.l1Fill = MemoryTiming{6, 16};
     opt.pipelined = true;
     opt.streamBufferLines = 6;
-
-    workload.reset();
-    FetchEngine opt_engine(opt);
-    const FetchStats opt_stats = opt_engine.run(workload, N);
+    const FetchStats opt_stats = traces.runOne(0, opt);
 
     std::cout << "workload: " << spec.name << "\n"
               << "baseline  [" << base.toString() << "]\n"

@@ -18,7 +18,7 @@
 #include <optional>
 #include <vector>
 
-#include "cache/cache.h"
+#include "core/fetch_config.h"
 #include "sim/runner.h"
 #include "stats/table.h"
 #include "workload/ibs.h"
@@ -28,26 +28,16 @@ namespace {
 
 using namespace ibs;
 
-/** MPI (per 100 instructions) of one spec in one cache geometry. */
+/**
+ * MPI (per 100 instructions) of workload `w` in one L1 geometry: a
+ * blocking fill with no L2 misses exactly where the plain cache does.
+ */
 double
-measureMpi(const WorkloadSpec &spec, uint64_t instructions,
-           const CacheConfig &cache_config)
+measureMpi(const SuiteTraces &traces, size_t w, const CacheConfig &l1)
 {
-    WorkloadModel model(spec);
-    Cache cache(cache_config);
-    TraceRecord rec;
-    uint64_t n = 0;
-    uint64_t misses = 0;
-    while (n < instructions && model.next(rec)) {
-        if (!rec.isInstr())
-            continue;
-        ++n;
-        if (!cache.access(rec.vaddr))
-            ++misses;
-    }
-    return n ? 100.0 * static_cast<double>(misses) /
-               static_cast<double>(n)
-             : 0.0;
+    FetchConfig config = economyBaseline();
+    config.l1 = l1;
+    return traces.runOne(w, config).mpi100();
 }
 
 void
@@ -67,8 +57,10 @@ inspectSuite(const std::string &title,
         header.push_back("8K/" + std::to_string(lb) + "B");
     table.setHeader(header);
 
+    const SuiteTraces traces(suite, instructions);
     std::vector<double> avg(sizes_kb.size() + lines.size(), 0.0);
-    for (const WorkloadSpec &spec : suite) {
+    for (size_t w = 0; w < suite.size(); ++w) {
+        const WorkloadSpec &spec = suite[w];
         // Footprint and switch-rate diagnostics.
         WorkloadModel model(spec);
         TraceRecord rec;
@@ -86,16 +78,14 @@ inspectSuite(const std::string &title,
             TextTable::num(switches_per_1k, 2)};
         size_t col = 0;
         for (uint64_t kb : sizes_kb) {
-            const double mpi = measureMpi(
-                spec, instructions,
-                CacheConfig{kb * 1024, 1, 32});
+            const double mpi =
+                measureMpi(traces, w, CacheConfig{kb * 1024, 1, 32});
             avg[col++] += mpi;
             row.push_back(TextTable::num(mpi, 2));
         }
         for (uint32_t lb : lines) {
-            const double mpi = measureMpi(
-                spec, instructions,
-                CacheConfig{8 * 1024, 1, lb});
+            const double mpi =
+                measureMpi(traces, w, CacheConfig{8 * 1024, 1, lb});
             avg[col++] += mpi;
             row.push_back(TextTable::num(mpi, 2));
         }

@@ -34,7 +34,7 @@ trap 'rm -rf "$workdir"' EXIT INT TERM
 report="$workdir/BENCH_${bench_name}.json"
 
 # Run 1: observability off (the default environment).
-env -u IBS_OBS -u IBS_OBS_TRACE -u IBS_LOG_LEVEL -u IBS_PROGRESS \
+env -u IBS_OBS -u IBS_OBS_TRACE -u IBS_LOG_LEVEL \
     IBS_BENCH_INSTR=20000 IBS_BENCH_JSON_DIR="$workdir" \
     "$bench" > "$workdir/off.txt"
 "$validator" "$report"
@@ -44,8 +44,7 @@ if grep -q '"counters"' "$report"; then
 fi
 
 # Run 2: everything on — counters, trace export, debug logging.
-env -u IBS_PROGRESS \
-    IBS_OBS=1 IBS_OBS_TRACE="$workdir/obs_trace.json" \
+IBS_OBS=1 IBS_OBS_TRACE="$workdir/obs_trace.json" \
     IBS_LOG_LEVEL=debug \
     IBS_BENCH_INSTR=20000 IBS_BENCH_JSON_DIR="$workdir" \
     "$bench" > "$workdir/on.txt" 2> "$workdir/on.stderr"

@@ -35,13 +35,25 @@ stat="$4"
 workdir=$(mktemp -d "${TMPDIR:-/tmp}/ibs_server.XXXXXX")
 # Background children still running at exit (a step failed before
 # they were waited for) are killed, so a failure never leaks an
-# ibs_serve or a loadgen. Each pid is cleared once waited for.
+# ibs_serve or a loadgen. Each pid is cleared once waited for. On a
+# failing exit — a FAIL below, or a step that set -e stopped — every
+# output captured so far is printed before the work directory goes.
 serve_pid=""
 loadgen_pid=""
 cleanup() {
+    status=$?
     for pid in $serve_pid $loadgen_pid; do
         kill -9 "$pid" 2>/dev/null || true
     done
+    if [ "$status" -ne 0 ]; then
+        for f in "$workdir"/loadgen*.out "$workdir"/stat.out \
+                 "$workdir"/idle.out "$workdir"/stats.json \
+                 "$workdir"/serve.err; do
+            [ -s "$f" ] || continue
+            echo "--- ${f##*/} ---" >&2
+            cat "$f" >&2
+        done
+    fi
     rm -rf "$workdir"
 }
 trap cleanup EXIT
@@ -49,8 +61,7 @@ trap 'exit 1' INT TERM
 
 # IBS_THREADS=4: the cross-thread flow check below needs a worker
 # pool even when the host reports one core.
-env -u IBS_PROGRESS \
-    IBS_SERVE_PORT=0 IBS_OBS=1 IBS_THREADS=4 \
+IBS_SERVE_PORT=0 IBS_OBS=1 IBS_THREADS=4 \
     IBS_OBS_TRACE="$workdir/serve_trace.json" \
     "$serve" > "$workdir/serve.out" 2> "$workdir/serve.err" &
 serve_pid=$!
@@ -63,7 +74,6 @@ for _ in $(seq 1 50); do
     [ -n "$port" ] && break
     if ! kill -0 "$serve_pid" 2>/dev/null; then
         echo "FAIL: ibs_serve exited before listening" >&2
-        cat "$workdir/serve.err" >&2
         exit 1
     fi
     sleep 0.1
@@ -73,12 +83,23 @@ if [ -z "$port" ]; then
     exit 1
 fi
 
+# Slower requests first (a cold 400k-instruction suite), so the
+# server's lifetime histogram holds latencies the --check run below
+# never sends. Its budget differs from the SIGINT step's, which must
+# stay cold.
+"$loadgen" --port "$port" --connections 1 --requests-per-conn 2 \
+    --suite ibs_mach --configs economy,high_performance \
+    --workloads gs.mach,nroff.mach --instructions 400000 \
+    > "$workdir/loadgen_slow.out"
+
 # --check: the server's sweep-latency histogram must agree with the
 # client-side percentiles of the same requests (within one log2
-# bucket at p50/p99). One connection on purpose: queueing ahead of
-# the server's frame read — inevitable for concurrent clients on a
-# busy core — is visible only to the client clock, so the
-# comparison is meaningful for sequential requests.
+# bucket at p50/p99) — loadgen compares against what this run added
+# to the histogram, not the slower requests above. One connection on
+# purpose: queueing ahead of the server's frame read — inevitable
+# for concurrent clients on a busy core — is visible only to the
+# client clock, so the comparison is meaningful for sequential
+# requests.
 "$loadgen" --port "$port" --connections 1 --requests-per-conn 4 \
     --suite ibs_mach --configs economy,high_performance \
     --workloads gs.mach,nroff.mach --instructions 20000 \
@@ -86,7 +107,6 @@ fi
 
 if ! grep -q 'failed=0' "$workdir/loadgen.out"; then
     echo "FAIL: loadgen --check reported failures" >&2
-    cat "$workdir/loadgen.out" >&2
     exit 1
 fi
 
@@ -100,7 +120,6 @@ fi
 
 if ! grep -q 'failed=0' "$workdir/loadgen_load.out"; then
     echo "FAIL: loadgen reported failures" >&2
-    cat "$workdir/loadgen_load.out" >&2
     exit 1
 fi
 
@@ -111,7 +130,6 @@ fi
 if ! grep -Eq 'sweep p50 +[0-9.]+(us|ms|s) \| p99 +[0-9.]+(us|ms|s)$' \
     "$workdir/stat.out"; then
     echo "FAIL: ibs_stat printed no numeric sweep p50/p99" >&2
-    cat "$workdir/stat.out" >&2
     exit 1
 fi
 # The load above has finished, so the server is idle: the request
@@ -119,14 +137,12 @@ fi
 "$stat" --port "$port" --count 2 --interval 0.2 > "$workdir/idle.out"
 if ! sed -n 2p "$workdir/idle.out" | grep -Eq '^req/s +0\.0 \|'; then
     echo "FAIL: ibs_stat counted its own polls on an idle server" >&2
-    cat "$workdir/idle.out" >&2
     exit 1
 fi
 # --raw prints the frame itself, histograms included.
 "$stat" --port "$port" --raw > "$workdir/stats.json"
 if ! grep -q '"serve.sweep.latency_us"' "$workdir/stats.json"; then
     echo "FAIL: ibs_stat --raw printed no sweep-latency histogram" >&2
-    cat "$workdir/stats.json" >&2
     exit 1
 fi
 
@@ -147,7 +163,6 @@ wait "$serve_pid" || rc=$?
 serve_pid=""
 if [ "$rc" -ne 0 ]; then
     echo "FAIL: ibs_serve exited $rc after SIGINT" >&2
-    cat "$workdir/serve.err" >&2
     exit 1
 fi
 lrc=0
@@ -155,7 +170,6 @@ wait "$loadgen_pid" || lrc=$?
 loadgen_pid=""
 if [ "$lrc" -ne 0 ]; then
     echo "FAIL: in-flight request was not drained (loadgen $lrc)" >&2
-    cat "$workdir/loadgen2.out" >&2
     exit 1
 fi
 

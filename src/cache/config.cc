@@ -23,8 +23,8 @@ void
 CacheConfig::validate() const
 {
     // The size itself need not be a power of two (a 3-way 384-B cache
-    // is legal); only the *set count* must be, because setIndex masks
-    // address bits.
+    // is legal); only the *set count* must be, because the set index
+    // masks address bits.
     if (!isPow2(lineBytes) || lineBytes < 4)
         throw std::invalid_argument(
             "line size must be a power of two >= 4");

@@ -60,13 +60,6 @@ struct CacheConfig
         return addr & ~static_cast<uint64_t>(lineBytes - 1);
     }
 
-    /** Set index of `addr`. */
-    uint64_t
-    setIndex(uint64_t addr) const
-    {
-        return (addr >> lineShift()) & (numSets() - 1);
-    }
-
     /**
      * Cache page-colors: bytes indexed per way / page size, at least 1.
      * Physically-indexed caches larger than assoc * PAGE_SIZE have

@@ -55,23 +55,6 @@ class CacheHierarchy
     /** L1 lines killed by L2 evictions (inclusive mode only). */
     uint64_t backInvalidations() const { return backInvalidations_; }
 
-    /** Global (L2 misses per access) and local L2 miss ratios. */
-    double
-    l2GlobalMissRatio() const
-    {
-        return accesses_ ? static_cast<double>(l2Misses_) /
-                           static_cast<double>(accesses_)
-                         : 0.0;
-    }
-
-    double
-    l2LocalMissRatio() const
-    {
-        return l1Misses_ ? static_cast<double>(l2Misses_) /
-                           static_cast<double>(l1Misses_)
-                         : 0.0;
-    }
-
     /**
      * Verify the inclusion invariant by exhaustive probe: every
      * valid L1 line must be present in the L2. O(L1 lines); for

@@ -52,7 +52,6 @@ class SubBlockCache
     SubBlockResult access(uint64_t addr);
 
     const CacheConfig &config() const { return lines_.config(); }
-    uint32_t subBlockBytes() const { return subBytes_; }
     uint32_t subBlocksPerLine() const { return subsPerLine_; }
 
     uint64_t accesses() const { return lines_.accesses(); }

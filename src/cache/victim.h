@@ -59,7 +59,6 @@ class VictimCache
     }
 
     const CacheConfig &config() const { return main_.config(); }
-    uint32_t victimLines() const { return victimLines_; }
 
     void invalidateAll();
 

@@ -27,8 +27,7 @@
  * serialize_us), and — when IBS_OBS_TRACE is set — one async span
  * per request with flow events stepping from the handler into each
  * cell on the pool threads. Like any runSweep call, a sweep also
- * emits one "cell" trace span per cell and reports progress under
- * IBS_PROGRESS (obs/progress.h). The "stats" request is the one
+ * emits one "cell" trace span per cell. The "stats" request is the one
  * telemetry surface: the lifetime counters and memo numbers below,
  * the registry's counters, and every histogram's exact buckets.
  *

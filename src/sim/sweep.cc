@@ -8,7 +8,6 @@
 #include <string>
 #include <thread>
 
-#include "obs/progress.h"
 #include "obs/timer.h"
 #include "sim/parallel.h"
 
@@ -43,7 +42,6 @@ runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
     // waits on that memo slot, so tasks need no ordering; each hands
     // only its own cell to the sink (see sim/parallel.h for the
     // determinism contract).
-    obs::SweepProgress progress("sweep", total);
     parallelFor(total, threads, [&](size_t i) {
         const size_t c = i / workloads;
         const size_t w = i % workloads;
@@ -52,7 +50,6 @@ runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
         const FetchStats stats = suite.runOne(w, configs[c]);
         timer.stop();
         sink(c, w, stats, CellTiming{timer.seconds(), stats.instructions});
-        progress.cellDone(stats.instructions);
     });
 }
 

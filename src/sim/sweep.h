@@ -133,9 +133,8 @@ using CellSink = std::function<void(size_t config, size_t workload,
  *
  * One pool task per cell, config-major; each calls
  * SuiteTraces::runOne, so a cell's stats do not depend on what else
- * is in the grid. Reports progress on stderr (obs/progress.h) and
- * emits one "cell" trace span per task when IBS_OBS_TRACE is set;
- * the cell's timing is that span.
+ * is in the grid. Emits one "cell" trace span per task when
+ * IBS_OBS_TRACE is set; the cell's timing is that span.
  *
  * @param suite immutable traces, shared const across workers
  * @param configs grid points (validated before any thread starts)

@@ -83,14 +83,6 @@ Rng::nextBounded(uint64_t bound)
     return static_cast<uint64_t>(m >> 64);
 }
 
-int64_t
-Rng::nextRange(int64_t lo, int64_t hi)
-{
-    assert(lo <= hi);
-    return lo + static_cast<int64_t>(
-        nextBounded(static_cast<uint64_t>(hi - lo) + 1));
-}
-
 bool
 Rng::nextBool(double p)
 {

@@ -42,9 +42,6 @@ class Rng
     /** Uniform integer in [0, bound), bound > 0 (unbiased). */
     uint64_t nextBounded(uint64_t bound);
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    int64_t nextRange(int64_t lo, int64_t hi);
-
     /** Bernoulli trial with probability p of returning true. */
     bool nextBool(double p);
 

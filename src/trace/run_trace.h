@@ -69,16 +69,6 @@ struct RunTrace
     uint64_t instructions = 0; ///< Sum of all run counts.
     std::vector<FetchRun> runs;
 
-    /** Mean instructions per run (compression ratio; 0 if empty). */
-    double
-    instructionsPerRun() const
-    {
-        return runs.empty()
-            ? 0.0
-            : static_cast<double>(instructions) /
-              static_cast<double>(runs.size());
-    }
-
     /** Retained bytes of the run records (what a memo holding this
      *  trace charges against a byte budget; the flat equivalent is
      *  instructions * sizeof(uint64_t)). */

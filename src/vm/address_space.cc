@@ -30,7 +30,6 @@ MemoryMap::translate(Asid asid, uint64_t vaddr)
         // preserved).
         pfn = FRAME_BASE + allocator_->allocate(asid, vpn);
         table.map(vpn, pfn);
-        ++faults_;
     }
     return makeAddr(pfn, pageOffset(vaddr));
 }
@@ -44,23 +43,6 @@ MemoryMap::recolor(Asid asid, uint64_t vpn, uint64_t &old_pfn,
         return false;
     new_pfn = FRAME_BASE + allocator_->allocate(asid, vpn);
     it->second.map(vpn, new_pfn);
-    return true;
-}
-
-bool
-MemoryMap::tryTranslate(Asid asid, uint64_t vaddr, uint64_t &paddr) const
-{
-    if (isKseg0(vaddr)) {
-        paddr = kseg0ToPhys(vaddr);
-        return true;
-    }
-    auto it = tables_.find(asid);
-    if (it == tables_.end())
-        return false;
-    uint64_t pfn;
-    if (!it->second.lookup(pageNumber(vaddr), pfn))
-        return false;
-    paddr = makeAddr(pfn, pageOffset(vaddr));
     return true;
 }
 

@@ -73,13 +73,6 @@ class MemoryMap
     uint64_t translate(Asid asid, uint64_t vaddr);
 
     /**
-     * Translate without allocating.
-     *
-     * @retval true translation existed (or vaddr is kseg0)
-     */
-    bool tryTranslate(Asid asid, uint64_t vaddr, uint64_t &paddr) const;
-
-    /**
      * Recolor a mapped page: hand it a fresh frame from the
      * allocator (CML-buffer remedy). The old frame is not returned
      * to the pool (the allocator tracks lifetime allocations only).
@@ -90,9 +83,6 @@ class MemoryMap
      */
     bool recolor(Asid asid, uint64_t vpn, uint64_t &old_pfn,
                  uint64_t &new_pfn);
-
-    /** Total pages faulted in across all tasks. */
-    uint64_t pageFaults() const { return faults_; }
 
     /** Access the allocator (e.g. for policy name). */
     const PageAllocator &allocator() const { return *allocator_; }
@@ -108,7 +98,6 @@ class MemoryMap
   private:
     std::unique_ptr<PageAllocator> allocator_;
     std::unordered_map<Asid, PageTable> tables_;
-    uint64_t faults_ = 0;
 };
 
 } // namespace ibs

@@ -51,7 +51,6 @@ CodeLayout::CodeLayout(const ComponentParams &params, Rng &rng)
         codeBytes_ += size;
         cursor += size;
     }
-    extent_ = cursor - params.base;
 
     // Popularity-to-placement mapping. Scattered (bloated) images map
     // rank r to a random placement index; clustered (single-module)
@@ -76,10 +75,6 @@ CodeLayout::CodeLayout(const ComponentParams &params, Rng &rng)
             std::swap(rankToIndex_[i - 1],
                       rankToIndex_[shuffle_rng.nextBounded(i)]);
     }
-
-    indexToRank_.resize(procs_.size());
-    for (uint32_t r = 0; r < rankToIndex_.size(); ++r)
-        indexToRank_[rankToIndex_[r]] = r;
 }
 
 } // namespace ibs

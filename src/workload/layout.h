@@ -43,34 +43,19 @@ class CodeLayout
     /** Number of procedures. */
     size_t size() const { return procs_.size(); }
 
-    /** Procedure by *popularity rank* (0 = hottest). */
-    const Procedure &
-    byRank(size_t rank) const
-    {
-        return procs_[rankToIndex_[rank]];
-    }
-
     /** Procedure by placement index (address order). */
     const Procedure &byIndex(size_t index) const { return procs_[index]; }
 
-    /** Popularity rank of a placement index. */
-    size_t rankOf(size_t index) const { return indexToRank_[index]; }
-
-    /** Placement index of a popularity rank. */
+    /** Placement index of a *popularity rank* (0 = hottest). */
     size_t indexOf(size_t rank) const { return rankToIndex_[rank]; }
 
     /** Total bytes of code (excluding gaps). */
     uint64_t codeBytes() const { return codeBytes_; }
 
-    /** Highest address used (diagnostics / region sizing). */
-    uint64_t extent() const { return extent_; }
-
   private:
     std::vector<Procedure> procs_;     ///< In address order.
     std::vector<uint32_t> rankToIndex_;
-    std::vector<uint32_t> indexToRank_;
     uint64_t codeBytes_ = 0;
-    uint64_t extent_ = 0;
 };
 
 } // namespace ibs

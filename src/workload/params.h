@@ -95,13 +95,6 @@ struct ComponentParams
     double executionShare = 1.0; ///< Fraction of instructions (Table 4).
     uint32_t dwellMeanInstr = 2000; ///< Mean instructions per scheduling
                                     ///< quantum before switching away.
-
-    /** Approximate static code footprint in bytes. */
-    uint64_t
-    footprintBytes() const
-    {
-        return static_cast<uint64_t>(procCount) * procMeanBytes;
-    }
 };
 
 /** Data-reference model shared by a workload's components. */

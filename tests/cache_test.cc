@@ -28,7 +28,6 @@ TEST(CacheConfig, DerivedGeometry)
     EXPECT_EQ(c.numSets(), 128u);
     EXPECT_EQ(c.lineShift(), 5u);
     EXPECT_EQ(c.lineAddr(0x1234), 0x1220u);
-    EXPECT_EQ(c.setIndex(0x1220), (0x1220u >> 5) & 127u);
 }
 
 TEST(CacheConfig, Colors)
@@ -169,8 +168,7 @@ TEST(Cache, AccessExReportsSlot)
     ASSERT_FALSE(other.hit);
     EXPECT_FALSE(other.evicted);
     EXPECT_NE(other.slot, fill.slot);
-    const size_t base = c.config().setIndex(0x240) * 2;
-    EXPECT_EQ(base, 4u);
+    const size_t base = 4; // Set 2 of 2 ways.
     for (const size_t slot : {fill.slot, other.slot}) {
         EXPECT_GE(slot, base);
         EXPECT_LT(slot, base + 2);

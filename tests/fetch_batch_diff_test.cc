@@ -295,7 +295,6 @@ TEST(FetchBatchDiff, CompressRunsRoundTripAndBounds)
     const RunTrace empty = compressRuns({}, 32);
     EXPECT_EQ(empty.instructions, 0u);
     EXPECT_TRUE(empty.runs.empty());
-    EXPECT_EQ(empty.instructionsPerRun(), 0.0);
 }
 
 } // namespace

@@ -46,9 +46,9 @@ TEST(CacheHierarchy, CountsAreConsistent)
     for (int i = 0; i < 20000; ++i)
         h.access(rng.nextBounded(1 << 15) & ~3ull);
     EXPECT_EQ(h.accesses(), 20000u);
+    // L2 misses are a non-empty subset of L1 misses.
     EXPECT_GE(h.l1Misses(), h.l2Misses());
-    EXPECT_GT(h.l2GlobalMissRatio(), 0.0);
-    EXPECT_LE(h.l2LocalMissRatio(), 1.0);
+    EXPECT_GT(h.l2Misses(), 0u);
 }
 
 TEST(CacheHierarchy, InclusiveModeMaintainsInvariant)

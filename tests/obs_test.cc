@@ -2,14 +2,13 @@
  * @file
  * Tests for the observability layer (src/obs/): counter registry
  * merge semantics and cross-thread determinism, trace-event export
- * (escaping, concurrency, monotonicity, empty runs), scoped timers,
- * the leveled logger, and the sweep progress reporter.
+ * (escaping, concurrency, monotonicity, empty runs), scoped timers
+ * and the leveled logger.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -19,7 +18,6 @@
 #include <vector>
 
 #include "obs/log.h"
-#include "obs/progress.h"
 #include "obs/registry.h"
 #include "obs/timer.h"
 #include "obs/trace_sink.h"
@@ -550,37 +548,6 @@ TEST(ObsLog, LogOncePrintsOncePerKey)
     obs::setLogLevel(was);
 }
 
-TEST(ObsProgress, DisabledByEnvironmentIsSilent)
-{
-    ::setenv("IBS_PROGRESS", "0", 1);
-    ::testing::internal::CaptureStderr();
-    {
-        obs::SweepProgress progress("test", 3);
-        EXPECT_FALSE(progress.active());
-        for (int i = 0; i < 3; ++i)
-            progress.cellDone(1000);
-    }
-    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-    ::unsetenv("IBS_PROGRESS");
-}
-
-TEST(ObsProgress, ForcedOnReportsCompletion)
-{
-    ::setenv("IBS_PROGRESS", "1", 1);
-    ::testing::internal::CaptureStderr();
-    {
-        obs::SweepProgress progress("test", 2);
-        EXPECT_TRUE(progress.active());
-        progress.cellDone(500);
-        progress.cellDone(500);
-    }
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("test: 2/2 cells (100.0%)"), std::string::npos)
-        << err;
-    EXPECT_NE(err.find("instr/s"), std::string::npos) << err;
-    ::unsetenv("IBS_PROGRESS");
-}
-
 TEST(ObsTraceSink, FlushKeepsTheFileValidAfterEveryFlush)
 {
     const bool was = obs::Registry::global().enabled();
@@ -680,93 +647,6 @@ TEST(ObsTraceSink, FlushThenWriteSamplesCountersExactlyOnce)
     EXPECT_EQ(spans, 2u);
     EXPECT_EQ(samples, 1u);
     std::remove(path.c_str());
-}
-
-TEST(ObsProgress, SingleSweepOnATtyRewritesInPlace)
-{
-    ::setenv("IBS_PROGRESS", "1", 1);
-    obs::SweepProgress::overrideTtyForTest(1);
-    ::testing::internal::CaptureStderr();
-    {
-        obs::SweepProgress progress("solo", 2);
-        EXPECT_EQ(obs::SweepProgress::activeCount(), 1);
-        progress.cellDone(100);
-        progress.cellDone(100);
-    }
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find('\r'), std::string::npos) << err;
-    EXPECT_NE(err.find("solo: 2/2 cells (100.0%)"),
-              std::string::npos)
-        << err;
-    obs::SweepProgress::overrideTtyForTest(-1);
-    ::unsetenv("IBS_PROGRESS");
-}
-
-TEST(ObsProgress, ConcurrentSweepsSuspendInPlaceRewriting)
-{
-    ::setenv("IBS_PROGRESS", "1", 1);
-    obs::SweepProgress::overrideTtyForTest(1);
-    ::testing::internal::CaptureStderr();
-    {
-        obs::SweepProgress a("alpha", 2);
-        obs::SweepProgress b("beta", 2);
-        EXPECT_EQ(obs::SweepProgress::activeCount(), 2);
-        // Interleaved completions from two live sweeps.
-        a.cellDone(100);
-        b.cellDone(100);
-        a.cellDone(100);
-        b.cellDone(100);
-    }
-    EXPECT_EQ(obs::SweepProgress::activeCount(), 0);
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    // With >1 active sweep the TTY mode must fall back to plain
-    // newline-terminated lines: no carriage returns, no erase codes.
-    EXPECT_EQ(err.find('\r'), std::string::npos) << err;
-    EXPECT_EQ(err.find("\033[K"), std::string::npos) << err;
-    EXPECT_NE(err.find("alpha: 2/2 cells (100.0%)"),
-              std::string::npos)
-        << err;
-    EXPECT_NE(err.find("beta: 2/2 cells (100.0%)"),
-              std::string::npos)
-        << err;
-    // Every line is whole: the two labels never share a line.
-    std::stringstream lines(err);
-    std::string line;
-    while (std::getline(lines, line)) {
-        const bool has_alpha =
-            line.find("alpha") != std::string::npos;
-        const bool has_beta =
-            line.find("beta") != std::string::npos;
-        EXPECT_FALSE(has_alpha && has_beta) << line;
-    }
-    obs::SweepProgress::overrideTtyForTest(-1);
-    ::unsetenv("IBS_PROGRESS");
-}
-
-TEST(ObsProgress, InPlaceModeResumesAfterConcurrencyDrops)
-{
-    ::setenv("IBS_PROGRESS", "1", 1);
-    obs::SweepProgress::overrideTtyForTest(1);
-    ::testing::internal::CaptureStderr();
-    {
-        auto a = std::make_unique<obs::SweepProgress>("one", 2);
-        {
-            obs::SweepProgress b("two", 1);
-            b.cellDone(100); // Plain: two sweeps are active.
-        }
-        EXPECT_EQ(obs::SweepProgress::activeCount(), 1);
-        a->cellDone(100);
-        a->cellDone(100); // Back to sole ownership: may rewrite.
-        a.reset();
-    }
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    // The lone survivor's final line used the in-place mode again.
-    EXPECT_NE(err.find('\r'), std::string::npos) << err;
-    EXPECT_NE(err.find("one: 2/2 cells (100.0%)"),
-              std::string::npos)
-        << err;
-    obs::SweepProgress::overrideTtyForTest(-1);
-    ::unsetenv("IBS_PROGRESS");
 }
 
 } // namespace

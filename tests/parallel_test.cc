@@ -89,20 +89,27 @@ TEST(ThreadPool, EveryIndexRunsExactlyOnce)
 TEST(ThreadPool, FirstExceptionIsRethrownAndDrainsPromptly)
 {
     ThreadPool pool(3);
-    constexpr size_t TOTAL = 100'000;
+    constexpr size_t TOTAL = 2'000;
     std::atomic<size_t> executed{0};
     EXPECT_THROW(
         pool.parallelFor(TOTAL,
                          [&](size_t i) {
                              if (i == 0)
                                  throw std::runtime_error("item 0");
+                             std::this_thread::sleep_for(
+                                 std::chrono::microseconds(250));
                              executed.fetch_add(
                                  1, std::memory_order_relaxed);
                          }),
         std::runtime_error);
     // Draining stores total into the cursor, so the other
     // participants stop after at most the items they had already
-    // claimed — nowhere near the full index space.
+    // claimed — nowhere near the full index space. Items take a
+    // quarter of a millisecond, so the interval the drain cannot
+    // cover (item 0's throw until the pool's catch: the unwinder's
+    // one-time set-up, or the throwing thread losing its CPU) spans a
+    // handful of items, while a pool that never drains runs every
+    // one of them.
     EXPECT_LT(executed.load(), TOTAL / 2);
 }
 

@@ -67,21 +67,6 @@ TEST(Rng, BoundedCoversAllValues)
         EXPECT_GT(v, 700); // Expect ~1000 each.
 }
 
-TEST(Rng, RangeInclusive)
-{
-    Rng rng(9);
-    bool saw_lo = false, saw_hi = false;
-    for (int i = 0; i < 10000; ++i) {
-        const int64_t v = rng.nextRange(-3, 3);
-        EXPECT_GE(v, -3);
-        EXPECT_LE(v, 3);
-        saw_lo |= v == -3;
-        saw_hi |= v == 3;
-    }
-    EXPECT_TRUE(saw_lo);
-    EXPECT_TRUE(saw_hi);
-}
-
 TEST(Rng, GeometricMean)
 {
     Rng rng(13);

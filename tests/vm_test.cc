@@ -118,28 +118,18 @@ TEST(MemoryMap, Kseg0BypassesTables)
 {
     MemoryMap map(makeAllocator(PagePolicy::Random, 1024, 8, 42));
     EXPECT_EQ(map.translate(0, 0x80031940), 0x00031940u);
-    EXPECT_EQ(map.pageFaults(), 0u);
 }
 
 TEST(MemoryMap, CountsFaultsOncePerPage)
 {
+    // One frame per page: a second touch of a page reuses its frame,
+    // and the next page faults in a frame of its own.
     MemoryMap map(makeAllocator(PagePolicy::Random, 1024, 8, 42));
-    map.translate(1, 0x00400000);
-    map.translate(1, 0x00400ffc);
-    map.translate(1, 0x00401000);
-    EXPECT_EQ(map.pageFaults(), 2u);
-}
-
-TEST(MemoryMap, TryTranslateDoesNotAllocate)
-{
-    MemoryMap map(makeAllocator(PagePolicy::Random, 1024, 8, 42));
-    uint64_t paddr;
-    EXPECT_FALSE(map.tryTranslate(1, 0x00400000, paddr));
-    EXPECT_EQ(map.pageFaults(), 0u);
-    map.translate(1, 0x00400000);
-    EXPECT_TRUE(map.tryTranslate(1, 0x00400004, paddr));
-    EXPECT_TRUE(map.tryTranslate(0, 0x80000000, paddr));
-    EXPECT_EQ(paddr, 0u);
+    const uint64_t first = map.translate(1, 0x00400000);
+    const uint64_t same_page = map.translate(1, 0x00400ffc);
+    const uint64_t next_page = map.translate(1, 0x00401000);
+    EXPECT_EQ(pageNumber(same_page), pageNumber(first));
+    EXPECT_NE(pageNumber(next_page), pageNumber(first));
 }
 
 } // namespace

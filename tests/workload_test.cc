@@ -31,6 +31,14 @@ smallComponent()
     return cp;
 }
 
+/** One past the last code byte: the last placed procedure's end. */
+uint64_t
+imageEnd(const CodeLayout &layout)
+{
+    const Procedure &last = layout.byIndex(layout.size() - 1);
+    return last.start + last.size;
+}
+
 TEST(CodeLayout, PlacementIsOrderedAndAligned)
 {
     Rng rng(1);
@@ -46,7 +54,6 @@ TEST(CodeLayout, PlacementIsOrderedAndAligned)
         EXPECT_EQ(p.size % 4, 0u);
         prev_end = p.start + p.size;
     }
-    EXPECT_EQ(layout.extent(), prev_end - cp.base);
 }
 
 TEST(CodeLayout, RankMappingIsBijective)
@@ -56,7 +63,7 @@ TEST(CodeLayout, RankMappingIsBijective)
     std::set<size_t> indices;
     for (size_t r = 0; r < layout.size(); ++r) {
         const size_t idx = layout.indexOf(r);
-        EXPECT_EQ(layout.rankOf(idx), r);
+        EXPECT_LT(idx, layout.size());
         indices.insert(idx);
     }
     EXPECT_EQ(indices.size(), layout.size());
@@ -69,7 +76,7 @@ TEST(CodeLayout, FragmentedSpreadsFurther)
     ComponentParams frag = smallComponent();
     frag.fragmented = true;
     CodeLayout a(dense, rng1), b(frag, rng2);
-    EXPECT_GT(b.extent(), a.extent());
+    EXPECT_GT(imageEnd(b), imageEnd(a));
     EXPECT_EQ(a.codeBytes(), b.codeBytes()); // Same code, more gaps.
 }
 
@@ -96,7 +103,7 @@ TEST(CodeWalker, AddressesStayInImage)
     CodeLayout layout(cp, rng);
     CodeWalker walker(layout, cp, Rng(6));
     const uint64_t lo = cp.base;
-    const uint64_t hi = cp.base + layout.extent();
+    const uint64_t hi = imageEnd(layout);
     for (int i = 0; i < 100000; ++i) {
         const uint64_t a = walker.next();
         EXPECT_GE(a, lo);
@@ -146,7 +153,7 @@ TEST(CodeWalker, HotTierDominatesVisits)
     // Count fetches landing inside hot-tier procedures.
     std::set<std::pair<uint64_t, uint64_t>> hot_ranges;
     for (size_t r = 0; r < 8; ++r) {
-        const Procedure &p = layout.byRank(r);
+        const Procedure &p = layout.byIndex(layout.indexOf(r));
         hot_ranges.insert({p.start, p.start + p.size});
     }
     int hot = 0;

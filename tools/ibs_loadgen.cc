@@ -22,21 +22,25 @@
  * thread and a socket); R and K are positive. Any other value prints
  * the usage line and exits 2.
  *
- * After the run the server's own sweep-latency histogram
- * (serve.sweep.latency_us from the `stats` request's "histograms",
- * read with HistogramSnapshot::quantile) is printed next to the
- * client-side percentiles. Both sides are compared at
- * log2-bucket resolution (serve::latencyBucketsAgree) — the
- * client's exact percentile is bucketized with
- * obs::log2BucketUpperEdge — so two views of the same distribution
- * land on the same edge instead of flaking at power-of-two
- * boundaries. Under --check, a divergence of more than one bucket
- * (i.e. more than 2x) at p50 or p99 is a hard failure with a
- * message naming both sides. --check is meaningful with
- * --connections 1: with concurrent clients on a busy machine, time
- * a request spends queued in the socket buffer before the server
- * reads the frame is visible only to the client clock, so the two
- * views legitimately differ.
+ * After the run the server's own view of the same requests is
+ * printed next to the client-side percentiles. The server's
+ * sweep-latency histogram (serve.sweep.latency_us from the `stats`
+ * request's "histograms") covers its whole lifetime, so loadgen
+ * reads it once before the run and once after, and takes the
+ * quantiles (HistogramSnapshot::quantile) of the bucket-wise
+ * difference: the requests this run sent, whatever the server
+ * served earlier. Both sides are compared at log2-bucket
+ * resolution (serve::latencyBucketsAgree) — the client's exact
+ * percentile is bucketized with obs::log2BucketUpperEdge — so two
+ * views of the same distribution land on the same edge instead of
+ * flaking at power-of-two boundaries. Under --check, a divergence
+ * of more than one bucket (i.e. more than 2x) at p50 or p99 is a
+ * hard failure with a message naming both sides. --check is
+ * meaningful with --connections 1 and no other client on the
+ * server: with concurrent clients on a busy machine, time a request
+ * spends queued in the socket buffer before the server reads the
+ * frame is visible only to the client clock, and another client's
+ * requests would land in the difference.
  */
 
 #include <cstdint>
@@ -152,6 +156,35 @@ parseArgs(int argc, char **argv)
     return opt;
 }
 
+/** The server's lifetime serve.sweep.latency_us histogram from one
+ *  stats request (empty if it has recorded none). Throws when the
+ *  request fails or the frame does not decode. */
+obs::HistogramSnapshot
+sweepLatency(uint16_t port)
+{
+    serve::Client client(port);
+    const auto histograms =
+        obs::histogramsFromJson(client.stats().at("histograms"));
+    const auto it = histograms.find("serve.sweep.latency_us");
+    return it == histograms.end() ? obs::HistogramSnapshot{}
+                                  : it->second;
+}
+
+/** Bucket-wise `after - before` of two snapshots of one lifetime
+ *  histogram: the observations recorded between them. */
+obs::HistogramSnapshot
+difference(const obs::HistogramSnapshot &after,
+           const obs::HistogramSnapshot &before)
+{
+    obs::HistogramSnapshot d;
+    for (size_t k = 0; k < d.counts.size(); ++k)
+        d.counts[k] = after.counts[k] - before.counts[k];
+    d.overflow = after.overflow - before.overflow;
+    d.sum = after.sum - before.sum;
+    d.count = after.count - before.count;
+    return d;
+}
+
 /** Print one client-vs-server percentile line; false on divergence.
  *  A server quantile past the last bucket (UINT64_MAX) prints as
  *  "inf". */
@@ -183,6 +216,17 @@ main(int argc, char **argv)
     std::signal(SIGPIPE, SIG_IGN);
     const Options opt = parseArgs(argc, argv);
 
+    // The baseline the server-side view is taken against (see the
+    // file comment).
+    std::optional<obs::HistogramSnapshot> before;
+    try {
+        before = sweepLatency(opt.port);
+    } catch (const std::exception &e) {
+        if (opt.check)
+            std::fprintf(stderr, "loadgen: stats request failed: %s\n",
+                         e.what());
+    }
+
     const serve::LoadResult load = serve::runLoad(
         opt.port, opt.connections, opt.requestsPerConn, opt.suite,
         opt.configs, opt.workloads, opt.instructions);
@@ -204,23 +248,19 @@ main(int argc, char **argv)
                     : 0,
                 load.p50, load.p99);
 
-    // Server-side view of the same requests: the sweep-latency
-    // histogram from the stats frame, printed next to the client
+    // Server-side view of the same requests: what this run added to
+    // the sweep-latency histogram, printed next to the client
     // percentiles (and gated under --check).
-    bool check_ok = true;
-    if (load.completed > 0) {
+    bool check_ok = before.has_value();
+    if (before && load.completed > 0) {
         try {
-            serve::Client client(opt.port);
-            const auto histograms = obs::histogramsFromJson(
-                client.stats().at("histograms"));
-            const auto latency =
-                histograms.find("serve.sweep.latency_us");
-            if (latency != histograms.end() &&
-                latency->second.count > 0) {
+            const obs::HistogramSnapshot latency =
+                difference(sweepLatency(opt.port), *before);
+            if (latency.count > 0) {
                 const bool ok50 = comparePercentile(
-                    "p50:", load.p50, latency->second.quantile(0.50));
+                    "p50:", load.p50, latency.quantile(0.50));
                 const bool ok99 = comparePercentile(
-                    "p99:", load.p99, latency->second.quantile(0.99));
+                    "p99:", load.p99, latency.quantile(0.99));
                 check_ok = ok50 && ok99;
                 if (!check_ok && opt.check)
                     std::fprintf(
@@ -237,8 +277,9 @@ main(int argc, char **argv)
                     std::fprintf(
                         stderr,
                         "loadgen: server stats carry no "
-                        "serve.sweep.latency_us histogram — "
-                        "cannot cross-check percentiles\n");
+                        "serve.sweep.latency_us observations for "
+                        "this run — cannot cross-check "
+                        "percentiles\n");
             }
         } catch (const std::exception &e) {
             check_ok = false;
