@@ -82,6 +82,10 @@ struct FetchConfig
      */
     bool l2Unified = false;
 
+    /** True when an L2 cache consumes the L1's misses: present and
+     *  not perfect. */
+    bool realL2() const { return hasL2 && !perfectL2; }
+
     /** Human-readable summary. */
     std::string toString() const;
 

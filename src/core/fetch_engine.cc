@@ -14,7 +14,7 @@ FetchEngine::FetchEngine(const FetchConfig &config)
       stream_(config.streamBufferLines), port_(config.l1Fill)
 {
     config_.validate();
-    if (config_.hasL2 && !config_.perfectL2)
+    if (config_.realL2())
         l2_.emplace(config_.l2);
 }
 

@@ -94,7 +94,13 @@ struct FetchStats
      *    pipelined;
      *  - no L2 accesses without a real L2 (!hasL2 or perfectL2);
      *  - l2Accesses == l1Misses * (1 + prefetchLines) for every
-     *    non-pipelined config with a real L2, bypass included.
+     *    non-pipelined config with a real L2, bypass included;
+     *  - prefetchesIssued == l1Misses * prefetchLines for every
+     *    non-pipelined config;
+     *  - stallCyclesL1 == l1Misses * l1Fill.fillCycles((1 +
+     *    prefetchLines) * l1.lineBytes) for every blocking fill
+     *    (neither bypass nor pipelined) — the premises
+     *    sim/collapse.h derives such cells from.
      *
      * @throws std::logic_error naming the first broken identity and
      *         config.toString()

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
@@ -261,8 +262,10 @@ percentile(const std::vector<double> &sorted, double p)
 {
     if (sorted.empty())
         return 0;
-    const size_t index = static_cast<size_t>(
-        p * static_cast<double>(sorted.size() - 1) + 0.5);
+    // The smallest sample with at least p * n samples at or below
+    // it, the rank HistogramSnapshot::quantile resolves to a bucket.
+    const double rank = std::ceil(p * static_cast<double>(sorted.size()));
+    const size_t index = rank > 1 ? static_cast<size_t>(rank) - 1 : 0;
     return sorted[std::min(index, sorted.size() - 1)];
 }
 

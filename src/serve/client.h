@@ -124,7 +124,9 @@ LoadResult runLoad(uint16_t port, unsigned connections,
                    const std::vector<std::string> &workloads,
                    uint64_t instructions);
 
-/** Nearest-rank percentile `p` of an ascending sample (0 if empty). */
+/** Nearest-rank percentile `p` of an ascending sample: element
+ *  ceil(p * n), the rank HistogramSnapshot::quantile takes (0 if
+ *  empty). */
 double percentile(const std::vector<double> &sorted, double p);
 
 /** True when a client latency's log2-bucket edge and the server

@@ -112,7 +112,7 @@ class BenchReport
      * Append every (config × workload) cell of a sweep, with the
      * executor's per-cell timing. Each timing also carries
      * "collapsed": whether the cell was derived from its front end's
-     * shared miss stream, i.e. collapseEligible(config)
+     * shared capture, i.e. collapseEligible(config)
      * (sim/collapse.h). `labels`, when given, must name each grid
      * point (size must match configs).
      */

@@ -165,7 +165,8 @@ const MissStream &
 SuiteTraces::missStream(size_t i, const FetchConfig &config) const
 {
     // The capture depends only on the L1 side of the config (the
-    // perfect L2 never feeds back): exactly what collapseKey names.
+    // perfect L2 and a blocking fill's timing never feed back):
+    // exactly what collapseKey names.
     Slot<MissStream> *entry;
     {
         std::lock_guard<std::mutex> lock(missStreamMutex_);
@@ -177,21 +178,26 @@ SuiteTraces::missStream(size_t i, const FetchConfig &config) const
     }
     std::call_once(entry->once, [&] {
         obs::ScopedTimer timer("capture " + name(i) + " " +
-                                   config.l1.toString(),
+                                   collapseKey(config),
                                "collapse");
         FetchConfig capture = config;
         capture.perfectL2 = true;
         FetchEngine engine(capture);
         MissStream &ms = entry->value;
-        ms.trace.lineBytes = capture.l1.lineBytes;
-        engine.setMissCapture(&ms.trace);
+        // Only a real L2 reads the miss order; the other cells of
+        // this key are priced from the counts.
+        if (config.realL2()) {
+            ms.trace.lineBytes = capture.l1.lineBytes;
+            engine.setMissCapture(&ms.trace);
+        }
         const RunTrace &runs = runTrace(i, capture.l1.lineBytes);
         for (const FetchRun &run : runs.runs)
             engine.fetchRun(run);
         engine.setMissCapture(nullptr);
         ms.trace.runs.shrink_to_fit();
         ms.runsReplayed = runs.runs.size();
-        ms.l1Stats = engine.stats();
+        ms.instructions = engine.stats().instructions;
+        ms.l1Misses = engine.stats().l1Misses;
         ms.l1Accesses = engine.l1Cache().accesses();
         ms.l1Hits = engine.l1Cache().hits();
         ms.l1Evictions = engine.l1Cache().evictions();

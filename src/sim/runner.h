@@ -31,18 +31,22 @@
 namespace ibs {
 
 /**
- * Captured result of running one workload through an L1 front end
- * backed by a perfect L2: the run-encoded L1-refill reference stream
- * plus everything needed to derive a full per-cell result for any
- * L2 variant sharing that front end (sim/collapse.h). The stored
- * counters mirror exactly what FetchEngine::publishCounters would
- * have published for the L1 side, so a derived cell publishes what
- * a full FetchEngine replay of it would have.
+ * Captured result of running one workload through a blocking L1
+ * front end backed by a perfect L2: its instruction and miss counts,
+ * the run-encoded demand-miss stream when a real L2 will consume it,
+ * and everything else needed to derive a full per-cell result for
+ * any fill timing and L2 sharing that front end (sim/collapse.h).
+ * The stored counters mirror exactly what
+ * FetchEngine::publishCounters would have published for the L1
+ * side, so a derived cell publishes what a full FetchEngine replay
+ * of it would have.
  */
 struct MissStream
 {
-    MissTrace trace;   ///< Ordered L1-miss line addresses.
-    FetchStats l1Stats; ///< Capture-run stats (perfect-L2 totals).
+    MissTrace trace; ///< Ordered demand-miss line addresses; empty
+                     ///< for a counts-only (no real L2) capture.
+    uint64_t instructions = 0; ///< Capture-run totals; the timing
+    uint64_t l1Misses = 0;     ///< they imply is the cell's own.
     uint64_t l1Accesses = 0; ///< L1 cache counters of the capture run.
     uint64_t l1Hits = 0;
     uint64_t l1Evictions = 0;
@@ -147,9 +151,12 @@ class SuiteTraces
      * Miss stream of workload `i` under `config`'s L1 front end:
      * the capture run replays the workload through a FetchEngine
      * with perfectL2 forced on (L1-only, so one capture serves every
-     * L2 variant) and records each L1 miss's line address
-     * (trace/miss_trace.h). Memoized per (workload, collapseKey:
-     * L1 geometry + L1 fill timing) with the same build-exactly-once
+     * fill timing and L2 variant) and counts its instructions and
+     * misses. Only when `config` has a real L2 does it also record
+     * each L1 miss's line address (trace/miss_trace.h); a capture
+     * without one keeps counts only. Memoized per (workload,
+     * collapseKey: L1 geometry + prefetch depth + whether a real L2
+     * consumes the misses) with the same build-exactly-once
      * discipline as runTrace — warm server sweeps skip the L1 run
      * entirely — and charged by retainedTraceBytes() so serve/memo.h
      * budgets it. runOne derives every collapseEligible cell from
@@ -165,12 +172,13 @@ class SuiteTraces
     /**
      * The (config, workload `i`) cell: the one function every sweep
      * cell, bench and server request goes through. A
-     * collapseEligible config is derived from the memoized miss
-     * stream of its L1 front end plus one Cache replay of its L2
-     * (sim/collapse.h); every other config replays the workload's
-     * run trace through a fresh FetchEngine. Both paths publish the
-     * same registry counters, and both results pass
-     * FetchStats::check (which throws std::logic_error otherwise).
+     * collapseEligible (blocking-fill) config is derived from the
+     * memoized capture of its L1 front end, plus one Cache replay of
+     * its L2 when it has a real one (sim/collapse.h); every other
+     * config replays the workload's run trace through a fresh
+     * FetchEngine. Both paths publish the same registry counters,
+     * and both results pass FetchStats::check (which throws
+     * std::logic_error otherwise).
      */
     FetchStats runOne(size_t i, const FetchConfig &config) const;
 

@@ -38,7 +38,7 @@ runSweep(const SuiteTraces &suite, const std::vector<FetchConfig> &configs,
         threads = sweepThreads();
 
     // One task per cell, config-major. A cell whose run trace or
-    // miss stream (sim/collapse.h) another cell is still building
+    // L1 capture (sim/collapse.h) another cell is still building
     // waits on that memo slot, so tasks need no ordering; each hands
     // only its own cell to the sink (see sim/parallel.h for the
     // determinism contract).

@@ -6,9 +6,9 @@
  * Every table/figure bench replays the same immutable SuiteTraces
  * through a grid of FetchConfigs. Each (config, workload) cell is an
  * independent SuiteTraces::runOne call — a FetchEngine built fresh
- * from the config and driven by one memoized run trace, or, for an
- * L2 variant, one Cache replay of a memoized miss stream
- * (sim/collapse.h) — so the grid parallelizes perfectly. runSweep
+ * from the config and driven by one memoized run trace, or, for a
+ * blocking fill, a derivation from the memoized capture of its L1
+ * front end (sim/collapse.h) — so the grid parallelizes perfectly. runSweep
  * schedules one task per cell onto a pool of
  * std::thread workers and hands each finished cell to a sink — the
  * SweepResult overload stores it into a pre-sized vector addressed

@@ -2,14 +2,15 @@
  * @file
  * Run-encoded L1-refill reference stream (the "miss trace").
  *
- * For blocking fetch configurations with no prefetch, bypass or
- * stream buffer, the L1 front end never observes L2 state: the L2
- * reference stream is exactly the ordered sequence of L1-miss line
- * addresses, and timing feedback cannot change which lines miss.
- * Capturing that sequence once therefore lets every L2 geometry
- * variant sharing that front end be replayed over a stream that is
- * one entry per L1 miss — typically 5-50x shorter than the
- * instruction stream (sim/collapse.h).
+ * For blocking fetch configurations (no bypass or stream buffer),
+ * the L1 front end never observes L2 state: the L2 reference stream
+ * is the ordered sequence of L1-miss line addresses, each followed
+ * by the lines its prefetch burst brings in, and timing feedback
+ * cannot change which lines miss. Capturing that sequence once
+ * therefore lets every fill timing and L2 variant sharing that front
+ * end be replayed over a stream that is one entry per L1 miss —
+ * typically 5-50x shorter than the instruction stream
+ * (sim/collapse.h).
  *
  * Encoding mirrors trace/run_trace.h: consecutive misses at
  * +lineBytes-sequential line addresses collapse into one MissRun.

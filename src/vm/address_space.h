@@ -50,9 +50,6 @@ class PageTable
     /** Install a mapping (overwrites any existing one). */
     void map(uint64_t vpn, uint64_t pfn) { map_[vpn] = pfn; }
 
-    /** Number of mapped pages. */
-    size_t size() const { return map_.size(); }
-
   private:
     std::unordered_map<uint64_t, uint64_t> map_;
 };

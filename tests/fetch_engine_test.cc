@@ -398,15 +398,16 @@ expectBroken(const FetchStats &stats, const FetchConfig &config,
 TEST(FetchStats, CheckNamesEachBrokenIdentity)
 {
     // A consistent blocking cell with a real L2 and 2-line prefetch:
-    // 10 L1 misses, each consulting the L2 three times.
+    // 10 L1 misses, each consulting the L2 three times and stalling
+    // for a 96-byte burst at 6 cycles + 16 B/cycle (11 cycles).
     FetchConfig config =
         withOnChipL2(economyBaseline(), 64 * 1024, 64, 2);
     config.prefetchLines = 2;
     FetchStats good;
     good.instructions = 1000;
-    good.stallCyclesL1 = 300;
+    good.stallCyclesL1 = 110;
     good.stallCyclesL2 = 120;
-    good.cycles = 1420;
+    good.cycles = 1230;
     good.l1Misses = 10;
     good.l2Accesses = 30;
     good.l2Misses = 4;
@@ -439,19 +440,38 @@ TEST(FetchStats, CheckNamesEachBrokenIdentity)
     s.l2Accesses = 29;
     expectBroken(s, config,
                  "l2Accesses == l1Misses * (1 + prefetchLines)");
+    s = good;
+    s.prefetchesIssued = 19;
+    expectBroken(s, config,
+                 "prefetchesIssued == l1Misses * prefetchLines");
+    s = good;
+    s.stallCyclesL1 = 111;
+    s.cycles = 1231;
+    expectBroken(s, config,
+                 "stallCyclesL1 == l1Misses * l1Fill.fillCycles((1 + "
+                 "prefetchLines) * l1.lineBytes)");
 
-    // Bypass keeps the L2 identity and admits bypass hits.
+    // Bypass keeps the L2 and prefetch identities, admits bypass
+    // hits, and resumes early, so its L1 stalls follow no per-miss
+    // formula.
     FetchConfig bypass = config;
     bypass.bypass = true;
     s = good;
     s.bypassHits = 7;
+    s.stallCyclesL1 = 300;
+    s.cycles = 1420;
     EXPECT_NO_THROW(s.check(bypass));
+    s.prefetchesIssued = 19;
+    expectBroken(s, bypass,
+                 "prefetchesIssued == l1Misses * prefetchLines");
+    s.prefetchesIssued = 20;
     s.l2Accesses = 10;
     expectBroken(s, bypass,
                  "l2Accesses == l1Misses * (1 + prefetchLines)");
 
     // The pipelined interface prefetches on its own schedule, so its
-    // L2 accesses follow no per-miss formula.
+    // L2 accesses, prefetches and L1 stalls follow no per-miss
+    // formula.
     FetchConfig pipe = withOnChipL2(economyBaseline(), 64 * 1024, 64, 2);
     pipe.pipelined = true;
     pipe.streamBufferLines = 4;

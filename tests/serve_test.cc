@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <set>
@@ -741,6 +742,32 @@ TEST(Serve, ServerHistogramAgreesWithClientLatencies)
         EXPECT_TRUE(latencyBucketsAgree(client_seconds, hist.quantile(q)))
             << "q=" << q << " client=" << client_seconds * 1e6
             << "us server<=" << hist.quantile(q) << "us";
+    }
+}
+
+TEST(Percentile, NearestRankFallsInTheServerQuantileBucket)
+{
+    // One latency per log2 bucket: sample k is 2^(k+1) us, alone in
+    // bucket k + 1. For even and odd counts alike, the client's
+    // percentile must be the sample whose bucket the server's
+    // quantile names, not a neighbour's.
+    for (size_t n = 1; n <= 8; ++n) {
+        std::vector<double> sorted;
+        obs::HistogramSnapshot hist;
+        for (size_t k = 0; k < n; ++k) {
+            const uint64_t us = uint64_t{2} << k;
+            sorted.push_back(static_cast<double>(us) * 1e-6);
+            ++hist.counts[k + 1];
+            hist.sum += us;
+            ++hist.count;
+        }
+        for (double q : {0.50, 0.99}) {
+            const uint64_t client_us = static_cast<uint64_t>(
+                std::llround(percentile(sorted, q) * 1e6));
+            EXPECT_EQ(obs::log2BucketUpperEdge(client_us),
+                      hist.quantile(q))
+                << "n=" << n << " q=" << q;
+        }
     }
 }
 

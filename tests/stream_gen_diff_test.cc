@@ -186,11 +186,16 @@ TEST(StreamGenDiff, StreamingSuiteRetainsOnlyRunTraces)
     // Nothing generated yet: nothing retained.
     EXPECT_EQ(suite.retainedTraceBytes(), 0u);
 
+    // The economy baseline has no L2, so its cell is priced from a
+    // counts-only capture: the run trace plus the capture's fixed
+    // size, and no miss stream.
     suite.runOne(0, economyBaseline());
     const RunTrace &rt = suite.runTrace(
         0, economyBaseline().l1.lineBytes);
     EXPECT_EQ(rt.instructions, kInstr);
-    EXPECT_EQ(suite.retainedTraceBytes(), rt.bytes());
+    EXPECT_EQ(suite.missStreamsBuilt(), 1u);
+    EXPECT_EQ(suite.retainedTraceBytes(),
+              rt.bytes() + sizeof(MissStream));
     EXPECT_GE(rt.bytes(), rt.runs.size() * sizeof(FetchRun));
     // Run-level retention beats a flat vector by the compression
     // ratio x 2 (16B per ~4.2-instruction run vs 8B per

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for sweep collapsing (sim/collapse.h): every cell runSweep
- * derives from a shared miss stream must be bit-for-bit identical to
+ * derives from a shared L1 capture must be bit-for-bit identical to
  * the oracle, a full FetchEngine replay of the same cell
  * (replay_oracle.h) — stats and registry counters alike. The LRU
  * stack simulator (sim/stack_sim.h, timed by perfbench) must agree
@@ -26,32 +26,48 @@
 namespace ibs {
 namespace {
 
-/** Sweep the grid and require all-field equality of every cell with
- *  a full replay of the same config. */
+/**
+ * Sweep the grid and require every cell to equal a full replay of
+ * the same config: all FetchStats fields, and the registry counters
+ * and histogram samples runOne publishes for that cell alone.
+ */
 void
 expectCollapseParity(const SuiteTraces &suite,
                      const std::vector<FetchConfig> &grid,
                      const std::string &label)
 {
     const SweepResult swept = runSweep(suite, grid, 4);
+    obs::Registry &registry = obs::Registry::global();
+    const bool was = registry.enabled();
+    registry.setEnabled(true);
     for (size_t c = 0; c < grid.size(); ++c) {
         for (size_t w = 0; w < suite.count(); ++w) {
+            const std::string cell = label + " config " +
+                std::to_string(c) + " workload " + suite.name(w);
+            registry.reset();
+            suite.runOne(w, grid[c]);
+            const auto counters = registry.snapshot();
+            const auto hists = registry.snapshotHistograms();
+            registry.reset();
             expectEqualStats(swept.cell(c, w),
-                             replayCell(suite, w, grid[c]),
-                             label + " config " + std::to_string(c) +
-                                 " workload " + suite.name(w));
+                             replayCell(suite, w, grid[c]), cell);
+            EXPECT_EQ(counters, registry.snapshot()) << cell;
+            EXPECT_TRUE(hists == registry.snapshotHistograms()) << cell;
         }
     }
+    registry.reset();
+    registry.setEnabled(was);
 }
 
 TEST(CollapseKey, GroupsL2GeometryAndFillVariants)
 {
     // The fig4 grid: economy and high-performance arms share the
-    // post-withOnChipL2 L1 side (8KB/1-way/32B, fill {6,16}) and
-    // differ only in L2 assoc and *L2 fill* — neither feeds back, so
-    // all eight share one key, hence one capture per workload. The
-    // 7-cycle-L2 footnote config (different L1 fill) and a wide-bus
-    // variant (different L1 bandwidth) each get their own.
+    // post-withOnChipL2 L1 (8KB/1-way/32B) and differ in L2 assoc
+    // and L2 fill. The 7-cycle-L2 footnote config (slower L1 fill)
+    // and a wide-bus variant (faster L1 fill) differ in L1 fill
+    // timing too. A blocking fill's timing and the L2 never feed
+    // back into the L1, so all ten share one key, hence one capture
+    // per workload.
     std::vector<FetchConfig> arms;
     for (uint32_t assoc : {1u, 2u, 4u, 8u}) {
         arms.push_back(
@@ -59,37 +75,57 @@ TEST(CollapseKey, GroupsL2GeometryAndFillVariants)
         arms.push_back(
             withOnChipL2(highPerfBaseline(), 64 * 1024, 64, assoc));
     }
+    FetchConfig slower =
+        withOnChipL2(economyBaseline(), 64 * 1024, 64, 8);
+    slower.l1Fill.latencyCycles = 7;
+    arms.push_back(slower);
+    arms.push_back(withL1Bandwidth(
+        withOnChipL2(highPerfBaseline(), 64 * 1024, 64, 8), 32));
     const std::string key = collapseKey(arms.front());
     for (const FetchConfig &config : arms) {
         EXPECT_TRUE(collapseEligible(config)) << config.toString();
         EXPECT_EQ(collapseKey(config), key) << config.toString();
     }
 
-    FetchConfig slower =
-        withOnChipL2(economyBaseline(), 64 * 1024, 64, 8);
-    slower.l1Fill.latencyCycles = 7;
-    const FetchConfig wide = withL1Bandwidth(
-        withOnChipL2(highPerfBaseline(), 64 * 1024, 64, 8), 32);
-    EXPECT_NE(collapseKey(slower), key);
-    EXPECT_NE(collapseKey(wide), key);
-    EXPECT_NE(collapseKey(slower), collapseKey(wide));
+    // Without a real L2 the capture keeps counts only, so the
+    // baselines (no L2) and a perfect L2 share a key of their own.
+    FetchConfig perfect = arms.front();
+    perfect.perfectL2 = true;
+    EXPECT_NE(collapseKey(economyBaseline()), key);
+    EXPECT_EQ(collapseKey(economyBaseline()),
+              collapseKey(highPerfBaseline()));
+    EXPECT_EQ(collapseKey(perfect), collapseKey(economyBaseline()));
+
+    // The prefetch depth and the L1 geometry change what the L1
+    // holds.
+    FetchConfig prefetch = arms.front();
+    prefetch.prefetchLines = 1;
+    FetchConfig bigger = arms.front();
+    bigger.l1.sizeBytes = 16 * 1024;
+    EXPECT_NE(collapseKey(prefetch), key);
+    EXPECT_NE(collapseKey(bigger), key);
 }
 
 TEST(CollapseEligible, FallbackTriggers)
 {
+    // Every blocking fill is eligible, whatever its prefetch depth
+    // and whether its L2 is real, perfect or absent.
     const FetchConfig base =
         withOnChipL2(economyBaseline(), 64 * 1024, 64, 2);
     EXPECT_TRUE(collapseEligible(base));
 
-    EXPECT_FALSE(collapseEligible(economyBaseline())); // No L2.
+    EXPECT_TRUE(collapseEligible(economyBaseline())); // No L2.
 
     FetchConfig perfect = base;
     perfect.perfectL2 = true;
-    EXPECT_FALSE(collapseEligible(perfect));
+    EXPECT_TRUE(collapseEligible(perfect));
 
     FetchConfig prefetch = base;
     prefetch.prefetchLines = 3;
-    EXPECT_FALSE(collapseEligible(prefetch));
+    EXPECT_TRUE(collapseEligible(prefetch));
+
+    // Bypass, pipelined, unified and only-if-used configs feed
+    // timing or data back into the fetch and replay in full.
 
     FetchConfig bypass = base;
     bypass.bypass = true;
@@ -206,9 +242,10 @@ TEST(Collapse, ReplacementVariantsMatchPerCellExactly)
 TEST(Collapse, CatalogClassesMatchPerCellExactly)
 {
     // The sweep server's config-class catalog (serve/catalog.cc):
-    // the two `_l2` classes share one front end, `wide_bus` has its
-    // own, and the baselines (no L2) and the interface-optimization
-    // classes replay in full.
+    // the baselines (no L2) share one counts-only capture, the two
+    // `_l2` classes and `wide_bus` share one miss stream, `prefetch`
+    // has its own, and only the bypass and stream-buffer classes
+    // replay in full.
     SuiteTraces suite(ibsSuite(OsType::Mach), 10000);
     const FetchConfig economy = economyBaseline();
     const FetchConfig high = highPerfBaseline();
@@ -228,7 +265,66 @@ TEST(Collapse, CatalogClassesMatchPerCellExactly)
         wide,    prefetch, bypass, stream};
 
     expectCollapseParity(suite, grid, "catalog");
-    EXPECT_EQ(suite.missStreamsBuilt(), 2 * suite.count());
+    EXPECT_EQ(suite.missStreamsBuilt(), 3 * suite.count());
+}
+
+TEST(Collapse, BandwidthGridWithoutL2MatchesPerCellExactly)
+{
+    // Figure 6's grid: 7 line sizes x 5 L1 fill bandwidths with no
+    // L2. The fill timing is priced per cell, so one counts-only
+    // capture per line size serves all five bandwidths.
+    SuiteTraces suite(ibsSuite(OsType::Mach), 10000);
+    std::vector<FetchConfig> grid;
+    for (uint32_t line : {4u, 8u, 16u, 32u, 64u, 128u, 256u}) {
+        for (uint32_t bw : {4u, 8u, 16u, 32u, 64u}) {
+            FetchConfig c;
+            c.l1 = CacheConfig{8 * 1024, 1, line};
+            c.l1Fill = MemoryTiming{6, bw};
+            grid.push_back(c);
+        }
+    }
+    expectCollapseParity(suite, grid, "fig6");
+    EXPECT_EQ(suite.missStreamsBuilt(), 7 * suite.count());
+}
+
+TEST(Collapse, BaselinesAndPerfectL2MatchPerCellExactly)
+{
+    // Table 5's two baselines (no L2, different backing-store
+    // timing) and an on-chip perfect L2 over the same L1: one
+    // counts-only capture per workload prices all three.
+    SuiteTraces suite(ibsSuite(OsType::Mach), 10000);
+    FetchConfig perfect =
+        withOnChipL2(economyBaseline(), 64 * 1024, 64, 8);
+    perfect.perfectL2 = true;
+    const std::vector<FetchConfig> grid = {economyBaseline(),
+                                           highPerfBaseline(), perfect};
+    expectCollapseParity(suite, grid, "baselines");
+    EXPECT_EQ(suite.missStreamsBuilt(), suite.count());
+}
+
+TEST(Collapse, PrefetchDepthsMatchPerCellExactly)
+{
+    // Table 6's blocking prefetch bursts at depths 1-3, without an
+    // L2, with a perfect one and with a real one: the L2 replay
+    // takes every prefetched line after its demand line.
+    SuiteTraces suite(ibsSuite(OsType::Mach), 10000);
+    std::vector<FetchConfig> grid;
+    for (uint32_t pf : {1u, 2u, 3u}) {
+        FetchConfig none;
+        none.l1 = CacheConfig{8 * 1024, 1, 16};
+        none.l1Fill = MemoryTiming{6, 16};
+        none.prefetchLines = pf;
+        FetchConfig real = withOnChipL2(none, 64 * 1024, 64, 4);
+        FetchConfig perfect = real;
+        perfect.perfectL2 = true;
+        grid.push_back(none);
+        grid.push_back(perfect);
+        grid.push_back(real);
+        grid.push_back(withL1Bandwidth(real, 32));
+    }
+    expectCollapseParity(suite, grid, "prefetch");
+    // Per depth: one counts-only capture and one miss stream.
+    EXPECT_EQ(suite.missStreamsBuilt(), 6 * suite.count());
 }
 
 TEST(Collapse, TimingFlagsAndMissStreamMemo)
@@ -238,10 +334,14 @@ TEST(Collapse, TimingFlagsAndMissStreamMemo)
     for (uint32_t assoc : {1u, 2u, 8u})
         grid.push_back(
             withOnChipL2(economyBaseline(), 64 * 1024, 64, assoc));
-    grid.push_back(economyBaseline()); // No L2: replayed in full.
-    // The only config with its front end: derived all the same.
+    grid.push_back(economyBaseline()); // No L2: counts only.
     grid.push_back(withL1Bandwidth(
         withOnChipL2(highPerfBaseline(), 64 * 1024, 64, 8), 32));
+    // Bypass replays in full.
+    FetchConfig bypass = grid.back();
+    bypass.prefetchLines = 1;
+    bypass.bypass = true;
+    grid.push_back(bypass);
 
     EXPECT_EQ(suite.missStreamsBuilt(), 0u);
     const uint64_t bytes_before = suite.retainedTraceBytes();
@@ -264,8 +364,9 @@ TEST(Collapse, TimingFlagsAndMissStreamMemo)
         }
     }
 
-    // One memoized miss stream per (workload, front end); the
-    // retained-bytes accounting (which serve::TraceMemo::refresh
+    // One memoized capture per (workload, key): the three real-L2
+    // configs and the wide bus share one, the baseline has its own.
+    // The retained-bytes accounting (which serve::TraceMemo::refresh
     // charges against its budget) must see them.
     EXPECT_EQ(suite.missStreamsBuilt(), 2 * suite.count());
     EXPECT_GT(suite.retainedTraceBytes(), bytes_before);

@@ -118,8 +118,8 @@ validateCell(const Json &cell, size_t index, const std::string &path)
     if (!timing || !timing->isObject())
         return fail(path, where + ": missing object \"timing\"");
     // Optional since the sweep-collapsing change: sweep-executor
-    // cells carry a boolean "collapsed" (derived from a shared miss
-    // stream vs simulated in full); other cells omit it.
+    // cells carry a boolean "collapsed" (derived from a shared L1
+    // capture vs simulated in full); other cells omit it.
     const Json *collapsed = timing->find("collapsed");
     if (collapsed && collapsed->kind() != Json::Kind::Bool)
         return fail(path, where + ".timing.collapsed is not a bool");
