@@ -136,20 +136,6 @@ Cache::invalidate(uint64_t addr)
 }
 
 void
-Cache::invalidateAll()
-{
-    tags_.assign(tags_.size(), kInvalidTag);
-}
-
-void
-Cache::resetStats()
-{
-    accesses_ = 0;
-    hits_ = 0;
-    evictions_ = 0;
-}
-
-void
 Cache::publishCounters(obs::Registry &registry,
                        const std::string &instance) const
 {

@@ -108,9 +108,6 @@ class Cache
     /** Invalidate the line containing `addr` if present. */
     void invalidate(uint64_t addr);
 
-    /** Invalidate everything (e.g. between Tapeworm trials). */
-    void invalidateAll();
-
     const CacheConfig &config() const { return config_; }
 
     uint64_t accesses() const { return accesses_; }
@@ -128,9 +125,6 @@ class Cache
                            static_cast<double>(accesses_)
                          : 0.0;
     }
-
-    /** Reset hit/miss counters without touching contents. */
-    void resetStats();
 
     /** Number of currently valid lines (diagnostics). */
     uint64_t validLines() const;

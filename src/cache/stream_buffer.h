@@ -124,9 +124,6 @@ class StreamBuffer
         return erased;
     }
 
-    /** Drop everything. */
-    void clear() { entries_.clear(); }
-
     uint64_t inserts() const { return inserts_; }
     uint64_t evictions() const { return evictions_; }
     uint64_t cancelled() const { return cancelled_; }

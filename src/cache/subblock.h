@@ -61,8 +61,6 @@ class SubBlockCache
     /** Total sub-blocks transferred from the next level. */
     uint64_t subBlocksFilled() const { return filled_; }
 
-    void invalidateAll() { lines_.invalidateAll(); }
-
     /**
      * Publish access/miss/fill counts to the observability registry
      * under "subblock.<instance>.<event>". Caller gates on
@@ -84,7 +82,7 @@ class SubBlockCache
     uint32_t subBytes_;
     uint32_t subsPerLine_;
     /** Per Cache slot: bit i = sub-block i present. A tag miss
-     *  resets its slot's mask, so invalidation needs no clearing. */
+     *  resets its slot's mask. */
     std::vector<uint32_t> validMask_;
     uint64_t misses_ = 0; ///< Tag and sub-block misses.
     uint64_t filled_ = 0;

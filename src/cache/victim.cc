@@ -39,11 +39,4 @@ VictimCache::access(uint64_t addr)
     return in_victim ? 1 : 2;
 }
 
-void
-VictimCache::invalidateAll()
-{
-    main_.invalidateAll();
-    victims_.clear();
-}
-
 } // namespace ibs

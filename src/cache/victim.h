@@ -60,8 +60,6 @@ class VictimCache
 
     const CacheConfig &config() const { return main_.config(); }
 
-    void invalidateAll();
-
     /**
      * Publish access/hit/miss counts to the observability registry
      * under "victim.<instance>.<event>". Caller gates on

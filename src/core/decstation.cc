@@ -76,18 +76,4 @@ DecstationModel::run(TraceStream &stream, uint64_t max_instructions)
     return stats_;
 }
 
-void
-DecstationModel::reset()
-{
-    icache_.invalidateAll();
-    icache_.resetStats();
-    dcache_.invalidateAll();
-    dcache_.resetStats();
-    tlb_.flushAll();
-    tlb_.resetStats();
-    writeBuffer_.clear();
-    cycle_ = 0;
-    stats_ = DecstationStats{};
-}
-
 } // namespace ibs

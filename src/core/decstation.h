@@ -112,8 +112,6 @@ class DecstationModel
     DecstationStats run(TraceStream &stream,
                         uint64_t max_instructions);
 
-    void reset();
-
   private:
     void handleWrite();
 

@@ -273,26 +273,6 @@ FetchEngine::run(TraceStream &stream, uint64_t max_instructions)
 }
 
 void
-FetchEngine::reset()
-{
-    l1_.invalidateAll();
-    l1_.resetStats();
-    if (l2_) {
-        l2_->invalidateAll();
-        l2_->resetStats();
-    }
-    stream_.clear();
-    port_.reset();
-    cycle_ = 0;
-    stats_ = FetchStats{};
-    prefetchCancels_ = 0;
-    batchedRuns_ = 0;
-    batchFallbacks_ = 0;
-    windowActive_ = false;
-    prefetchValid_ = false;
-}
-
-void
 FetchEngine::publishCounters(obs::Registry &registry) const
 {
     l1_.publishCounters(registry, "l1");

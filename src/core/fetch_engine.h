@@ -83,7 +83,7 @@ class FetchEngine
      * retires hits exclusively) are untouched when capture is off, so
      * the hook costs nothing in ordinary sweeps. Used by
      * SuiteTraces::missStream to run a shared L1 front end once. The
-     * sink must outlive the capture run; reset() does not detach it.
+     * sink must outlive every fetch made while it is attached.
      */
     void setMissCapture(MissTrace *sink) { missCapture_ = sink; }
 
@@ -116,9 +116,6 @@ class FetchEngine
 
     /** Statistics so far. */
     FetchStats stats() const;
-
-    /** Clear caches, buffers and statistics. */
-    void reset();
 
     const FetchConfig &config() const { return config_; }
 

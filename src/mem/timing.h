@@ -114,14 +114,6 @@ class PipelinedPort
             lastIssue_ = cycle > 0 ? cycle - 1 : 0;
     }
 
-    void
-    reset()
-    {
-        lastIssue_ = 0;
-        hasIssued_ = false;
-        requests_ = 0;
-    }
-
   private:
     MemoryTiming timing_;
     uint64_t lastIssue_ = 0;

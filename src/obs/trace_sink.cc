@@ -276,31 +276,6 @@ TraceEventSink::flush()
     return flushLocked(std::move(batch));
 }
 
-Json
-TraceEventSink::build()
-{
-    // Work on a copy of the buffered events: sampling the registry
-    // here must not accumulate duplicate counter events across
-    // repeated builds.
-    std::vector<Event> events;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        events = events_;
-        sampleCountersLocked(events);
-    }
-    std::stable_sort(events.begin(), events.end(),
-                     [](const Event &a, const Event &b) {
-                         return a.ts != b.ts ? a.ts < b.ts
-                                             : a.tid < b.tid;
-                     });
-    Json array = Json::array();
-    for (const Event &e : events)
-        array.push(eventJson(e));
-    return Json::object()
-        .set("displayTimeUnit", Json::string("ms"))
-        .set("traceEvents", std::move(array));
-}
-
 bool
 TraceEventSink::write()
 {

@@ -39,7 +39,8 @@
  * valid JSON document after every flush — a long-running server can
  * flush periodically for days without growing the heap, and a crash
  * between flushes loses only the unflushed tail. flush() is also the
- * explicit hook the server's shutdown path calls before exit.
+ * explicit hook the server's shutdown path calls before exit. That
+ * file is the sink's only output: it assembles no document in memory.
  *
  * Enabled by IBS_OBS_TRACE=<path>: the process-global sink then
  * exists and every ScopedTimer feeds it; the file is finalized at
@@ -151,14 +152,6 @@ class TraceEventSink
      * are discarded so memory stays bounded either way.
      */
     bool flush();
-
-    /**
-     * Assemble a document from the events still buffered in memory
-     * (registry counters sampled when the registry is enabled, events
-     * sorted by (ts, tid)). Diagnostic view — the authoritative
-     * artifact is the file maintained by flush()/write().
-     */
-    Json build();
 
     /** Sample registry counters, flush, and finalize the file
      *  (trailing newline). False after a warning on I/O failure.

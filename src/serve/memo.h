@@ -13,9 +13,12 @@
  * Entries are shared_ptr<const SuiteTraces>: eviction drops the
  * store's reference while any in-flight request keeps its own, so
  * trimming the budget can never pull a trace out from under a
- * running sweep. Concurrent first requests for one key rendezvous on
- * a shared_future and build exactly once; a failed build is erased
- * so the next request retries instead of caching the error.
+ * running sweep. A key's suite is built under the store's lock, so
+ * concurrent first requests for one key build it exactly once; that
+ * is brief, because SuiteTraces' constructor generates nothing (the
+ * first cell to replay a workload generates it). A failed build
+ * stores nothing, so the next request retries instead of caching
+ * the error.
  */
 
 #ifndef IBS_SERVE_MEMO_H
@@ -23,7 +26,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <list>
 #include <map>
 #include <memory>
@@ -54,9 +56,10 @@ class TraceMemo
 
     /**
      * The suite for `key`, building it with `build` on first use.
-     * Blocks while another thread is building the same key (that
-     * still counts as a hit: the work is shared). Rethrows the
-     * builder's exception to every waiter and forgets the entry.
+     * `build` runs under the store's lock, so it must be cheap (a
+     * SuiteTraces constructor is: it generates lazily); a request
+     * for another key waits for it. Its exception propagates to the
+     * caller and leaves no entry.
      *
      * @param was_hit set to whether the entry already existed
      */
@@ -78,7 +81,7 @@ class TraceMemo
      * both accrue *after* its build finishes, lazily, as sweep cells
      * request new line sizes or capture a new L1 front end; so the
      * server calls this after each sweep to keep the budget honest.
-     * No-op for unknown (evicted) keys or entries still building.
+     * No-op for unknown (evicted) keys.
      */
     void refresh(const std::string &key, const SuiteTraces &suite);
 
@@ -93,8 +96,8 @@ class TraceMemo
 
     struct Entry
     {
-        std::shared_future<std::shared_ptr<const SuiteTraces>> future;
-        uint64_t bytes = 0; ///< 0 until the build finishes.
+        std::shared_ptr<const SuiteTraces> suite;
+        uint64_t bytes = 0;
         std::list<std::string>::iterator lru;
     };
 

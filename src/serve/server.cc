@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "obs/log.h"
 #include "obs/registry.h"
@@ -310,22 +311,36 @@ Server::wait()
         return;
     if (acceptThread_.joinable())
         acceptThread_.join();
-    // The accept loop has exited, so handlers_ can only shrink in
-    // spirit (all are told to stop); join whatever was launched.
-    std::vector<std::thread> handlers;
+    // The accept loop has exited, so no handler is added any more
+    // (all are told to stop); join every one still unjoined.
+    std::list<Handler> handlers;
     {
         std::lock_guard<std::mutex> lock(handlersMutex_);
         handlers.swap(handlers_);
     }
-    for (std::thread &t : handlers)
-        t.join();
+    for (Handler &handler : handlers)
+        handler.thread.join();
     joined_ = true;
+}
+
+void
+Server::joinFinishedHandlers()
+{
+    // A done handler has left handleConnection and takes this lock
+    // no more, so joining it here only waits for its thread to exit.
+    std::lock_guard<std::mutex> lock(handlersMutex_);
+    for (Handler &handler : handlers_) {
+        if (handler.done)
+            handler.thread.join();
+    }
+    handlers_.remove_if([](const Handler &h) { return h.done; });
 }
 
 void
 Server::acceptLoop()
 {
     while (!stop_.load(std::memory_order_relaxed)) {
+        joinFinishedHandlers();
         pollfd pfd{listenFd_, POLLIN, 0};
         const int ready = ::poll(&pfd, 1, kPollMillis);
         if (ready <= 0)
@@ -340,9 +355,15 @@ Server::acceptLoop()
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
                      sizeof(one));
         connections_.fetch_add(1, std::memory_order_relaxed);
+        // The handler marks itself done only after this lock is
+        // released, so its node is in handlers_ by then.
         std::lock_guard<std::mutex> lock(handlersMutex_);
-        handlers_.emplace_back(
-            [this, fd] { handleConnection(fd); });
+        const auto handler = handlers_.emplace(handlers_.end());
+        handler->thread = std::thread([this, fd, handler] {
+            handleConnection(fd);
+            std::lock_guard<std::mutex> guard(handlersMutex_);
+            handler->done = true;
+        });
     }
 }
 

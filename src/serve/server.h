@@ -6,7 +6,8 @@
  * The bench binaries answer "which fetch mechanism wins under code
  * bloat" as one-shot batch sweeps; this server keeps the simulator
  * resident so many overlapping clients share its warm state. One
- * accept loop hands each connection to a handler thread; a request
+ * accept loop hands each connection to a handler thread, which it
+ * joins once the connection closes; a request
  * names a (config-class grid × workload subset × instruction budget)
  * cell space, which the handler runs with one runSweep call
  * (sim/sweep.h) — the benches' scheduler, one SuiteTraces::runOne
@@ -49,11 +50,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "serve/memo.h"
 #include "serve/protocol.h"
@@ -131,6 +132,9 @@ class Server
 
   private:
     void acceptLoop();
+    /** Join the handlers whose connections have closed, so a closed
+     *  connection's thread does not hold its stack until wait(). */
+    void joinFinishedHandlers();
     void handleConnection(int fd);
     /** Returns false when the connection must close. */
     bool dispatch(int fd, const Json &request,
@@ -150,8 +154,15 @@ class Server
     std::atomic<bool> stop_{false};
     std::atomic<unsigned> inflight_{0};
     std::thread acceptThread_;
+    /** One connection's handler thread. */
+    struct Handler
+    {
+        std::thread thread;
+        /** Left handleConnection; guarded by handlersMutex_. */
+        bool done = false;
+    };
     std::mutex handlersMutex_;
-    std::vector<std::thread> handlers_;
+    std::list<Handler> handlers_;
     bool joined_ = false;
     std::mutex joinMutex_;
     WallTimer uptime_;

@@ -61,18 +61,10 @@ class Tlb
     /** Hit/miss probe with no state change (kseg0 counts as present). */
     bool contains(Asid asid, uint64_t vaddr) const;
 
-    /** Drop everything. */
-    void flushAll() { entries_.invalidateAll(); }
-
     const TlbConfig &config() const { return config_; }
     uint64_t accesses() const { return entries_.accesses(); }
     uint64_t hits() const { return entries_.hits(); }
     uint64_t misses() const { return entries_.misses(); }
-
-    /** Misses per access. */
-    double missRatio() const { return entries_.missRatio(); }
-
-    void resetStats() { entries_.resetStats(); }
 
     /**
      * Publish access/hit/miss counts to the observability registry

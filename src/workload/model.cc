@@ -11,21 +11,13 @@
 
 namespace ibs {
 
-WorkloadModel::WorkloadModel(const WorkloadSpec &spec, uint64_t seed)
-    : spec_(spec), seed_(seed ? seed : spec.seed), schedRng_(0)
+WorkloadModel::WorkloadModel(const WorkloadSpec &spec)
+    : spec_(spec)
 {
     if (spec_.components.empty())
         throw std::invalid_argument("workload has no components");
-    build();
-}
 
-void
-WorkloadModel::build()
-{
-    layouts_.clear();
-    components_.clear();
-
-    Rng master(seed_);
+    Rng master(spec_.seed);
     Rng layout_rng = master.fork();
     Rng walker_rng = master.fork();
     Rng data_rng = master.fork();
@@ -55,7 +47,6 @@ WorkloadModel::build()
     }
     pick_ = DiscreteSampler(pick_weights);
 
-    current_ = 0;
     // Start in the highest-share component.
     double best = -1.0;
     for (size_t i = 0; i < spec_.components.size(); ++i) {
@@ -66,10 +57,6 @@ WorkloadModel::build()
     }
     dwellLeft_ = 1 + static_cast<int64_t>(schedRng_.nextExponential(
         components_[current_].dwellMean));
-    instructions_ = 0;
-    switches_ = 0;
-    pendingCount_ = pendingPos_ = 0;
-    lastWasStore_ = false;
 }
 
 void
@@ -141,12 +128,6 @@ WorkloadModel::nextInstrBlock(uint64_t max_count, uint64_t &start)
     dwellLeft_ -= static_cast<int64_t>(n);
     instructions_ += n;
     return n;
-}
-
-void
-WorkloadModel::reset()
-{
-    build();
 }
 
 int

@@ -29,11 +29,9 @@ namespace ibs {
 class WorkloadModel : public TraceStream
 {
   public:
-    /**
-     * @param spec workload description (copied)
-     * @param seed overrides spec.seed when nonzero
-     */
-    explicit WorkloadModel(const WorkloadSpec &spec, uint64_t seed = 0);
+    /** @param spec workload description (copied); spec.seed seeds
+     *         every random stream of the model */
+    explicit WorkloadModel(const WorkloadSpec &spec);
 
     /** The stream never ends; callers bound it (e.g. the
      *  instruction budget of FetchEngine::run). */
@@ -60,12 +58,9 @@ class WorkloadModel : public TraceStream
      */
     uint64_t nextInstrBlock(uint64_t max_count, uint64_t &start);
 
-    /** Restart the stream from its first record. */
-    void reset();
-
     const WorkloadSpec &spec() const { return spec_; }
 
-    /** Instructions emitted since construction/reset. */
+    /** Instructions emitted since construction. */
     uint64_t instructions() const { return instructions_; }
 
     /** Layout of component `i` (diagnostics, Figure 2 inventory). */
@@ -87,11 +82,9 @@ class WorkloadModel : public TraceStream
         uint32_t dwellMean;
     };
 
-    void build();
     void switchComponent();
 
     WorkloadSpec spec_;
-    uint64_t seed_;
 
     std::vector<std::unique_ptr<CodeLayout>> layouts_;
     std::vector<Component> components_;

@@ -123,19 +123,5 @@ TEST(Decstation, TotalIsSumOfComponents)
                      s.cpiWrite());
 }
 
-TEST(Decstation, ResetClears)
-{
-    const std::vector<TraceRecord> recs = {
-        {0x00400000, 1, RefKind::InstrFetch}};
-    DecstationModel model;
-    VectorTraceStream first(recs);
-    model.run(first, UINT64_MAX);
-    model.reset();
-    VectorTraceStream second(recs);
-    const DecstationStats s = model.run(second, UINT64_MAX);
-    EXPECT_EQ(s.instructions, 1u);
-    EXPECT_EQ(s.icacheMisses, 1u); // Cold again after reset.
-}
-
 } // namespace
 } // namespace ibs

@@ -351,18 +351,6 @@ TEST(FetchEngine, RunConsumesOnlyInstructionRecords)
     EXPECT_EQ(s.l1Misses, 1u);
 }
 
-TEST(FetchEngine, ResetClearsEverything)
-{
-    FetchEngine e(l2Backed());
-    e.fetch(0x0);
-    e.reset();
-    const FetchStats s = e.stats();
-    EXPECT_EQ(s.instructions, 0u);
-    EXPECT_EQ(s.cycles, 0u);
-    e.fetch(0x0);
-    EXPECT_EQ(e.stats().l1Misses, 1u); // Cold again.
-}
-
 TEST(FetchStats, MergeAddsCounters)
 {
     FetchStats a, b;

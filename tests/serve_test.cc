@@ -6,6 +6,7 @@
  * to the same cells run directly through SuiteTraces::runOne.
  */
 
+#include <pthread.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -15,6 +16,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <set>
 #include <string>
 #include <thread>
@@ -535,6 +537,64 @@ TEST(Serve, StopWithAnIdleConnectionStillJoins)
     server.requestStop();
     server.wait(); // Must not hang on the idle open connection.
     EXPECT_TRUE(server.stopping());
+}
+
+/** The process's virtual size in KiB (VmSize, /proc/self/status). */
+uint64_t
+vmSizeKib()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoull(line.substr(7));
+    }
+    return 0;
+}
+
+TEST(Serve, ClosedConnectionsReleaseTheirHandlerThreads)
+{
+    // A handler thread's stack stays mapped until the thread is
+    // joined, so a server that joined handlers only at wait() grew by
+    // one stack per connection it had ever served.
+    pthread_attr_t attr;
+    size_t stack_bytes = 0;
+    ASSERT_EQ(pthread_attr_init(&attr), 0);
+    ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+    pthread_attr_destroy(&attr);
+
+    Server server(testConfig());
+    server.start();
+    const auto serve_one_by_one = [&server](uint64_t connections) {
+        for (uint64_t i = 0; i < connections; ++i) {
+            Client client(server.port());
+            ASSERT_TRUE(client.ping()); // Its handler thread runs.
+        }
+    };
+    {
+        // Handler threads that overlap create malloc arenas, which
+        // stay mapped for the process's lifetime. Four connections
+        // open at once, then a few one by one while those four
+        // handlers exit, create the arenas the measured ones reuse.
+        std::vector<Client> warm(4);
+        for (Client &client : warm) {
+            client.connect(server.port());
+            ASSERT_TRUE(client.ping());
+        }
+    }
+    serve_one_by_one(8);
+    const uint64_t before = vmSizeKib();
+    ASSERT_GT(before, 0u);
+    constexpr uint64_t kConnections = 64;
+    serve_one_by_one(kConnections);
+    // A handler still running at `before` may be joined since.
+    const uint64_t after = vmSizeKib();
+    const uint64_t grown_kib = after > before ? after - before : 0;
+    const uint64_t stack_kib = stack_bytes / 1024;
+    EXPECT_LT(grown_kib, kConnections * stack_kib / 4)
+        << "VmSize grew by " << grown_kib << " KiB over "
+        << kConnections << " closed connections (" << stack_kib
+        << " KiB per thread stack)";
 }
 
 TEST(Serve, ConcurrentClientsAllComplete)

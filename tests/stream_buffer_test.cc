@@ -107,15 +107,5 @@ TEST(StreamBuffer, ReinsertDoesNotConsumeCapacity)
     EXPECT_TRUE(sb.lookup(0x300, e));
 }
 
-TEST(StreamBuffer, ClearEmptiesEverything)
-{
-    StreamBuffer sb(4);
-    sb.insert(0x100, 1);
-    sb.insert(0x200, 2);
-    sb.clear();
-    EXPECT_TRUE(sb.empty());
-    EXPECT_EQ(sb.size(), 0u);
-}
-
 } // namespace
 } // namespace ibs

@@ -99,14 +99,6 @@ TEST(SubBlockCache, LruAcrossWays)
     EXPECT_TRUE(c.access(0x400).tagMiss);
 }
 
-TEST(SubBlockCache, InvalidateAll)
-{
-    SubBlockCache c(cfg(1024, 1, 64), 16);
-    c.access(0x0);
-    c.invalidateAll();
-    EXPECT_TRUE(c.access(0x0).tagMiss);
-}
-
 TEST(SubBlockCache, SubBlockEqualLineDegeneratesToNormalCache)
 {
     SubBlockCache c(cfg(1024, 1, 32), 32);

@@ -89,16 +89,5 @@ TEST(PipelinedPort, FirstRequestAtCycleZero)
     EXPECT_EQ(issued, 0u);
 }
 
-TEST(PipelinedPort, Reset)
-{
-    PipelinedPort port(MemoryTiming{6, 16});
-    port.request(50);
-    port.reset();
-    uint64_t issued;
-    port.request(0, &issued);
-    EXPECT_EQ(issued, 0u);
-    EXPECT_EQ(port.requests(), 1u);
-}
-
 } // namespace
 } // namespace ibs

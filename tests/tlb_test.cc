@@ -93,18 +93,6 @@ TEST(Tlb, SetAssociativeIndexing)
     EXPECT_EQ(tlb.misses(), 4u);
 }
 
-TEST(Tlb, FlushAllAndResetStats)
-{
-    Tlb tlb(cfg(64, 64));
-    tlb.access(1, 0);
-    tlb.flushAll();
-    EXPECT_FALSE(tlb.contains(1, 0));
-    EXPECT_GT(tlb.accesses(), 0u);
-    tlb.resetStats();
-    EXPECT_EQ(tlb.accesses(), 0u);
-    EXPECT_DOUBLE_EQ(tlb.missRatio(), 0.0);
-}
-
 TEST(Tlb, R2000ReachIs256KB)
 {
     // 64 entries x 4-KB pages: sequential touch of 256 KB fits; the

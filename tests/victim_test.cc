@@ -67,16 +67,6 @@ TEST(VictimCache, ZeroVictimLinesIsPlainCache)
     EXPECT_EQ(c.victimHits(), 0u);
 }
 
-TEST(VictimCache, InvalidateAll)
-{
-    VictimCache c(cfg(), 4);
-    c.access(0x0);
-    c.access(0x400); // 0x0 now in victim buffer.
-    c.invalidateAll();
-    EXPECT_EQ(c.access(0x0), 2);
-    EXPECT_EQ(c.access(0x400), 2);
-}
-
 TEST(VictimCache, NeverWorseThanPlainOnRandomStream)
 {
     // Property: victim-buffer full misses <= plain direct-mapped

@@ -221,9 +221,11 @@ TEST(WorkloadModel, DeterministicForSeed)
 
 TEST(WorkloadModel, SeedOverrideChangesStream)
 {
-    const WorkloadSpec spec =
-        makeIbs(IbsBenchmark::Verilog, OsType::Mach);
-    WorkloadModel a(spec, 111), b(spec, 222);
+    WorkloadSpec spec_a = makeIbs(IbsBenchmark::Verilog, OsType::Mach);
+    WorkloadSpec spec_b = spec_a;
+    spec_a.seed = 111;
+    spec_b.seed = 222;
+    WorkloadModel a(spec_a), b(spec_b);
     TraceRecord ra, rb;
     int same = 0;
     for (int i = 0; i < 1000; ++i) {
@@ -232,23 +234,6 @@ TEST(WorkloadModel, SeedOverrideChangesStream)
         same += ra == rb ? 1 : 0;
     }
     EXPECT_LT(same, 900);
-}
-
-TEST(WorkloadModel, ResetReplaysIdentically)
-{
-    const WorkloadSpec spec = makeSpec(SpecBenchmark::Espresso);
-    WorkloadModel model(spec);
-    std::vector<TraceRecord> first;
-    TraceRecord rec;
-    for (int i = 0; i < 5000; ++i) {
-        model.next(rec);
-        first.push_back(rec);
-    }
-    model.reset();
-    for (int i = 0; i < 5000; ++i) {
-        model.next(rec);
-        ASSERT_EQ(rec, first[i]);
-    }
 }
 
 TEST(WorkloadModel, DataRecordsWhenEnabled)
