@@ -269,7 +269,9 @@ FetchEngine::run(TraceStream &stream, uint64_t max_instructions)
         fetch(rec.vaddr);
         ++done;
     }
-    return stats();
+    const FetchStats s = stats();
+    s.check(config_);
+    return s;
 }
 
 void

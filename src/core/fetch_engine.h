@@ -110,7 +110,7 @@ class FetchEngine
      *
      * @param stream record source
      * @param max_instructions stop after this many fetches
-     * @return statistics of this run
+     * @return statistics of this run, checked (FetchStats::check)
      */
     FetchStats run(TraceStream &stream, uint64_t max_instructions);
 

@@ -1,137 +1,34 @@
 /**
  * @file
- * Logger implementation.
+ * warn() implementation.
  */
 
 #include "obs/log.h"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <mutex>
-#include <unordered_set>
 #include <vector>
 
 namespace ibs::obs {
 
-namespace {
-
-/** Cached level; -1 until the environment has been consulted. */
-std::atomic<int> g_level{-1};
-
-int
-parseLevel()
-{
-    const char *env = std::getenv("IBS_LOG_LEVEL");
-    if (!env || *env == '\0')
-        return static_cast<int>(LogLevel::Warn);
-    const struct {
-        const char *name;
-        LogLevel level;
-    } names[] = {
-        {"error", LogLevel::Error},
-        {"warn", LogLevel::Warn},
-        {"info", LogLevel::Info},
-        {"debug", LogLevel::Debug},
-    };
-    for (const auto &n : names) {
-        if (std::strcmp(env, n.name) == 0)
-            return static_cast<int>(n.level);
-    }
-    std::fprintf(stderr,
-                 "ibs [warn]: ignoring invalid IBS_LOG_LEVEL=\"%s\" "
-                 "(want error|warn|info|debug); using warn\n",
-                 env);
-    return static_cast<int>(LogLevel::Warn);
-}
-
 void
-vlogTo(LogLevel level, const char *fmt, va_list ap)
+warn(const char *fmt, ...)
 {
     // Format into one buffer and emit with a single fprintf so
     // messages from concurrent sweep workers never interleave
     // mid-line.
+    va_list ap;
+    va_start(ap, fmt);
     va_list probe;
     va_copy(probe, ap);
     const int n = std::vsnprintf(nullptr, 0, fmt, probe);
     va_end(probe);
-    if (n < 0)
-        return;
-    std::vector<char> buf(static_cast<size_t>(n) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, ap);
-    std::fprintf(stderr, "ibs [%s]: %s\n", logLevelName(level),
-                 buf.data());
-}
-
-} // namespace
-
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Error: return "error";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Info: return "info";
-      case LogLevel::Debug: return "debug";
+    if (n >= 0) {
+        std::vector<char> buf(static_cast<size_t>(n) + 1);
+        std::vsnprintf(buf.data(), buf.size(), fmt, ap);
+        std::fprintf(stderr, "ibs [warn]: %s\n", buf.data());
     }
-    return "?";
-}
-
-LogLevel
-logLevel()
-{
-    int level = g_level.load(std::memory_order_relaxed);
-    if (level < 0) {
-        level = parseLevel();
-        // A racing first call parses the same environment; either
-        // store wins with the same value.
-        g_level.store(level, std::memory_order_relaxed);
-    }
-    return static_cast<LogLevel>(level);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-bool
-logEnabled(LogLevel level)
-{
-    return static_cast<int>(level) <= static_cast<int>(logLevel());
-}
-
-void
-log(LogLevel level, const char *fmt, ...)
-{
-    if (!logEnabled(level))
-        return;
-    va_list ap;
-    va_start(ap, fmt);
-    vlogTo(level, fmt, ap);
     va_end(ap);
-}
-
-bool
-logOnce(LogLevel level, const std::string &key, const char *fmt, ...)
-{
-    if (!logEnabled(level))
-        return false;
-    {
-        static std::mutex mutex;
-        static std::unordered_set<std::string> seen;
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!seen.insert(key).second)
-            return false;
-    }
-    va_list ap;
-    va_start(ap, fmt);
-    vlogTo(level, fmt, ap);
-    va_end(ap);
-    return true;
 }
 
 } // namespace ibs::obs

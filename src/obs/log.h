@@ -1,66 +1,23 @@
 /**
  * @file
- * Leveled diagnostic logger.
+ * The library's one diagnostic channel: always-on warnings.
  *
- * All human-facing diagnostics of the library go through obs::log so
- * one environment variable controls their verbosity:
- *
- *   IBS_LOG_LEVEL=error|warn|info|debug   (default: warn)
- *
- * Messages print to stderr as "ibs [<level>]: <message>\n" in a
- * single stdio call, so lines from concurrent sweep workers do not
- * interleave. Nothing ever prints to stdout — bench text output stays
- * byte-identical at any log level.
- *
- * logOnce() is the once-per-key variant for warnings that would
- * otherwise repeat (one short-trace warning per workload, not one per
- * materialization).
- *
- * The level is read from the environment once and cached; the
- * per-call cost of a suppressed message is one load and compare.
+ * warn() prints "ibs [warn]: <message>\n" to stderr in a single stdio
+ * call, so lines from concurrent sweep workers do not interleave.
+ * Nothing ever prints to stdout — bench text output stays
+ * byte-identical whether or not a warning fires.
  */
 
 #ifndef IBS_OBS_LOG_H
 #define IBS_OBS_LOG_H
 
-#include <string>
-
 namespace ibs::obs {
 
-/** Severity, most severe first; a message prints when its level is
- *  <= the configured level. */
-enum class LogLevel { Error = 0, Warn = 1, Info = 2, Debug = 3 };
-
-/** Lower-case name ("error", "warn", ...). */
-const char *logLevelName(LogLevel level);
-
-/** Active level: IBS_LOG_LEVEL at first call, Warn when unset or
- *  malformed (a malformed value itself warns once). */
-LogLevel logLevel();
-
-/** Override the cached level (tests and embedders). */
-void setLogLevel(LogLevel level);
-
-/** Would a message at `level` print? */
-bool logEnabled(LogLevel level);
-
-/** printf-style message at `level`; a trailing newline is added. */
+/** printf-style warning on stderr; a trailing newline is added. */
 #if defined(__GNUC__) || defined(__clang__)
-__attribute__((format(printf, 2, 3)))
+__attribute__((format(printf, 1, 2)))
 #endif
-void log(LogLevel level, const char *fmt, ...);
-
-/**
- * As log(), but at most one message is ever printed per `key`
- * (process lifetime). Returns true when this call printed.
- * Suppression dedupes by key alone, so later calls may carry
- * different message text — the first one wins.
- */
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((format(printf, 3, 4)))
-#endif
-bool logOnce(LogLevel level, const std::string &key, const char *fmt,
-             ...);
+void warn(const char *fmt, ...);
 
 } // namespace ibs::obs
 

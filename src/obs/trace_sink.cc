@@ -226,9 +226,8 @@ TraceEventSink::flushLocked(std::vector<Event> events)
     if (!file_) {
         file_ = std::fopen(path_.c_str(), "wb");
         if (!file_) {
-            log(LogLevel::Error,
-                "TraceEventSink: cannot open %s for writing",
-                path_.c_str());
+            warn("TraceEventSink: cannot open %s for writing",
+                 path_.c_str());
             ioFailed_ = true;
             return false;
         }
@@ -257,8 +256,7 @@ TraceEventSink::flushLocked(std::vector<Event> events)
     tailPos_ = std::ftell(file_);
     std::fputs("\n]}\n", file_);
     if (std::fflush(file_) != 0 || std::ferror(file_)) {
-        log(LogLevel::Error, "TraceEventSink: short write to %s",
-            path_.c_str());
+        warn("TraceEventSink: short write to %s", path_.c_str());
         ioFailed_ = true;
         return false;
     }

@@ -89,8 +89,8 @@ class Client
      * Run one sweep request to completion, collecting every streamed
      * cell frame. An empty `workloads` means the suite's full set.
      * A non-empty `req_id` rides along for server-side correlation
-     * (access log, traces); see serve/protocol.h. Structured
-     * rejections land in the result; transport failures throw.
+     * (trace spans); see serve/protocol.h. Structured rejections
+     * land in the result; transport failures throw.
      */
     SweepResult sweep(const std::string &suite,
                       const std::vector<std::string> &configs,

@@ -5,8 +5,6 @@
 
 #include "serve/memo.h"
 
-#include "obs/log.h"
-
 namespace ibs::serve {
 
 TraceMemo::TraceMemo(uint64_t byte_budget) : budget_(byte_budget) {}
@@ -66,10 +64,6 @@ TraceMemo::evictOverBudgetLocked()
     // a single over-budget suite still gets reuse.
     while (bytes_ > budget_ && entries_.size() > 1) {
         auto it = entries_.find(lru_.back());
-        obs::log(obs::LogLevel::Info,
-                 "serve memo: evicting %s (%llu bytes)",
-                 lru_.back().c_str(),
-                 static_cast<unsigned long long>(it->second.bytes));
         bytes_ -= it->second.bytes;
         entries_.erase(it);
         lru_.pop_back();

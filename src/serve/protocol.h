@@ -31,10 +31,10 @@
  *
  * Request ids: any request may carry a string "req_id"; the server
  * echoes it verbatim in every frame it sends for that request (for a
- * sweep: the "start", every "cell", and the "done" frame) and uses
- * it in its access log, so a client can correlate its own records
- * with server-side telemetry and traces. When the member is absent
- * or not a non-empty string, the server assigns "s-<n>" from a
+ * sweep: the "start", every "cell", and the "done" frame) and names
+ * its trace span after it, so a client can correlate its own records
+ * with server-side traces. When the member is absent or not a
+ * non-empty string, the server assigns "s-<n>" from a
  * process-wide sequence and echoes that instead — every response
  * frame to a well-formed request therefore carries a "req_id".
  *

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -140,20 +141,17 @@ memoKey(const SweepRequest &request)
  * Request-scoped telemetry, one instance per parsed request frame:
  * a stable (seq, req_id) identity, the connection the request is
  * answered on, the response byte count, and — on destruction, after
- * the response is on the wire — the latency histograms, the
- * access-log line, and the async span close. When IBS_OBS_TRACE is
- * set, construction opens a "req <id>" async span and a flow; step()
- * adds a flow step from whatever thread is advancing the request
- * (the handler after materialization, each pool thread per cell),
- * which is what stitches a request's work across threads in the
- * Perfetto view.
+ * the response is on the wire — the latency histograms and the async
+ * span close. When IBS_OBS_TRACE is set, construction opens a
+ * "req <id>" async span and a flow; step() adds a flow step from
+ * whatever thread is advancing the request (the handler after
+ * materialization, each pool thread per cell), which is what
+ * stitches a request's work across threads in the Perfetto view.
  */
 struct RequestTelemetry
 {
     uint64_t seq;   ///< Numeric async/flow id (unique per process).
     std::string id; ///< Echoed req_id (client's, or "s-<seq>").
-    std::string kind = "invalid";
-    int code = 0; ///< Error code of the response, 0 when none sent.
     uint64_t bytesOut = 0;
     uint64_t cells = 0;
     bool isSweep = false;
@@ -222,13 +220,6 @@ struct RequestTelemetry
             sink->flowEnd(spanName(), "serve.req", seq, now);
             sink->asyncEnd(spanName(), "serve.req", seq, now);
         }
-        obs::log(obs::LogLevel::Info,
-                 "serve: req id=%s type=%s code=%d latency_us=%llu "
-                 "bytes_out=%llu cells=%llu",
-                 id.c_str(), kind.c_str(), code,
-                 static_cast<unsigned long long>(us),
-                 static_cast<unsigned long long>(bytesOut),
-                 static_cast<unsigned long long>(cells));
     }
 };
 
@@ -238,8 +229,11 @@ ServerConfig::fromEnv()
     ServerConfig config;
     config.port = static_cast<uint16_t>(
         parseEnvCount("IBS_SERVE_PORT", 0, 0, 65535));
-    config.maxInflight = static_cast<unsigned>(parseEnvCount(
-        "IBS_SERVE_MAX_INFLIGHT", config.maxInflight));
+    // Bounded at its type: a wider count would narrow, 2^32 to 0,
+    // and the server would refuse every sweep.
+    config.maxInflight = static_cast<unsigned>(
+        parseEnvCount("IBS_SERVE_MAX_INFLIGHT", config.maxInflight, 1,
+                      std::numeric_limits<unsigned>::max()));
     config.memoBytes =
         parseEnvCount("IBS_SERVE_MEMO_BYTES", config.memoBytes);
     config.maxTotalInstructions = parseEnvCount(
@@ -290,11 +284,6 @@ Server::start()
                   &len);
     port_ = ntohs(addr.sin_port);
     acceptThread_ = std::thread([this] { acceptLoop(); });
-    obs::log(obs::LogLevel::Info,
-             "serve: listening on 127.0.0.1:%u (max_inflight=%u, "
-             "memo=%llu bytes)",
-             unsigned{port_}, config_.maxInflight,
-             static_cast<unsigned long long>(config_.memoBytes));
 }
 
 void
@@ -400,7 +389,6 @@ bool
 Server::replyError(RequestTelemetry &telemetry, int code,
                    const std::string &message)
 {
-    telemetry.code = code;
     if (code == 400)
         protocolErrors_.fetch_add(1, std::memory_order_relaxed);
     else if (code == 429)
@@ -427,7 +415,6 @@ Server::dispatch(int fd, const Json &request, std::mutex &write_mutex)
         return replyError(telemetry, 400,
                           "request needs a string \"type\"");
     const std::string &kind = type->asString();
-    telemetry.kind = kind;
     if (kind == "ping")
         return telemetry.reply(
             Json::object().set("type", Json::string("pong")));
@@ -498,7 +485,6 @@ Server::handleSweep(const Json &request, RequestTelemetry &telemetry)
     telemetry.isSweep = true;
     telemetry.cells = cells;
     obs::Registry &registry = obs::Registry::global();
-    WallTimer request_timer;
     obs::ScopedTimer span("serve sweep " + memoKey(sweep), "serve");
 
     bool memo_hit = false;
@@ -568,8 +554,7 @@ Server::handleSweep(const Json &request, RequestTelemetry &telemetry)
                 cellsDone_.fetch_add(1, std::memory_order_relaxed);
             });
     } catch (const std::exception &e) {
-        obs::log(obs::LogLevel::Warn, "serve: sweep aborted: %s",
-                 e.what());
+        obs::warn("serve: sweep aborted: %s", e.what());
         return; // Writing anything further would interleave badly.
     }
 
@@ -583,7 +568,7 @@ Server::handleSweep(const Json &request, RequestTelemetry &telemetry)
                         .set("cells", Json::number(cells))
                         .set("memo_hit", Json::boolean(memo_hit))
                         .set("wall_seconds",
-                             Json::number(request_timer.seconds())));
+                             Json::number(telemetry.timer.seconds())));
 }
 
 Json

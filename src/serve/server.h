@@ -21,16 +21,16 @@
  * Telemetry: start() enables the process-wide obs::Registry (an
  * unobservable server cannot be operated), and every parsed request
  * is wrapped in request-scoped telemetry — a req_id (client-supplied
- * or server-assigned, see serve/protocol.h), an access-log line at
- * Info level, latency/size histograms (serve.request.latency_us,
- * serve.request.bytes_out, serve.request.cells,
- * serve.sweep.latency_us, and per cell serve.sweep.simulate_us /
- * serialize_us), and — when IBS_OBS_TRACE is set — one async span
- * per request with flow events stepping from the handler into each
- * cell on the pool threads. Like any runSweep call, a sweep also
- * emits one "cell" trace span per cell. The "stats" request is the one
- * telemetry surface: the lifetime counters and memo numbers below,
- * the registry's counters, and every histogram's exact buckets.
+ * or server-assigned, see serve/protocol.h), latency/size histograms
+ * (serve.request.latency_us, serve.request.bytes_out,
+ * serve.request.cells, serve.sweep.latency_us, and per cell
+ * serve.sweep.simulate_us / serialize_us), and — when IBS_OBS_TRACE
+ * is set — one async span per request with flow events stepping
+ * from the handler into each cell on the pool threads. Like any
+ * runSweep call, a sweep also emits one "cell" trace span per cell.
+ * The "stats" request is the one telemetry surface: the lifetime
+ * counters and memo numbers below, the registry's counters, and
+ * every histogram's exact buckets.
  *
  * Admission control keeps the process answerable under overload:
  * at most `maxInflight` sweep requests execute at once and a request

@@ -234,17 +234,15 @@ BenchReport::write() const
     const std::string text = build().dump() + "\n";
     std::FILE *f = std::fopen(path.c_str(), "wb");
     if (!f) {
-        obs::log(obs::LogLevel::Error,
-                 "BenchReport: cannot open %s for writing",
-                 path.c_str());
+        obs::warn("BenchReport: cannot open %s for writing",
+                  path.c_str());
         return false;
     }
     const bool ok =
         std::fwrite(text.data(), 1, text.size(), f) == text.size();
     const bool closed = std::fclose(f) == 0;
     if (!ok || !closed) {
-        obs::log(obs::LogLevel::Error,
-                 "BenchReport: short write to %s", path.c_str());
+        obs::warn("BenchReport: short write to %s", path.c_str());
         return false;
     }
     return true;

@@ -8,7 +8,7 @@
 #include <algorithm>
 #include <atomic>
 
-#include "sim/runner.h"
+#include "sim/sweep.h"
 
 namespace ibs {
 
@@ -144,10 +144,8 @@ ThreadPool::shared()
     // environment allows.
     static ThreadPool pool = [] {
         const unsigned hw = std::thread::hardware_concurrency();
-        const uint64_t n = parseEnvCount("IBS_THREADS", hw ? hw : 1);
-        const unsigned workers =
-            n > 1 ? static_cast<unsigned>(std::min<uint64_t>(n, 256))
-                  : (hw > 1 ? hw : 1);
+        const unsigned n = sweepThreads();
+        const unsigned workers = n > 1 ? n : (hw > 1 ? hw : 1);
         return ThreadPool(workers - (workers > 1 ? 1 : 0));
     }();
     return pool;

@@ -18,24 +18,6 @@
 
 namespace ibs {
 
-namespace {
-
-/** Warn, once per workload, when its model drained after `got` of
- *  the `wanted` instructions. */
-void
-warnShortTrace(const std::string &name, uint64_t got, uint64_t wanted)
-{
-    if (got >= wanted)
-        return;
-    obs::logOnce(obs::LogLevel::Warn, "short-trace:" + name,
-                 "workload %s drained after %llu of %llu "
-                 "instructions; its trace is short",
-                 name.c_str(), static_cast<unsigned long long>(got),
-                 static_cast<unsigned long long>(wanted));
-}
-
-} // namespace
-
 std::optional<uint64_t>
 parseCount(const char *text, uint64_t min, uint64_t max)
 {
@@ -66,9 +48,8 @@ parseEnvCount(const char *name, uint64_t fallback, uint64_t min,
         ? "a positive integer"
         : "an integer in [" + std::to_string(min) + ", " +
             std::to_string(max) + "]";
-    obs::log(obs::LogLevel::Warn,
-             "ignoring invalid %s=\"%s\" (want %s); using %llu", name,
-             env, want.c_str(), static_cast<unsigned long long>(fallback));
+    obs::warn("ignoring invalid %s=\"%s\" (want %s); using %llu", name,
+              env, want.c_str(), static_cast<unsigned long long>(fallback));
     return fallback;
 }
 
@@ -110,8 +91,6 @@ SuiteTraces::runTrace(size_t i, uint32_t line_bytes) const
             WorkloadModel model(specs_[i]);
             entry->value =
                 generateRunTrace(model, line_bytes, requested_);
-            warnShortTrace(name(i), entry->value.instructions,
-                           requested_);
             // Built before the flag completes: a request waiting on
             // the flag cuts from this trace.
             entry->built.store(true, std::memory_order_release);

@@ -16,9 +16,12 @@ namespace ibs {
 unsigned
 sweepThreads()
 {
+    // The one parse of IBS_THREADS: ThreadPool::shared() sizes the
+    // pool from it too. The cap bounds the pool and keeps the
+    // narrowing to unsigned exact.
     const unsigned hw = std::thread::hardware_concurrency();
-    const uint64_t n = parseEnvCount("IBS_THREADS", hw ? hw : 1);
-    return n > 0 ? static_cast<unsigned>(n) : 1;
+    return static_cast<unsigned>(
+        parseEnvCount("IBS_THREADS", hw ? hw : 1, 1, 256));
 }
 
 void

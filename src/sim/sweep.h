@@ -38,8 +38,8 @@
 namespace ibs {
 
 /**
- * Worker count for parallel sweeps: IBS_THREADS if set and valid,
- * else hardware concurrency, always at least 1.
+ * Worker count for parallel sweeps: IBS_THREADS if set and valid
+ * (1 to 256), else hardware concurrency, always at least 1.
  */
 unsigned sweepThreads();
 

@@ -3,7 +3,7 @@
  * Tests for the observability layer (src/obs/): counter registry
  * merge semantics and cross-thread determinism, trace-event export
  * (escaping, concurrency, monotonicity, empty runs), scoped timers
- * and the leveled logger.
+ * and warnings.
  */
 
 #include <gtest/gtest.h>
@@ -511,41 +511,12 @@ TEST(ObsTimer, WithoutSinkStillMeasures)
     obs::TraceEventSink::exchangeGlobal(std::move(prev));
 }
 
-TEST(ObsLog, LevelGatesAndFormatsMessages)
+TEST(ObsLog, WarnPrintsOnePrefixedLine)
 {
-    const obs::LogLevel was = obs::logLevel();
-    obs::setLogLevel(obs::LogLevel::Warn);
-    EXPECT_TRUE(obs::logEnabled(obs::LogLevel::Error));
-    EXPECT_TRUE(obs::logEnabled(obs::LogLevel::Warn));
-    EXPECT_FALSE(obs::logEnabled(obs::LogLevel::Info));
-
     ::testing::internal::CaptureStderr();
-    obs::log(obs::LogLevel::Info, "suppressed %d", 1);
-    obs::log(obs::LogLevel::Warn, "kept %s %d", "message", 2);
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_EQ(err.find("suppressed"), std::string::npos) << err;
-    EXPECT_NE(err.find("ibs [warn]: kept message 2\n"),
-              std::string::npos)
-        << err;
-    obs::setLogLevel(was);
-}
-
-TEST(ObsLog, LogOncePrintsOncePerKey)
-{
-    const obs::LogLevel was = obs::logLevel();
-    obs::setLogLevel(obs::LogLevel::Warn);
-    ::testing::internal::CaptureStderr();
-    EXPECT_TRUE(obs::logOnce(obs::LogLevel::Warn, "obs-test-key-1",
-                             "first %d", 1));
-    EXPECT_FALSE(obs::logOnce(obs::LogLevel::Warn, "obs-test-key-1",
-                              "second %d", 2));
-    EXPECT_TRUE(obs::logOnce(obs::LogLevel::Warn, "obs-test-key-2",
-                             "other"));
-    const std::string err = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("first 1"), std::string::npos) << err;
-    EXPECT_EQ(err.find("second 2"), std::string::npos) << err;
-    EXPECT_NE(err.find("other"), std::string::npos) << err;
-    obs::setLogLevel(was);
+    obs::warn("kept %s %d", "message", 2);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(),
+              "ibs [warn]: kept message 2\n");
 }
 
 TEST(ObsTraceSink, FlushKeepsTheFileValidAfterEveryFlush)

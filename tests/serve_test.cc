@@ -24,7 +24,6 @@
 
 #include <gtest/gtest.h>
 
-#include "obs/log.h"
 #include "obs/registry.h"
 #include "replay_oracle.h"
 #include "serve/catalog.h"
@@ -857,8 +856,6 @@ TEST(Serve, PortFromEnvAcceptsZeroTo65535AndWarnsOtherwise)
         {"70000", 0, true},
         {"x", 0, true},
     };
-    const obs::LogLevel level = obs::logLevel();
-    obs::setLogLevel(obs::LogLevel::Warn);
     for (const auto &c : cases) {
         ::setenv("IBS_SERVE_PORT", c.value, 1);
         ::testing::internal::CaptureStderr();
@@ -871,7 +868,36 @@ TEST(Serve, PortFromEnvAcceptsZeroTo65535AndWarnsOtherwise)
             << c.value << ": " << err;
     }
     ::unsetenv("IBS_SERVE_PORT");
-    obs::setLogLevel(level);
+}
+
+TEST(Serve, MaxInflightFromEnvIsBoundedAtItsType)
+{
+    // maxInflight is unsigned: a count that would wrap in the
+    // narrowing (2^32 to 0, a server that refuses every sweep) warns
+    // and keeps the default. Only parsed; no server starts here.
+    const unsigned fallback = ServerConfig().maxInflight;
+    const struct
+    {
+        const char *value;
+        unsigned inflight;
+    } cases[] = {
+        {"4294967295", 4294967295u},
+        {"4294967296", fallback},
+        {"4294967297", fallback},
+        {"0", fallback},
+    };
+    for (const auto &c : cases) {
+        ::setenv("IBS_SERVE_MAX_INFLIGHT", c.value, 1);
+        ::testing::internal::CaptureStderr();
+        const unsigned inflight = ServerConfig::fromEnv().maxInflight;
+        const std::string err =
+            ::testing::internal::GetCapturedStderr();
+        EXPECT_EQ(inflight, c.inflight) << c.value;
+        EXPECT_EQ(err.find("IBS_SERVE_MAX_INFLIGHT") != std::string::npos,
+                  c.inflight == fallback)
+            << c.value << ": " << err;
+    }
+    ::unsetenv("IBS_SERVE_MAX_INFLIGHT");
 }
 
 TEST(TraceMemo, EvictsColdEntriesWhenOverBudget)

@@ -166,6 +166,15 @@ TEST(Sweep, ThreadsEnvOverride)
     EXPECT_EQ(sweepThreads(), fallback);
     setenv("IBS_THREADS", "-2", 1);
     EXPECT_EQ(sweepThreads(), fallback);
+
+    // One bound for the sweeps and the pool (ThreadPool::shared), so
+    // a count past it cannot wrap in the narrowing to unsigned.
+    setenv("IBS_THREADS", "256", 1);
+    EXPECT_EQ(sweepThreads(), 256u);
+    for (const char *over : {"257", "4294967296", "4294967297"}) {
+        setenv("IBS_THREADS", over, 1);
+        EXPECT_EQ(sweepThreads(), fallback) << over;
+    }
     unsetenv("IBS_THREADS");
 }
 
